@@ -9,7 +9,6 @@ from .channel import (
     ChannelState,
     FadingProfile,
     PowerConfig,
-    SlotSplit,
     draw_states,
     ru_for_sigma_q2,
     sample_fading,
@@ -35,7 +34,6 @@ from .outage import (
     RegionOutcome,
     classify_region,
     common_outage_mc,
-    csit_outage_mc,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
     gqf_outage_indicator,

@@ -34,7 +34,6 @@ __all__ = [
     "ChannelState",
     "PowerConfig",
     "FadingProfile",
-    "SlotSplit",
     "substream",
     "sample_fading",
     "sample_fading_block",
@@ -108,6 +107,16 @@ class PowerConfig:
         average block energy by transmitting snr/(1-beta) in its slot."""
         return cls(snr, snr, snr, snr, snr / (1.0 - beta))
 
+    @classmethod
+    def from_snr_db(cls, snr_db: float, beta: float) -> "PowerConfig":
+        """:meth:`from_snr` at ``snr_db`` decibels.  Raises ValueError when a
+        linear power is not finite."""
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        return cls.from_snr(snr, beta)
+
 
 @dataclass(frozen=True)
 class FadingProfile:
@@ -133,16 +142,6 @@ class FadingProfile:
         return np.array(
             [self.var_1d, self.var_2d, self.var_1r, self.var_2r, self.var_rd]
         )
-
-
-@dataclass(frozen=True)
-class SlotSplit:
-    """Listen-slot fraction beta = n/l of the block."""
-
-    beta: float
-
-    def __post_init__(self):
-        _check_beta(self.beta)
 
 
 def _check_beta(beta: float) -> float:
@@ -279,7 +278,20 @@ def sigma_q2_for_fixed_ru(
         raise ValueError(f"relay index rate must be > 0, got {ru!r}")
     k = prefactor(state.field_kind)
     received = abs(state.h1r) ** 2 * power.p11 + abs(state.h2r) ** 2 * power.p21
-    return (1.0 + received) / math.expm1(ru / (beta * k) * _LN2)
+    return _quantizer_variance(received, beta, ru, k)
+
+
+def _quantizer_variance(received, beta: float, ru: float, k: float):
+    """(1 + received) / (2^(ru/(beta*k)) - 1), broadcasting over ``received``.
+
+    An index rate whose 2^(ru/(beta*k)) exceeds the float range gives the
+    limit 0 (an exact description of the relay observation).
+    """
+    try:
+        denom = math.expm1(ru / (beta * k) * _LN2)
+    except OverflowError:
+        denom = math.inf
+    return (1.0 + received) / denom
 
 
 def ru_for_sigma_q2(

@@ -46,14 +46,7 @@ def _apply_common(cfg, args):
         updates["json_out"] = args.json_out
     if not updates:
         return cfg
-    try:
-        merged = config_to_dict(cfg)
-        merged.update(updates)
-        return config_from_dict(merged)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return config_from_dict({**config_to_dict(cfg), **updates})
 
 
 def _run_and_write(cfg) -> int:

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import yaml
 
+from .channel import PowerConfig
+from .outage import SCHEMES
+
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
@@ -32,19 +35,15 @@ KINDS = (
     "fading_sigmard_sweep",
 )
 
-# per-sweep-point series the fading sweeps can emit; *_opt picks the relay
-# index rate from ru_grid by minimizing outage on shared draws
-SCHEME_TOKENS = (
-    "gqf",
-    "gqf_opt",
-    "csit",
-    "nonwz_cf",
-    "nonwz_cf_opt",
-    "df",
-    "af",
-    "direct",
-    "direct15",
-)
+#: per-sweep-point series the fading sweeps can emit, mapped to (scheme,
+#: optimized): every Monte Carlo scheme, and for each scheme with a relay
+#: index rate a "<scheme>_opt" series that picks the rate from ru_grid by
+#: minimizing outage on shared draws
+SCHEME_TOKENS = {
+    token: (name, token != name)
+    for name, scheme in SCHEMES.items()
+    for token in ((name, f"{name}_opt") if scheme.regions is not None else (name,))
+}
 
 _DEFAULT_SIGMA_GRID = tuple(round(0.05 * i, 10) for i in range(1, 201))
 _DEFAULT_BETA_GRID = tuple(round(0.025 * i, 10) for i in range(1, 40))
@@ -159,12 +158,19 @@ class ExperimentConfig:
             for token in self.schemes:
                 if token not in SCHEME_TOKENS:
                     raise ConfigError(
-                        f"unknown scheme {token!r}; known: {SCHEME_TOKENS}"
+                        f"unknown scheme {token!r}; known: {tuple(SCHEME_TOKENS)}"
                     )
+                scheme = SCHEMES[SCHEME_TOKENS[token][0]]
+                if not scheme.allows(self.beta):
+                    raise ConfigError(f"scheme {token!r} needs beta = {scheme.beta}")
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat")
-            if ("af" in self.schemes) and abs(self.beta - 0.5) > 1e-12:
-                raise ConfigError("scheme 'af' needs beta = 0.5")
+            snrs = self.snr_db_grid if self.kind == "fading_snr_sweep" else (self.snr_db,)
+            for snr_db in snrs:
+                try:
+                    PowerConfig.from_snr_db(snr_db, self.beta)
+                except ValueError as exc:
+                    raise ConfigError(f"snr {snr_db!r} dB: {exc}") from exc
 
 
 def _float_tuple(name, values):
@@ -206,27 +212,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     coerced = {}
     for name, value in data.items():
         kind = _FIELD_TYPES[name]
-        try:
-            if kind == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"{name} must be an integer")
-                coerced[name] = value
-            elif kind == "float":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{name} must be a number")
-                coerced[name] = float(value)
-            elif kind == "bool":
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{name} must be a boolean")
-                coerced[name] = value
-            elif kind == "str":
-                if not isinstance(value, str):
-                    raise ConfigError(f"{name} must be a string")
-                coerced[name] = value
-            else:  # tuple-valued
-                coerced[name] = value
-        except ConfigError:
-            raise
+        if kind == "int":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer")
+            coerced[name] = value
+        elif kind == "float":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number")
+            coerced[name] = float(value)
+        elif kind == "bool":
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a boolean")
+            coerced[name] = value
+        elif kind == "str":
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string")
+            coerced[name] = value
+        else:  # tuple-valued
+            coerced[name] = value
     try:
         return ExperimentConfig(**coerced)
     except (TypeError, ValueError) as exc:

@@ -23,8 +23,9 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ChannelState, FadingProfile, PowerConfig
-from .config import ConfigError, ExperimentConfig, config_to_dict
+from .config import SCHEME_TOKENS, ConfigError, ExperimentConfig, config_to_dict
 from .outage import (
+    SCHEMES,
     RateTarget,
     common_outage_mc,
     expected_sum_rate_common,
@@ -185,8 +186,7 @@ def _run_fading_point(cfg, profile, power, columns):
     """Evaluate every requested scheme at one sweep point on shared draws."""
     base_target = RateTarget(cfg.r1, cfg.r2, cfg.ru)
     for token in cfg.schemes:
-        optimized = token.endswith("_opt")
-        scheme = token[: -len("_opt")] if optimized else token
+        scheme, optimized = SCHEME_TOKENS[token]
         if optimized:
             ru_star, est = optimize_ru_grid(
                 profile, power, cfg.beta, base_target, cfg.ru_grid,
@@ -205,7 +205,7 @@ def _run_fading_point(cfg, profile, power, columns):
         columns.setdefault(f"{token}_rbar", []).append(
             expected_sum_rate_common(base_target, est)
         )
-        if cfg.individual and scheme in ("gqf", "nonwz_cf"):
+        if cfg.individual and SCHEMES[scheme].regions is not None:
             ind = individual_outage_mc(
                 profile, power, cfg.beta, RateTarget(cfg.r1, cfg.r2, used_ru),
                 cfg.n_samples, cfg.seed, scheme=scheme, workers=cfg.workers,
@@ -221,14 +221,14 @@ def _run_fading_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     profile = _profile_at(cfg)
     columns: dict = {}
     for snr_db in cfg.snr_db_grid:
-        power = PowerConfig.from_snr(10.0 ** (snr_db / 10.0), cfg.beta)
+        power = PowerConfig.from_snr_db(snr_db, cfg.beta)
         _run_fading_point(cfg, profile, power, columns)
     columns = {k: tuple(v) for k, v in columns.items()}
     return SweepResult("snr_db", cfg.snr_db_grid, columns, _metadata(cfg))
 
 
 def _run_fading_sigmard_sweep(cfg: ExperimentConfig) -> SweepResult:
-    power = PowerConfig.from_snr(10.0 ** (cfg.snr_db / 10.0), cfg.beta)
+    power = PowerConfig.from_snr_db(cfg.snr_db, cfg.beta)
     columns: dict = {}
     for sigma_rd2 in cfg.sigma_rd2_grid:
         _run_fading_point(cfg, _profile_at(cfg, sigma_rd2), power, columns)

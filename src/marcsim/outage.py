@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +33,14 @@ from .channel import (
     FadingProfile,
     PowerConfig,
     _check_beta,
+    _quantizer_variance,
     sample_fading_block,
 )
 from .info import prefactor
 
 __all__ = [
     "SCHEMES",
+    "Scheme",
     "RateTarget",
     "OutageEstimate",
     "RegionOutcome",
@@ -47,20 +50,11 @@ __all__ = [
     "classify_region",
     "classify_region_batch",
     "common_outage_mc",
-    "csit_outage_mc",
     "individual_outage_mc",
     "optimize_ru_grid",
     "expected_sum_rate_common",
     "expected_sum_rate_indiv",
 ]
-
-_LN2 = math.log(2.0)
-
-#: schemes the Monte Carlo layer knows how to evaluate per draw
-SCHEMES = ("gqf", "csit", "nonwz_cf", "df", "af", "direct", "direct15")
-
-#: schemes whose region depends on the relay index rate
-RU_SCHEMES = ("gqf", "nonwz_cf")
 
 
 @dataclass(frozen=True)
@@ -127,16 +121,108 @@ class IndividualOutageEstimate:
     seed: int
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """One relaying scheme of the Monte Carlo layer.
+
+    ``bounds(g, power, beta, target)`` returns the per-draw (i1, i2, isum)
+    on the gain columns g = (h1d, h2d, h1r, h2r, hrd) of a draw matrix,
+    with complex fading semantics (prefactor 1).
+    ``regions(g, power, beta, target)`` returns ((i1, i2, isum), reg1, reg2)
+    with the region-1 and region-2 masks of :func:`classify_region_batch`;
+    only schemes with a relay index rate have it, and having it means the
+    scheme needs ``target.ru > 0``, gets an ``<name>_opt`` series that
+    optimizes ``ru`` and supports individual outage.  ``beta``, if set, is
+    the only slot split the scheme is defined for.
+    """
+
+    bounds: Callable
+    regions: Callable | None = None
+    beta: float | None = None
+
+    def allows(self, beta: float) -> bool:
+        """Whether the scheme is defined at slot split ``beta``."""
+        return self.beta is None or abs(beta - self.beta) <= 1e-12
+
+
+def _clamp(x):
+    return np.maximum(x, 0.0)
+
+
+def _fixed_ru_terms(g, power, beta, ru, k=1.0):
+    """Quantizer variance that spends exactly ``ru`` on the relay's
+    observation, chosen from the source-relay gains alone (receiver-side
+    CSI), and the six joint-decoding min-terms at it."""
+    received = np.abs(g[2]) ** 2 * power.p11 + np.abs(g[3]) ** 2 * power.p21
+    sq2 = _quantizer_variance(received, beta, ru, k)
+    return sq2, rates._gqf_terms(*g, power, beta, sq2, k)
+
+
+def _mins(t):
+    """(i1, i2, isum) of the six min-terms (t1a, t1b, t2a, t2b, tsa, tsb)."""
+    return np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
+
+
+def _gqf_regions(g, power, beta, target):
+    sq2, t = _fixed_ru_terms(g, power, beta, target.ru)
+    w1a, w1b, w2a, w2b = rates._interference_terms(*g, power, beta, sq2, target.ru, 1.0)
+    r1, r2 = target.r1, target.r2
+    user1_alone = (r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b))
+    user2_alone = (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b))
+    reg2 = user1_alone & (r2 > _clamp(t[2])) & (r2 > _clamp(t[3]))
+    reg1 = user2_alone & (r1 > _clamp(t[0])) & (r1 > _clamp(t[1]))
+    return _mins(t), reg1, reg2
+
+
+def _nonwz_regions(g, power, beta, target):
+    i1, i2, isum, _, i1_int, i2_int = rates._nonwz_terms(*g, power, beta, target.ru, 1.0)
+    r1, r2 = target.r1, target.r2
+    reg2 = (r1 <= _clamp(i1_int)) & (r2 > _clamp(i2))
+    reg1 = (r2 <= _clamp(i2_int)) & (r1 > _clamp(i1))
+    return (i1, i2, isum), reg1, reg2
+
+
+#: every scheme the Monte Carlo layer evaluates per draw; adding a scheme
+#: here makes it available to the estimators, configs and sweeps
+SCHEMES = {
+    "gqf": Scheme(
+        lambda g, power, beta, t: _mins(_fixed_ru_terms(g, power, beta, t.ru)[1]), _gqf_regions
+    ),
+    "csit": Scheme(lambda g, power, beta, t: rates._csit_terms(*g, power, beta, 1.0)),
+    "nonwz_cf": Scheme(
+        lambda g, power, beta, t: rates._nonwz_terms(*g, power, beta, t.ru, 1.0)[:3],
+        _nonwz_regions,
+    ),
+    "df": Scheme(lambda g, power, beta, t: rates._df_terms(*g, power, beta, t.r1, t.r2, 1.0)),
+    "af": Scheme(lambda g, power, beta, t: rates._af_terms(*g, power, 1.0), beta=0.5),
+    "direct": Scheme(lambda g, power, beta, t: rates._direct_terms(g[0], g[1], power, beta, 1.0)),
+    "direct15": Scheme(
+        lambda g, power, beta, t: rates._direct_terms(g[0], g[1], power, beta, 1.0, boost=1.5)
+    ),
+}
+
+
+def _scheme(name: str, beta: float, target: RateTarget, *, index_rate=False) -> Scheme:
+    """Table entry of ``name`` after checking that it can run at ``beta``
+    and ``target`` (and, with ``index_rate``, that it has a relay index rate)."""
+    spec = SCHEMES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown scheme {name!r}; known: {tuple(SCHEMES)}")
+    if index_rate and spec.regions is None:
+        raise ValueError(f"scheme {name!r} has no relay index rate to classify or optimize")
+    _check_beta(beta)
+    if not spec.allows(beta):
+        raise ValueError(f"scheme {name!r} needs beta = {spec.beta}")
+    if spec.regions is not None and target.ru <= 0.0:
+        raise ValueError(f"scheme {name!r} needs a positive relay index rate")
+    return spec
+
+
 def _columns(h: np.ndarray):
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[1] != 5:
         raise ValueError("draw matrix must have shape (n, 5)")
     return h[:, 0], h[:, 1], h[:, 2], h[:, 3], h[:, 4]
-
-
-def _sigma_for_ru(h1r, h2r, power: PowerConfig, beta: float, ru: float, k: float):
-    received = np.abs(h1r) ** 2 * power.p11 + np.abs(h2r) ** 2 * power.p21
-    return (1.0 + received) / math.expm1(ru / (beta * k) * _LN2)
 
 
 def _violated(i1, i2, isum, target: RateTarget):
@@ -145,11 +231,6 @@ def _violated(i1, i2, isum, target: RateTarget):
         | (target.r2 > np.maximum(i2, 0.0))
         | (target.r1 + target.r2 > np.maximum(isum, 0.0))
     )
-
-
-def _require_ru(scheme: str, target: RateTarget):
-    if target.ru <= 0.0:
-        raise ValueError(f"scheme {scheme!r} needs a positive relay index rate")
 
 
 def outage_flags(
@@ -164,40 +245,8 @@ def outage_flags(
     Complex fading semantics (prefactor 1).  Evaluating several schemes on
     one ``h`` compares them on shared draws.
     """
-    _check_beta(beta)
-    h1d, h2d, h1r, h2r, hrd = _columns(h)
-    k = 1.0
-    if scheme == "gqf":
-        _require_ru(scheme, target)
-        sq2 = _sigma_for_ru(h1r, h2r, power, beta, target.ru, k)
-        t = rates._gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sq2, k)
-        return _violated(
-            np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5]), target
-        )
-    if scheme == "csit":
-        i1, i2, isum = rates._csit_terms(h1d, h2d, h1r, h2r, hrd, power, beta, k)
-        return _violated(i1, i2, isum, target)
-    if scheme == "nonwz_cf":
-        _require_ru(scheme, target)
-        t = rates._nonwz_terms(h1d, h2d, h1r, h2r, hrd, power, beta, target.ru, k)
-        return _violated(t[0], t[1], t[2], target)
-    if scheme == "df":
-        i1, i2, isum = rates._df_terms(
-            h1d, h2d, h1r, h2r, hrd, power, beta, target.r1, target.r2, k
-        )
-        return _violated(i1, i2, isum, target)
-    if scheme == "af":
-        if abs(beta - 0.5) > 1e-12:
-            raise ValueError("amplify-forward needs beta = 0.5")
-        i1, i2, isum = rates._af_terms(h1d, h2d, h1r, h2r, hrd, power, k)
-        return _violated(i1, i2, isum, target)
-    if scheme == "direct":
-        i1, i2, isum = rates._direct_terms(h1d, h2d, power, beta, k)
-        return _violated(i1, i2, isum, target)
-    if scheme == "direct15":
-        i1, i2, isum = rates._direct_terms(h1d, h2d, power, beta, k, boost=1.5)
-        return _violated(i1, i2, isum, target)
-    raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+    spec = _scheme(scheme, beta, target)
+    return _violated(*spec.bounds(_columns(h), power, beta, target), target)
 
 
 def gqf_outage_indicator(
@@ -209,12 +258,8 @@ def gqf_outage_indicator(
     The quantizer variance is chosen from the source-relay gains alone
     (receiver-side CSI); the six violation tests then see the full state.
     """
-    _check_beta(beta)
-    _require_ru("gqf", target)
-    k = prefactor(state.field_kind)
-    h1d, h2d, h1r, h2r, hrd = state.gains()
-    sq2 = float(_sigma_for_ru(h1r, h2r, power, beta, target.ru, k))
-    t = rates._gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sq2, k)
+    _scheme("gqf", beta, target)
+    _, t = _fixed_ru_terms(state.gains(), power, beta, target.ru, prefactor(state.field_kind))
     t = [float(v) for v in t]
     # spending the index rate exactly makes t*b equal the index-charged
     # bounds minus ru, so the raw bounds are recovered by adding ru back
@@ -223,10 +268,7 @@ def gqf_outage_indicator(
         b_r2=t[2], b_r2u=t[3] + target.ru,
         b_r12=t[4], b_r12u=t[5] + target.ru,
     )
-    flag = bool(
-        _violated(min(t[0], t[1]), min(t[2], t[3]), min(t[4], t[5]), target)
-    )
-    return flag, bounds
+    return bool(_violated(*_mins(t), target)), bounds
 
 
 def classify_region_batch(
@@ -236,42 +278,17 @@ def classify_region_batch(
     target: RateTarget,
     scheme: str = "gqf",
 ) -> np.ndarray:
-    """Rate-plane region (1..4) of every draw in ``h`` for ``gqf`` or
-    ``nonwz_cf``.
+    """Rate-plane region (1..4) of every draw in ``h`` for a scheme with a
+    relay index rate (``gqf`` or ``nonwz_cf``).
 
     Region 2 requires user 1 decodable with user 2's signal treated as
     noise and user 2 undecodable even after user 1 is cancelled; region 1
     mirrors it.  Raises RuntimeError if the four regions fail to partition
     (internal invariant).
     """
-    _check_beta(beta)
-    _require_ru(scheme, target)
-    h1d, h2d, h1r, h2r, hrd = _columns(h)
-    k = 1.0
-    r1, r2 = target.r1, target.r2
-    clamp = lambda x: np.maximum(x, 0.0)
-    if scheme == "gqf":
-        sq2 = _sigma_for_ru(h1r, h2r, power, beta, target.ru, k)
-        t = rates._gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sq2, k)
-        common = _violated(
-            np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5]), target
-        )
-        w1a, w1b, w2a, w2b = rates._interference_terms(
-            h1d, h2d, h1r, h2r, hrd, power, beta, sq2, target.ru, k
-        )
-        user1_alone = (r1 <= clamp(w1a)) & (r1 <= clamp(w1b))
-        user2_alone = (r2 <= clamp(w2a)) & (r2 <= clamp(w2b))
-        reg2 = user1_alone & (r2 > clamp(t[2])) & (r2 > clamp(t[3]))
-        reg1 = user2_alone & (r1 > clamp(t[0])) & (r1 > clamp(t[1]))
-    elif scheme == "nonwz_cf":
-        i1, i2, isum, _, i1_int, i2_int = rates._nonwz_terms(
-            h1d, h2d, h1r, h2r, hrd, power, beta, target.ru, k
-        )
-        common = _violated(i1, i2, isum, target)
-        reg2 = (r1 <= clamp(i1_int)) & (r2 > clamp(i2))
-        reg1 = (r2 <= clamp(i2_int)) & (r1 > clamp(i1))
-    else:
-        raise ValueError(f"region classification supports {RU_SCHEMES}, got {scheme!r}")
+    spec = _scheme(scheme, beta, target, index_rate=True)
+    bounds, reg1, reg2 = spec.regions(_columns(h), power, beta, target)
+    common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")
     codes = np.full(common.shape, 4, dtype=np.int8)
@@ -339,28 +356,10 @@ def common_outage_mc(
     Identical (scheme, inputs, n, seed) give bit-identical estimates,
     regardless of ``workers``.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+    _scheme(scheme, beta, target)
     fn = lambda h: [int(outage_flags(scheme, h, power, beta, target).sum())]
     count = _accumulate(profile, n, seed, 1, fn, workers, block_size)[0]
     return OutageEstimate.from_count(int(count), n, seed)
-
-
-def csit_outage_mc(
-    profile: FadingProfile,
-    power: PowerConfig,
-    beta: float,
-    target: RateTarget,
-    n: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
-) -> OutageEstimate:
-    """Common outage of the complete-CSI relay reference."""
-    return common_outage_mc(
-        "csit", profile, power, beta, target, n, seed, workers=workers, block_size=block_size
-    )
 
 
 def individual_outage_mc(
@@ -413,9 +412,8 @@ def optimize_ru_grid(
         raise ValueError("index-rate grid must be non-empty")
     if any(g <= 0.0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("index-rate grid must be positive and strictly increasing")
-    if scheme not in RU_SCHEMES:
-        raise ValueError(f"index-rate optimization supports {RU_SCHEMES}, got {scheme!r}")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
+    _scheme(scheme, beta, targets[0], index_rate=True)
 
     def fn(h):
         return [int(outage_flags(scheme, h, power, beta, t).sum()) for t in targets]

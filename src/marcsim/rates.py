@@ -35,6 +35,7 @@ from .channel import (
     ChannelState,
     PowerConfig,
     _check_beta,
+    _quantizer_variance,
     slot1_system,
     slot2_system,
 )
@@ -62,8 +63,6 @@ __all__ = [
     "cf_region_discrete",
     "optimize_sigma_beta_grid",
 ]
-
-_LN2 = math.log(2.0)
 
 # slack allowed when checking ru against the quantizer index rate, so the
 # equality choice (index rate spent exactly) is accepted
@@ -288,7 +287,7 @@ def _nonwz_terms(h1d, h2d, h1r, h2r, hrd, power, beta, ru, k):
     """
     a1, a2, c1, c2, d1, d2, e, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
     recovered = (1.0 - beta) * k * _lg(1.0 + e / (1.0 + d1 + d2)) >= ru
-    sigma_q2 = (1.0 + c1 + c2) / math.expm1(ru / (beta * k) * _LN2)
+    sigma_q2 = _quantizer_variance(c1 + c2, beta, ru, k)
     t = _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, k)
     w = _interference_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, ru, k)
     f = _direct_terms(h1d, h2d, power, beta, k, slot2_interference=e)
@@ -381,32 +380,11 @@ def quantizer_index_rate(
     return beta * info.mutual_info_gaussian(sys1, ("YR",), ("YhR",))
 
 
-def gqf_bounds_gaussian(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
-) -> GqfBounds:
-    """Six joint-decoding bounds evaluated through the covariance engine.
-
-    Index-augmented bounds are returned before the index rate is
-    subtracted.  With ``sigma_q2 = inf`` the relay observation is dropped
-    and the bounds collapse to their silent-relay forms.
-    """
-    _check_beta(beta)
-    sys1 = slot1_system(state, power, sigma_q2)
-    sys2 = slot2_system(state, power)
-    m1 = lambda a, b, c=(): info.mutual_info_gaussian(sys1, a, b, c)
-    m2 = lambda a, b, c=(): info.mutual_info_gaussian(sys2, a, b, c)
+def _six_bounds(m1, m2, beta) -> GqfBounds:
+    """Six joint-decoding bounds from mutual-information callables
+    ``m(a, b, c=()) = I(A; B | C)`` on the listen slot (m1) and the
+    cooperate slot (m2)."""
     mb = 1.0 - beta
-    if math.isinf(sigma_q2):
-        s1_r1 = m1(("X11",), ("YD1",), ("X21",))
-        s1_r2 = m1(("X21",), ("YD1",), ("X11",))
-        s1_r12 = m1(("X11", "X21"), ("YD1",))
-        b_r1 = beta * s1_r1 + mb * m2(("X12",), ("YD2",), ("X22", "XR"))
-        b_r1u = beta * s1_r1 + mb * m2(("X12", "XR"), ("YD2",), ("X22",))
-        b_r2 = beta * s1_r2 + mb * m2(("X22",), ("YD2",), ("X12", "XR"))
-        b_r2u = beta * s1_r2 + mb * m2(("X22", "XR"), ("YD2",), ("X12",))
-        b_r12 = beta * s1_r12 + mb * m2(("X12", "X22"), ("YD2",), ("XR",))
-        b_r12u = beta * s1_r12 + mb * m2(("X12", "X22", "XR"), ("YD2",))
-        return GqfBounds(b_r1, b_r1u, b_r2, b_r2u, b_r12, b_r12u)
     # the index-augmented bounds carry the full-input quantizer term
     # I(X11,X21; YhR): both listen-slot codewords shape the quantized
     # observation the joint decoder searches over
@@ -430,6 +408,29 @@ def gqf_bounds_gaussian(
         ("X12", "X22", "XR"), ("YD2",)
     )
     return GqfBounds(b_r1, b_r1u, b_r2, b_r2u, b_r12, b_r12u)
+
+
+def gqf_bounds_gaussian(
+    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
+) -> GqfBounds:
+    """Six joint-decoding bounds evaluated through the covariance engine.
+
+    Index-augmented bounds are returned before the index rate is
+    subtracted.  With ``sigma_q2 = inf`` the relay observation is dropped
+    and the bounds collapse to their silent-relay forms.
+    """
+    _check_beta(beta)
+    sys1 = slot1_system(state, power, sigma_q2)
+    sys2 = slot2_system(state, power)
+    discarded = math.isinf(sigma_q2)
+
+    def m1(a, b, c=()):
+        if discarded:  # no relay observation: YhR drops out of every set
+            a, b, c = (tuple(l for l in s if l != "YhR") for s in (a, b, c))
+        return info.mutual_info_gaussian(sys1, a, b, c)
+
+    m2 = lambda a, b, c=(): info.mutual_info_gaussian(sys2, a, b, c)
+    return _six_bounds(m1, m2, beta)
 
 
 def gqf_region(
@@ -668,27 +669,7 @@ def gqf_bounds_discrete(family: MarcPmfFamily, beta: float) -> GqfBounds:
     p2 = family.slot2_pmf()
     m1 = lambda a, b, c=(): info.mutual_info_discrete(p1, a, b, c)
     m2 = lambda a, b, c=(): info.mutual_info_discrete(p2, a, b, c)
-    mb = 1.0 - beta
-    i_inputs_yhr = m1(("X11", "X21"), ("YhR",))
-    b_r1 = beta * m1(("X11",), ("YD1", "YhR"), ("X21",)) + mb * m2(
-        ("X12",), ("YD2",), ("X22", "XR")
-    )
-    b_r1u = beta * (m1(("X11", "YhR"), ("YD1",), ("X21",)) + i_inputs_yhr) + mb * m2(
-        ("X12", "XR"), ("YD2",), ("X22",)
-    )
-    b_r2 = beta * m1(("X21",), ("YD1", "YhR"), ("X11",)) + mb * m2(
-        ("X22",), ("YD2",), ("X12", "XR")
-    )
-    b_r2u = beta * (m1(("X21", "YhR"), ("YD1",), ("X11",)) + i_inputs_yhr) + mb * m2(
-        ("X22", "XR"), ("YD2",), ("X12",)
-    )
-    b_r12 = beta * m1(("X11", "X21"), ("YD1", "YhR")) + mb * m2(
-        ("X12", "X22"), ("YD2",), ("XR",)
-    )
-    b_r12u = beta * (m1(("X11", "X21", "YhR"), ("YD1",)) + i_inputs_yhr) + mb * m2(
-        ("X12", "X22", "XR"), ("YD2",)
-    )
-    return GqfBounds(b_r1, b_r1u, b_r2, b_r2u, b_r12, b_r12u)
+    return _six_bounds(m1, m2, beta)
 
 
 def gqf_region_discrete(family: MarcPmfFamily, beta: float, ru: float) -> RateRegion:

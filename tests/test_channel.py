@@ -9,7 +9,6 @@ from marcsim import (
     ChannelState,
     FadingProfile,
     PowerConfig,
-    SlotSplit,
     draw_states,
     mutual_info_gaussian,
     ru_for_sigma_q2,
@@ -42,8 +41,14 @@ def test_power_and_profile_validation():
     with pytest.raises(ValueError):
         FadingProfile(1.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        SlotSplit(1.0)
-    assert SlotSplit(0.5).beta == 0.5
+        sigma_q2_for_fixed_ru(FIG3_STATE, UNIT_POWER, 1.0, 1.0)
+
+
+def test_fixed_ru_variance_beyond_float_range():
+    # static mode inverts 2^(2 ru / beta): 2^4000 overflows and gives the
+    # limit of an exact description, 2^400 still a positive variance
+    assert sigma_q2_for_fixed_ru(FIG3_STATE, UNIT_POWER, 0.5, 1000.0) == 0.0
+    assert 0.0 < sigma_q2_for_fixed_ru(FIG3_STATE, UNIT_POWER, 0.5, 100.0) < 1e-110
 
 
 def test_sampler_deterministic():

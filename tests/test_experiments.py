@@ -9,6 +9,7 @@ import yaml
 
 from marcsim.cli import main
 from marcsim.config import (
+    SCHEME_TOKENS,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -190,6 +191,28 @@ def test_cli_error_paths(tmp_path):
     assert main(["preset", "fig3", "--override", "nonsense"]) == 2
     with pytest.raises(SystemExit):
         main(["preset", "fig9"])  # argparse rejects unknown choices
+
+
+@pytest.mark.parametrize(
+    "preset, override, code",
+    [
+        ("fig5", "ru=1000", 0),
+        ("fig8", "ru_grid=[0.1, 2000]", 0),
+        ("fig5", "snr_db_grid=[0, 4000]", 2),
+        ("fig7", "snr_db=4000", 2),
+    ],
+)
+def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, override, code):
+    out = tmp_path / "out.csv"
+    argv = ["preset", preset, "--samples", "100", "--out", str(out), "--override", override]
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_scheme_tokens():
+    assert set(SCHEME_TOKENS) == {
+        "gqf", "gqf_opt", "csit", "nonwz_cf", "nonwz_cf_opt", "df", "af", "direct", "direct15",
+    }
 
 
 def test_cli_small_fading_run(tmp_path):

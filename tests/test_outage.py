@@ -7,24 +7,29 @@ import numpy as np
 import pytest
 
 from marcsim import (
+    FADING,
     ChannelState,
     FadingProfile,
     OutageEstimate,
     PowerConfig,
     RateTarget,
+    af_region,
     classify_region,
     common_outage_mc,
-    csit_outage_mc,
+    csit_region,
+    df_region,
+    direct_mac_region,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
     gqf_bounds_gaussian,
     gqf_outage_indicator,
     individual_outage_mc,
+    nonwz_cf_region_fading,
     optimize_ru_grid,
     outage_flags,
 )
 from marcsim.channel import draw_states, sample_fading_block, sigma_q2_for_fixed_ru
-from marcsim.outage import classify_region_batch
+from marcsim.outage import SCHEMES, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -214,7 +219,7 @@ def test_csit_dominates_gqf_per_draw_and_in_probability():
     for ru in (0.5, 1.0, 3.0, 6.0):
         gq = outage_flags("gqf", h, pw, 0.5, RateTarget(1.0, 1.0, ru))
         assert not np.any(cs & ~gq)  # CSI relay in outage only when fixed-rate is
-    a = csit_outage_mc(PROFILE, pw, 0.5, TARGET, 20_000, 55)
+    a = common_outage_mc("csit", PROFILE, pw, 0.5, TARGET, 20_000, 55)
     b = common_outage_mc("gqf", PROFILE, pw, 0.5, TARGET, 20_000, 55)
     assert a.p_hat <= b.p_hat
     # the streaming estimator and the materialized draw matrix are the
@@ -223,12 +228,10 @@ def test_csit_dominates_gqf_per_draw_and_in_probability():
 
 
 def test_csit_trivial_targets():
-    assert (
-        csit_outage_mc(PROFILE, snr_power(10.0), 0.5, RateTarget(0, 0, 3.0), 2000, 1).p_hat
-        == 0.0
-    )
+    zero = RateTarget(0, 0, 3.0)
+    assert common_outage_mc("csit", PROFILE, snr_power(10.0), 0.5, zero, 2000, 1).p_hat == 0.0
     dead = FadingProfile.uniform(1e-18)
-    assert csit_outage_mc(dead, snr_power(10.0), 0.5, TARGET, 2000, 1).p_hat == 1.0
+    assert common_outage_mc("csit", dead, snr_power(10.0), 0.5, TARGET, 2000, 1).p_hat == 1.0
 
 
 def test_optimize_ru_grid_contracts():
@@ -268,3 +271,47 @@ def test_individual_outage_worker_invariance():
     a = individual_outage_mc(PROFILE, pw, 0.5, TARGET, 20_000, 2)
     b = individual_outage_mc(PROFILE, pw, 0.5, TARGET, 20_000, 2, workers=3)
     assert a == b
+
+
+# per-state outage of every table scheme through the scalar API
+SCALAR_OUTAGE = {
+    "gqf": lambda st, pw, b, t: gqf_outage_indicator(st, pw, b, t)[0],
+    "csit": lambda st, pw, b, t: not csit_region(st, pw, b).contains(t.r1, t.r2),
+    "nonwz_cf": lambda st, pw, b, t: not nonwz_cf_region_fading(st, pw, b, t.ru).contains(
+        t.r1, t.r2
+    ),
+    "df": lambda st, pw, b, t: not df_region(st, pw, b, t.r1, t.r2).contains(t.r1, t.r2),
+    "af": lambda st, pw, b, t: not af_region(st, pw, b).contains(t.r1, t.r2),
+    "direct": lambda st, pw, b, t: not direct_mac_region(st, pw, b).contains(t.r1, t.r2),
+    "direct15": lambda st, pw, b, t: not direct_mac_region(st, pw, b, boost=1.5).contains(
+        t.r1, t.r2
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_scheme_table_matches_scalar_api(scheme):
+    assert set(SCALAR_OUTAGE) == set(SCHEMES)
+    pw = snr_power(10.0)
+    target = RateTarget(1.25, 0.75, 2.0)  # asymmetric, so swapped users show
+    h = draw_states(PROFILE, 300, 8)
+    flags = outage_flags(scheme, h, pw, 0.5, target)
+    assert 0 < flags.sum() < len(h)
+    for row, flag in zip(h, flags):
+        state = ChannelState(*row, mode=FADING)
+        assert bool(flag) == SCALAR_OUTAGE[scheme](state, pw, 0.5, target)
+
+
+def test_scheme_table_rules():
+    pw = snr_power(10.0)
+    h = draw_states(PROFILE, 10, 1)
+    with pytest.raises(ValueError, match="needs beta = 0.5"):
+        outage_flags("af", h, pw, 0.4, TARGET)
+    for name, scheme in SCHEMES.items():
+        if scheme.regions is None:
+            outage_flags(name, h, pw, 0.5, RateTarget(1.0, 1.0))  # no index rate needed
+            with pytest.raises(ValueError):
+                classify_region_batch(h, pw, 0.5, TARGET, name)
+        else:
+            with pytest.raises(ValueError):
+                outage_flags(name, h, pw, 0.5, RateTarget(1.0, 1.0))

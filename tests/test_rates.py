@@ -256,11 +256,9 @@ def test_csit_dominates_fixed_index_rate_per_draw():
     h = draw_states(prof, 1000, 31)
     pw = PowerConfig.from_snr(10.0, 0.5)
     cs = _csit_terms(*(h[:, i] for i in range(5)), pw, 0.5, 1.0)
-    from marcsim.outage import _sigma_for_ru
-    from marcsim.rates import _gqf_terms
+    from marcsim.outage import _fixed_ru_terms
 
-    sq2 = _sigma_for_ru(h[:, 2], h[:, 3], pw, 0.5, 3.0, 1.0)
-    t = _gqf_terms(*(h[:, i] for i in range(5)), pw, 0.5, sq2, 1.0)
+    _, t = _fixed_ru_terms(tuple(h[:, i] for i in range(5)), pw, 0.5, 3.0)
     assert np.all(np.minimum(t[0], t[1]) <= cs[0] + 1e-9)
     assert np.all(np.minimum(t[2], t[3]) <= cs[1] + 1e-9)
     assert np.all(np.minimum(t[4], t[5]) <= cs[2] + 1e-9)
