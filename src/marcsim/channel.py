@@ -12,7 +12,7 @@ complex gains redrawn per block, prefactor 1).
 
 Fading draws use the counter-based Philox generator keyed by
 (master seed, block index), so sample blocks are reproducible bit-for-bit
-and independent of scheduling or worker count.
+and do not depend on the order in which they are drawn.
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ def substream(seed: int, index: int) -> Generator:
     """Independent generator for substream ``index`` of master ``seed``.
 
     Philox is counter based: keying by (seed, index) makes substreams
-    reproducible in any order, which keeps Monte Carlo results invariant
-    under parallel scheduling.
+    reproducible in any order.
     """
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -285,13 +284,15 @@ def _quantizer_variance(received, beta: float, ru: float, k: float):
     """(1 + received) / (2^(ru/(beta*k)) - 1), broadcasting over ``received``.
 
     An index rate whose 2^(ru/(beta*k)) exceeds the float range gives the
-    limit 0 (an exact description of the relay observation).
+    limit 0 (an exact description of the relay observation); one so small
+    that the quotient exceeds it gives the limit inf (no description).
     """
     try:
         denom = math.expm1(ru / (beta * k) * _LN2)
     except OverflowError:
         denom = math.inf
-    return (1.0 + received) / denom
+    with np.errstate(over="ignore"):
+        return (1.0 + received) / denom
 
 
 def ru_for_sigma_q2(

@@ -62,7 +62,6 @@ class ExperimentConfig:
     preset: str = ""
     seed: int = 12345
     n_samples: int = 100_000
-    workers: int = 1
     out: str = "sweep.csv"
     json_out: str = ""
 
@@ -116,8 +115,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}; known: {KINDS}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if not 0.0 < self.beta < 1.0:
@@ -176,7 +173,7 @@ class ExperimentConfig:
 def _float_tuple(name, values):
     try:
         return tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a list of numbers") from exc
 
 
@@ -219,7 +216,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         elif kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{name} must be a number")
-            coerced[name] = float(value)
+            try:
+                coerced[name] = float(value)
+            except OverflowError as exc:
+                raise ConfigError(f"{name} is too large for a float") from exc
         elif kind == "bool":
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be a boolean")

@@ -44,12 +44,6 @@ __all__ = [
     "run_experiment",
     "preset_config",
     "PRESETS",
-    "preset_fig3_sigma_sweep",
-    "preset_fig4_beta_sweep",
-    "preset_fig5_outage_vs_snr",
-    "preset_fig6_outage_opt_ru",
-    "preset_fig7_exprate_vs_sigmard",
-    "preset_fig8_individual",
 ]
 
 
@@ -190,14 +184,14 @@ def _run_fading_point(cfg, profile, power, columns):
         if optimized:
             ru_star, est = optimize_ru_grid(
                 profile, power, cfg.beta, base_target, cfg.ru_grid,
-                cfg.n_samples, cfg.seed, scheme=scheme, workers=cfg.workers,
+                cfg.n_samples, cfg.seed, scheme=scheme,
             )
             columns.setdefault(f"{token}_ru", []).append(ru_star)
             used_ru = ru_star
         else:
             est = common_outage_mc(
                 scheme, profile, power, cfg.beta, base_target,
-                cfg.n_samples, cfg.seed, workers=cfg.workers,
+                cfg.n_samples, cfg.seed,
             )
             used_ru = cfg.ru
         columns.setdefault(f"{token}_p", []).append(est.p_hat)
@@ -208,7 +202,7 @@ def _run_fading_point(cfg, profile, power, columns):
         if cfg.individual and SCHEMES[scheme].regions is not None:
             ind = individual_outage_mc(
                 profile, power, cfg.beta, RateTarget(cfg.r1, cfg.r2, used_ru),
-                cfg.n_samples, cfg.seed, scheme=scheme, workers=cfg.workers,
+                cfg.n_samples, cfg.seed, scheme=scheme,
             )
             columns.setdefault(f"{token}_p_indiv1", []).append(ind.p_indiv1)
             columns.setdefault(f"{token}_p_indiv2", []).append(ind.p_indiv2)
@@ -323,32 +317,3 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     return cfg
 
-
-def preset_fig3_sigma_sweep(**overrides) -> SweepResult:
-    """Static sum rate against the quantizer variance."""
-    return run_experiment(preset_config("fig3", **overrides))
-
-
-def preset_fig4_beta_sweep(**overrides) -> SweepResult:
-    """Static sum rate against the slot split, quantizer at its equalizer."""
-    return run_experiment(preset_config("fig4", **overrides))
-
-
-def preset_fig5_outage_vs_snr(**overrides) -> SweepResult:
-    """Fading common outage against SNR at a fixed relay index rate."""
-    return run_experiment(preset_config("fig5", **overrides))
-
-
-def preset_fig6_outage_opt_ru(**overrides) -> SweepResult:
-    """Fading common outage against SNR with the index rate optimized."""
-    return run_experiment(preset_config("fig6", **overrides))
-
-
-def preset_fig7_exprate_vs_sigmard(**overrides) -> SweepResult:
-    """Expected sum rate against the relay-destination link variance."""
-    return run_experiment(preset_config("fig7", **overrides))
-
-
-def preset_fig8_individual(**overrides) -> SweepResult:
-    """fig7 sweep with individual outage and both throughput metrics."""
-    return run_experiment(preset_config("fig8", **overrides))

@@ -13,14 +13,13 @@ regions of the rate plane:
 
 Draws come in fixed-size blocks from counter-based substreams
 (seed, block index), and accumulation is integer counting, so estimates
-are bit-identical across runs and worker counts and schemes can be
-compared on shared draws without cross-scheme Monte Carlo noise.
+are bit-identical across runs and schemes can be compared on shared
+draws without cross-scheme Monte Carlo noise.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -312,30 +311,15 @@ def classify_region(
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(profile, n, seed, width, fn, workers, block_size):
-    """Sum fn(block) over the first n draws; fn returns int64 counts.
-
-    Blocks are keyed substreams, so the sum does not depend on evaluation
-    order or worker count.
-    """
+def _accumulate(profile, n, seed, fn):
+    """Sum fn(block) over the first n draws; fn returns int64 counts."""
     if n < 1:
         raise ValueError("need at least one sample")
-    nblocks = (n + block_size - 1) // block_size
-
-    def one(b):
-        h = sample_fading_block(profile, seed, b, block_size)
-        if b == nblocks - 1 and n % block_size:
-            h = h[: n % block_size]
-        return np.asarray(fn(h), dtype=np.int64)
-
-    total = np.zeros(width, dtype=np.int64)
-    if workers <= 1:
-        for b in range(nblocks):
-            total += one(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for counts in pool.map(one, range(nblocks)):
-                total += counts
+    total = 0
+    for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        # the last block is cut to the draws left
+        h = sample_fading_block(profile, seed, b)[: n - b * BLOCK_SIZE]
+        total = total + np.asarray(fn(h), dtype=np.int64)
     return total
 
 
@@ -347,18 +331,14 @@ def common_outage_mc(
     target: RateTarget,
     n: int,
     seed: int,
-    *,
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> OutageEstimate:
     """Common outage probability of ``scheme`` over ``n`` fading draws.
 
-    Identical (scheme, inputs, n, seed) give bit-identical estimates,
-    regardless of ``workers``.
+    Identical (scheme, inputs, n, seed) give bit-identical estimates.
     """
     _scheme(scheme, beta, target)
     fn = lambda h: [int(outage_flags(scheme, h, power, beta, target).sum())]
-    count = _accumulate(profile, n, seed, 1, fn, workers, block_size)[0]
+    count = _accumulate(profile, n, seed, fn)[0]
     return OutageEstimate.from_count(int(count), n, seed)
 
 
@@ -371,8 +351,6 @@ def individual_outage_mc(
     seed: int,
     *,
     scheme: str = "gqf",
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> IndividualOutageEstimate:
     """Individual and common outage from one region-classification pass."""
 
@@ -380,7 +358,7 @@ def individual_outage_mc(
         codes = classify_region_batch(h, power, beta, target, scheme)
         return np.bincount(codes, minlength=5)[1:5]
 
-    counts = _accumulate(profile, n, seed, 4, fn, workers, block_size)
+    counts = _accumulate(profile, n, seed, fn)
     f1, f2, f3, f4 = (int(c) / n for c in counts)
     return IndividualOutageEstimate(
         p_indiv1=f1 + f3,
@@ -402,8 +380,6 @@ def optimize_ru_grid(
     seed: int,
     *,
     scheme: str = "gqf",
-    workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> tuple[float, OutageEstimate]:
     """Relay index rate from ``grid`` minimizing common outage on shared
     draws; ties resolve to the smallest rate.  ``target.ru`` is ignored."""
@@ -418,7 +394,7 @@ def optimize_ru_grid(
     def fn(h):
         return [int(outage_flags(scheme, h, power, beta, t).sum()) for t in targets]
 
-    counts = _accumulate(profile, n, seed, len(grid), fn, workers, block_size)
+    counts = _accumulate(profile, n, seed, fn)
     best = int(np.argmin(counts))  # first minimum = smallest rate on ties
     return grid[best], OutageEstimate.from_count(int(counts[best]), n, seed)
 

@@ -189,22 +189,31 @@ def _interference_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, ru, k):
 
     Returns (w1a, w1b, w2a, w2b): plain and index-charged bounds for
     decoding one message alone, used by the outage-region classifier.
+    Where the determinants overflow (sigma_q2 = inf or near it), both
+    determinant ratios of user i take their limit v_yd1 / (1 + a_j).
     """
     a1, a2, c1, c2, d1, d2, e, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
     v_yd1 = 1.0 + a1 + a2
     v_yhr = 1.0 + c1 + c2 + sigma_q2
     rho = h1d * np.conj(h1r) * power.p11 + h2d * np.conj(h2r) * power.p21
-    det_full = v_yd1 * v_yhr - np.abs(rho) ** 2
     rho2 = h2d * np.conj(h2r) * power.p21
-    det_wo1 = (1.0 + a2) * (1.0 + c2 + sigma_q2) - np.abs(rho2) ** 2
     rho1 = h1d * np.conj(h1r) * power.p11
-    det_wo2 = (1.0 + a1) * (1.0 + c1 + sigma_q2) - np.abs(rho1) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_full = v_yd1 * v_yhr - np.abs(rho) ** 2
+        det_wo1 = (1.0 + a2) * (1.0 + c2 + sigma_q2) - np.abs(rho2) ** 2
+        det_wo2 = (1.0 + a1) * (1.0 + c1 + sigma_q2) - np.abs(rho1) ** 2
+        q1 = (det_full / det_wo1, v_yd1 * v_yhr / det_wo1)
+        q2 = (det_full / det_wo2, v_yd1 * v_yhr / det_wo2)
+    lim = np.isinf(det_full)
+    if np.any(lim):
+        q1 = [np.where(lim, v_yd1 / (1.0 + a2), q) for q in q1]
+        q2 = [np.where(lim, v_yd1 / (1.0 + a1), q) for q in q2]
     bk = beta * k
     mk = (1.0 - beta) * k
-    w1a = bk * _lg(det_full / det_wo1) + mk * _lg((1.0 + d1 + d2) / (1.0 + d2))
-    w1b = bk * _lg(v_yd1 * v_yhr / det_wo1) + mk * _lg((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
-    w2a = bk * _lg(det_full / det_wo2) + mk * _lg((1.0 + d1 + d2) / (1.0 + d1))
-    w2b = bk * _lg(v_yd1 * v_yhr / det_wo2) + mk * _lg((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
+    w1a = bk * _lg(q1[0]) + mk * _lg((1.0 + d1 + d2) / (1.0 + d2))
+    w1b = bk * _lg(q1[1]) + mk * _lg((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
+    w2a = bk * _lg(q2[0]) + mk * _lg((1.0 + d1 + d2) / (1.0 + d1))
+    w2b = bk * _lg(q2[1]) + mk * _lg((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
     return w1a, w1b, w2a, w2b
 
 

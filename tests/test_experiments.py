@@ -21,8 +21,6 @@ from marcsim.config import (
 from marcsim.experiments import (
     PRESETS,
     preset_config,
-    preset_fig3_sigma_sweep,
-    preset_fig4_beta_sweep,
     run_experiment,
 )
 
@@ -70,7 +68,7 @@ def test_unknown_preset():
 
 
 def test_fig3_reference_properties():
-    res = preset_fig3_sigma_sweep()  # default grid: step 0.05 up to 10
+    res = run_experiment(preset_config("fig3"))  # default grid: step 0.05 up to 10
     best = max(res.columns["gqf_sum"])
     assert best == pytest.approx(1.1495, abs=1e-3)
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in res.columns["norelay_sum"])
@@ -86,7 +84,7 @@ def test_fig3_reference_properties():
 
 
 def test_fig4_interior_maximum_and_cf_match():
-    res = preset_fig4_beta_sweep()
+    res = run_experiment(preset_config("fig4"))
     vals = res.columns["gqf_sum"]
     i = int(np.argmax(vals))
     assert 0 < i < len(vals) - 1
@@ -150,7 +148,9 @@ def test_run_byte_identical(tmp_path):
 
 
 def test_csv_layout_and_nan_cells(tmp_path):
-    res = preset_fig3_sigma_sweep(sigma_q2_grid=(0.5, 3.0), out=str(tmp_path / "f.csv"))
+    res = run_experiment(
+        preset_config("fig3", sigma_q2_grid=(0.5, 3.0), out=str(tmp_path / "f.csv"))
+    )
     text = res.to_csv_text()
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -200,6 +200,7 @@ def test_cli_error_paths(tmp_path):
         ("fig8", "ru_grid=[0.1, 2000]", 0),
         ("fig5", "snr_db_grid=[0, 4000]", 2),
         ("fig7", "snr_db=4000", 2),
+        ("fig5", "snr_db=1" + "0" * 400, 2),
     ],
 )
 def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, override, code):
