@@ -8,13 +8,14 @@ equals ``cfg``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
 
-from .channel import PowerConfig
-from .outage import SCHEMES
+from .channel import ChannelState, FadingProfile, PowerConfig
+from .outage import SCHEMES, RateTarget
 
 __all__ = [
     "ConfigError",
@@ -113,6 +114,9 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; known: {KINDS}")
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float" and math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got nan")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if not (0 <= self.seed < 2**64):
@@ -124,11 +128,8 @@ class ExperimentConfig:
         for name in ("var_1d", "var_2d", "var_1r", "var_2r", "var_rd"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("p11", "p21", "p12", "p22", "pr"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.norelay_boost < 1.0:
-            raise ConfigError("norelay_boost must be >= 1")
+        if not (math.isfinite(self.norelay_boost) and self.norelay_boost >= 1.0):
+            raise ConfigError("norelay_boost must be finite and >= 1")
         grid_name = {
             "static_sigma_sweep": "sigma_q2_grid",
             "static_beta_sweep": "beta_grid",
@@ -162,19 +163,44 @@ class ExperimentConfig:
                     raise ConfigError(f"scheme {token!r} needs beta = {scheme.beta}")
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat")
-            snrs = self.snr_db_grid if self.kind == "fading_snr_sweep" else (self.snr_db,)
-            for snr_db in snrs:
-                try:
-                    PowerConfig.from_snr_db(snr_db, self.beta)
-                except ValueError as exc:
-                    raise ConfigError(f"snr {snr_db!r} dB: {exc}") from exc
+        # build what the run builds (and the static channel for every kind),
+        # so that a value the channel model rejects is a config error
+        try:
+            self.static_channel()
+            if self.kind.startswith("fading"):
+                self.fading_points()
+                for ru in (self.ru, *self.ru_grid):
+                    RateTarget(self.r1, self.r2, ru)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def static_channel(self) -> tuple[ChannelState, PowerConfig]:
+        """Channel state and powers of a static kind."""
+        return (
+            ChannelState(self.h1d, self.h2d, self.h1r, self.h2r, self.hrd),
+            PowerConfig(self.p11, self.p21, self.p12, self.p22, self.pr),
+        )
+
+    def fading_points(self) -> list[tuple[FadingProfile, PowerConfig]]:
+        """Fading profile and powers at every point of a fading sweep: the
+        SNR grid sets the powers, the sigma_rd2 grid the relay-destination
+        variance."""
+        var = (self.var_1d, self.var_2d, self.var_1r, self.var_2r)
+        if self.kind == "fading_snr_sweep":
+            profile = FadingProfile(*var, self.var_rd)
+            return [(profile, PowerConfig.from_snr_db(x, self.beta)) for x in self.snr_db_grid]
+        power = PowerConfig.from_snr_db(self.snr_db, self.beta)
+        return [(FadingProfile(*var, x), power) for x in self.sigma_rd2_grid]
 
 
 def _float_tuple(name, values):
     try:
-        return tuple(float(v) for v in values)
+        out = tuple(float(v) for v in values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a list of numbers") from exc
+    if any(math.isnan(v) for v in out):
+        raise ConfigError(f"{name} must be a list of numbers, got nan")
+    return out
 
 
 def _str_tuple(name, values):

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .channel import ChannelState, FadingProfile, PowerConfig
-from .config import SCHEME_TOKENS, ConfigError, ExperimentConfig, config_to_dict
+from .config import SCHEME_TOKENS, ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from .outage import (
     SCHEMES,
     RateTarget,
@@ -103,14 +102,6 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _static_state(cfg: ExperimentConfig) -> ChannelState:
-    return ChannelState(cfg.h1d, cfg.h2d, cfg.h1r, cfg.h2r, cfg.hrd)
-
-
-def _static_power(cfg: ExperimentConfig) -> PowerConfig:
-    return PowerConfig(cfg.p11, cfg.p21, cfg.p12, cfg.p22, cfg.pr)
-
-
 def _metadata(cfg: ExperimentConfig) -> dict:
     meta = config_to_dict(cfg)
     meta["version"] = __version__
@@ -118,8 +109,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _run_sigma_sweep(cfg: ExperimentConfig) -> SweepResult:
-    state = _static_state(cfg)
-    power = _static_power(cfg)
+    state, power = cfg.static_channel()
     threshold = sigma_q2_opt_sum(state, power, cfg.beta)
     norelay = direct_mac_region(state, power, cfg.beta, boost=cfg.norelay_boost).isum
     first, second, best, cf = [], [], [], []
@@ -143,8 +133,7 @@ def _run_sigma_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def _run_beta_sweep(cfg: ExperimentConfig) -> SweepResult:
-    state = _static_state(cfg)
-    power = _static_power(cfg)
+    state, power = cfg.static_channel()
     sigma_col, gqf_col, cf_col, norelay_col = [], [], [], []
     for beta in cfg.beta_grid:
         s = sigma_q2_opt_sum(state, power, beta)
@@ -164,16 +153,6 @@ def _run_beta_sweep(cfg: ExperimentConfig) -> SweepResult:
         "norelay_sum": tuple(norelay_col),
     }
     return SweepResult("beta", cfg.beta_grid, columns, _metadata(cfg))
-
-
-def _profile_at(cfg: ExperimentConfig, sigma_rd2=None) -> FadingProfile:
-    return FadingProfile(
-        cfg.var_1d,
-        cfg.var_2d,
-        cfg.var_1r,
-        cfg.var_2r,
-        cfg.var_rd if sigma_rd2 is None else sigma_rd2,
-    )
 
 
 def _run_fading_point(cfg, profile, power, columns):
@@ -211,30 +190,20 @@ def _run_fading_point(cfg, profile, power, columns):
             )
 
 
-def _run_fading_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
-    profile = _profile_at(cfg)
+def _run_fading_sweep(cfg: ExperimentConfig) -> SweepResult:
     columns: dict = {}
-    for snr_db in cfg.snr_db_grid:
-        power = PowerConfig.from_snr_db(snr_db, cfg.beta)
+    for profile, power in cfg.fading_points():
         _run_fading_point(cfg, profile, power, columns)
     columns = {k: tuple(v) for k, v in columns.items()}
-    return SweepResult("snr_db", cfg.snr_db_grid, columns, _metadata(cfg))
-
-
-def _run_fading_sigmard_sweep(cfg: ExperimentConfig) -> SweepResult:
-    power = PowerConfig.from_snr_db(cfg.snr_db, cfg.beta)
-    columns: dict = {}
-    for sigma_rd2 in cfg.sigma_rd2_grid:
-        _run_fading_point(cfg, _profile_at(cfg, sigma_rd2), power, columns)
-    columns = {k: tuple(v) for k, v in columns.items()}
-    return SweepResult("sigma_rd2", cfg.sigma_rd2_grid, columns, _metadata(cfg))
+    name = "snr_db" if cfg.kind == "fading_snr_sweep" else "sigma_rd2"
+    return SweepResult(name, getattr(cfg, f"{name}_grid"), columns, _metadata(cfg))
 
 
 _RUNNERS = {
     "static_sigma_sweep": _run_sigma_sweep,
     "static_beta_sweep": _run_beta_sweep,
-    "fading_snr_sweep": _run_fading_snr_sweep,
-    "fading_sigmard_sweep": _run_fading_sigmard_sweep,
+    "fading_snr_sweep": _run_fading_sweep,
+    "fading_sigmard_sweep": _run_fading_sweep,
 }
 
 
@@ -306,14 +275,12 @@ PRESETS = {
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:
-    """Materialize a preset config, optionally overriding any field."""
+    """Materialize a preset config, optionally overriding any field; the
+    overrides are checked like the keys of a config file."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     cfg = PRESETS[name]()
     if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = config_from_dict({**config_to_dict(cfg), **overrides})
     return cfg
 

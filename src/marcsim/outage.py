@@ -124,9 +124,10 @@ class IndividualOutageEstimate:
 class Scheme:
     """One relaying scheme of the Monte Carlo layer.
 
-    ``bounds(g, power, beta, target)`` returns the per-draw (i1, i2, isum)
-    on the gain columns g = (h1d, h2d, h1r, h2r, hrd) of a draw matrix,
-    with complex fading semantics (prefactor 1).
+    ``bounds(g, L, power, beta, target)`` returns the per-draw (i1, i2,
+    isum) on the gain columns g = (h1d, h2d, h1r, h2r, hrd) of a draw
+    matrix and their link powers ``L = rates._links(g, power)``, with
+    complex fading semantics (prefactor 1).
     ``regions(g, power, beta, target)`` returns ((i1, i2, isum), reg1, reg2)
     with the region-1 and region-2 masks of :func:`classify_region_batch`;
     only schemes with a relay index rate have it, and having it means the
@@ -148,13 +149,12 @@ def _clamp(x):
     return np.maximum(x, 0.0)
 
 
-def _fixed_ru_terms(g, power, beta, ru, k=1.0):
+def _fixed_ru_terms(L, beta, ru, k=1.0):
     """Quantizer variance that spends exactly ``ru`` on the relay's
-    observation, chosen from the source-relay gains alone (receiver-side
-    CSI), and the six joint-decoding min-terms at it."""
-    received = np.abs(g[2]) ** 2 * power.p11 + np.abs(g[3]) ** 2 * power.p21
-    sq2 = _quantizer_variance(received, beta, ru, k)
-    return sq2, rates._gqf_terms(*g, power, beta, sq2, k)
+    observation, chosen from the source-relay powers c1 + c2 alone
+    (receiver-side CSI), and the six joint-decoding min-terms at it."""
+    sq2 = _quantizer_variance(L[2] + L[3], beta, ru, k)
+    return sq2, rates._gqf_terms(L, beta, sq2, k)
 
 
 def _mins(t):
@@ -163,8 +163,9 @@ def _mins(t):
 
 
 def _gqf_regions(g, power, beta, target):
-    sq2, t = _fixed_ru_terms(g, power, beta, target.ru)
-    w1a, w1b, w2a, w2b = rates._interference_terms(*g, power, beta, sq2, target.ru, 1.0)
+    L = rates._links(g, power)
+    sq2, t = _fixed_ru_terms(L, beta, target.ru)
+    w1a, w1b, w2a, w2b = rates._interference_terms(g, L, power, beta, sq2, target.ru, 1.0)
     r1, r2 = target.r1, target.r2
     user1_alone = (r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b))
     user2_alone = (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b))
@@ -174,10 +175,19 @@ def _gqf_regions(g, power, beta, target):
 
 
 def _nonwz_regions(g, power, beta, target):
-    i1, i2, isum, _, i1_int, i2_int = rates._nonwz_terms(*g, power, beta, target.ru, 1.0)
+    L = rates._links(g, power)
+    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(L, beta, target.ru, 1.0)
+    w = rates._interference_terms(g, L, power, beta, sq2, target.ru, 1.0)
+    # single-user bounds with the other source as noise; without the index
+    # the relay signal is cooperate-slot noise as well
+    a1, a2, _, _, d1, d2, e, _ = L
+    mb = 1.0 - beta
+    v_yd1 = 1.0 + a1 + a2
+    f1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
+    f2 = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
     r1, r2 = target.r1, target.r2
-    reg2 = (r1 <= _clamp(i1_int)) & (r2 > _clamp(i2))
-    reg1 = (r2 <= _clamp(i2_int)) & (r1 > _clamp(i1))
+    reg2 = (r1 <= _clamp(np.where(recovered, w[0], f1))) & (r2 > _clamp(i2))
+    reg1 = (r2 <= _clamp(np.where(recovered, w[2], f2))) & (r1 > _clamp(i1))
     return (i1, i2, isum), reg1, reg2
 
 
@@ -185,19 +195,16 @@ def _nonwz_regions(g, power, beta, target):
 #: here makes it available to the estimators, configs and sweeps
 SCHEMES = {
     "gqf": Scheme(
-        lambda g, power, beta, t: _mins(_fixed_ru_terms(g, power, beta, t.ru)[1]), _gqf_regions
+        lambda g, L, power, beta, t: _mins(_fixed_ru_terms(L, beta, t.ru)[1]), _gqf_regions
     ),
-    "csit": Scheme(lambda g, power, beta, t: rates._csit_terms(*g, power, beta, 1.0)),
+    "csit": Scheme(lambda g, L, power, beta, t: rates._csit_terms(L, beta, 1.0)),
     "nonwz_cf": Scheme(
-        lambda g, power, beta, t: rates._nonwz_terms(*g, power, beta, t.ru, 1.0)[:3],
-        _nonwz_regions,
+        lambda g, L, power, beta, t: rates._nonwz_terms(L, beta, t.ru, 1.0)[:3], _nonwz_regions
     ),
-    "df": Scheme(lambda g, power, beta, t: rates._df_terms(*g, power, beta, t.r1, t.r2, 1.0)),
-    "af": Scheme(lambda g, power, beta, t: rates._af_terms(*g, power, 1.0), beta=0.5),
-    "direct": Scheme(lambda g, power, beta, t: rates._direct_terms(g[0], g[1], power, beta, 1.0)),
-    "direct15": Scheme(
-        lambda g, power, beta, t: rates._direct_terms(g[0], g[1], power, beta, 1.0, boost=1.5)
-    ),
+    "df": Scheme(lambda g, L, power, beta, t: rates._df_terms(L, beta, t.r1, t.r2, 1.0)),
+    "af": Scheme(lambda g, L, power, beta, t: rates._af_terms(g, L, power, 1.0), beta=0.5),
+    "direct": Scheme(lambda g, L, power, beta, t: rates._direct_terms(L, beta, 1.0)),
+    "direct15": Scheme(lambda g, L, power, beta, t: rates._direct_terms(L, beta, 1.0, boost=1.5)),
 }
 
 
@@ -245,7 +252,8 @@ def outage_flags(
     one ``h`` compares them on shared draws.
     """
     spec = _scheme(scheme, beta, target)
-    return _violated(*spec.bounds(_columns(h), power, beta, target), target)
+    g = _columns(h)
+    return _violated(*spec.bounds(g, rates._links(g, power), power, beta, target), target)
 
 
 def gqf_outage_indicator(
@@ -258,7 +266,8 @@ def gqf_outage_indicator(
     (receiver-side CSI); the six violation tests then see the full state.
     """
     _scheme("gqf", beta, target)
-    _, t = _fixed_ru_terms(state.gains(), power, beta, target.ru, prefactor(state.field_kind))
+    L = rates._links(state.gains(), power)
+    _, t = _fixed_ru_terms(L, beta, target.ru, prefactor(state.field_kind))
     t = [float(v) for v in t]
     # spending the index rate exactly makes t*b equal the index-charged
     # bounds minus ru, so the raw bounds are recovered by adding ru back

@@ -143,7 +143,10 @@ class GqfBounds:
 # ---------------------------------------------------------------------------
 
 
-def _links(h1d, h2d, h1r, h2r, hrd, power: PowerConfig):
+def _links(g, power: PowerConfig):
+    """Link powers L = (a1, a2, c1, c2, d1, d2, e, kap) of the gain columns
+    g = (h1d, h2d, h1r, h2r, hrd); every core below takes L."""
+    h1d, h2d, h1r, h2r, hrd = g
     g1d = np.abs(h1d) ** 2
     g2d = np.abs(h2d) ** 2
     a1 = g1d * power.p11
@@ -161,7 +164,7 @@ def _lg(x):
     return np.log2(x)
 
 
-def _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, k):
+def _gqf_terms(L, beta, sigma_q2, k):
     """Six min-terms of the joint-decoding region at quantizer variance
     sigma_q2: (t1a, t1b, t2a, t2b, tsa, tsb).
 
@@ -169,7 +172,7 @@ def _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, k):
     index rate spent exactly on the quantizer.  ``sigma_q2 = inf`` (relay
     observation discarded) is handled through 1/(1+sigma_q2) -> 0.
     """
-    a1, a2, c1, c2, d1, d2, e, kap = _links(h1d, h2d, h1r, h2r, hrd, power)
+    a1, a2, c1, c2, d1, d2, e, kap = L
     bk = beta * k
     mk = (1.0 - beta) * k
     with np.errstate(divide="ignore"):
@@ -184,7 +187,7 @@ def _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, k):
     return t1a, t1b, t2a, t2b, tsa, tsb
 
 
-def _interference_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, ru, k):
+def _interference_terms(g, L, power, beta, sigma_q2, ru, k):
     """Single-user bounds with the other source treated as noise.
 
     Returns (w1a, w1b, w2a, w2b): plain and index-charged bounds for
@@ -192,7 +195,8 @@ def _interference_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, ru, k):
     Where the determinants overflow (sigma_q2 = inf or near it), both
     determinant ratios of user i take their limit v_yd1 / (1 + a_j).
     """
-    a1, a2, c1, c2, d1, d2, e, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
+    h1d, h2d, h1r, h2r, _ = g
+    a1, a2, c1, c2, d1, d2, e, _ = L
     v_yd1 = 1.0 + a1 + a2
     v_yhr = 1.0 + c1 + c2 + sigma_q2
     rho = h1d * np.conj(h1r) * power.p11 + h2d * np.conj(h2r) * power.p21
@@ -217,26 +221,28 @@ def _interference_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, ru, k):
     return w1a, w1b, w2a, w2b
 
 
-def _direct_terms(h1d, h2d, power, beta, k, boost=1.0, slot2_interference=0.0):
+def _mac_terms(a1, a2, d1, d2, beta, k, e=0.0):
+    """Two-slot MAC bounds (i1, i2, isum): listen-slot powers a1, a2 and
+    cooperate-slot powers d1, d2, with relay power ``e`` added to every
+    cooperate-slot bound (0 for a silent relay)."""
+    bk = beta * k
+    mk = (1.0 - beta) * k
+    i1 = bk * _lg(1.0 + a1) + mk * _lg(1.0 + d1 + e)
+    i2 = bk * _lg(1.0 + a2) + mk * _lg(1.0 + d2 + e)
+    isum = bk * _lg(1.0 + a1 + a2) + mk * _lg(1.0 + d1 + d2 + e)
+    return i1, i2, isum
+
+
+def _direct_terms(L, beta, k, boost=1.0, slot2_interference=0.0):
     """Two-slot MAC bounds with a silent relay.
 
     ``boost`` scales the source powers; ``slot2_interference`` adds
     received power to the cooperate-slot noise (an unrecovered relay
     signal).
     """
-    g1d = np.abs(h1d) ** 2
-    g2d = np.abs(h2d) ** 2
-    a1 = g1d * power.p11 * boost
-    a2 = g2d * power.p21 * boost
+    a1, a2, _, _, d1, d2, _, _ = L
     nf = 1.0 + slot2_interference
-    d1 = g1d * power.p12 * boost / nf
-    d2 = g2d * power.p22 * boost / nf
-    bk = beta * k
-    mk = (1.0 - beta) * k
-    i1 = bk * _lg(1.0 + a1) + mk * _lg(1.0 + d1)
-    i2 = bk * _lg(1.0 + a2) + mk * _lg(1.0 + d2)
-    isum = bk * _lg(1.0 + a1 + a2) + mk * _lg(1.0 + d1 + d2)
-    return i1, i2, isum
+    return _mac_terms(a1 * boost, a2 * boost, d1 * boost / nf, d2 * boost / nf, beta, k)
 
 
 def _equalizer_sigma(num_frac, e, dsum, beta):
@@ -254,36 +260,31 @@ def _equalizer_sigma(num_frac, e, dsum, beta):
         return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), np.inf)
 
 
-def _opt_sigma_sum(h1d, h2d, h1r, h2r, hrd, power, beta):
-    a1, a2, c1, c2, d1, d2, e, kap = _links(h1d, h2d, h1r, h2r, hrd, power)
-    return _equalizer_sigma((c1 + c2 + kap) / (1.0 + a1 + a2), e, d1 + d2, beta)
+def _opt_sigmas(L, beta):
+    """Equalizer variances (user 1, user 2, sum) of the r1, r2 and sum-rate
+    min-terms."""
+    a1, a2, c1, c2, d1, d2, e, kap = L
+    return (
+        _equalizer_sigma(c1 / (1.0 + a1), e, d1, beta),
+        _equalizer_sigma(c2 / (1.0 + a2), e, d2, beta),
+        _equalizer_sigma((c1 + c2 + kap) / (1.0 + a1 + a2), e, d1 + d2, beta),
+    )
 
 
-def _opt_sigma_indiv(h1d, h2d, h1r, h2r, hrd, power, beta, user):
-    a1, a2, c1, c2, d1, d2, e, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
-    if user == 1:
-        return _equalizer_sigma(c1 / (1.0 + a1), e, d1, beta)
-    if user == 2:
-        return _equalizer_sigma(c2 / (1.0 + a2), e, d2, beta)
-    raise ValueError(f"user must be 1 or 2, got {user!r}")
-
-
-def _csit_terms(h1d, h2d, h1r, h2r, hrd, power, beta, k):
+def _csit_terms(L, beta, k):
     """Per-bound best quantizer: each bound evaluated at its own equalizer
     variance, the most a relay with full CSI can deliver per bound."""
-    s1 = _opt_sigma_indiv(h1d, h2d, h1r, h2r, hrd, power, beta, 1)
-    s2 = _opt_sigma_indiv(h1d, h2d, h1r, h2r, hrd, power, beta, 2)
-    ss = _opt_sigma_sum(h1d, h2d, h1r, h2r, hrd, power, beta)
-    t = _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, s1, k)
+    s1, s2, ss = _opt_sigmas(L, beta)
+    t = _gqf_terms(L, beta, s1, k)
     i1 = np.minimum(t[0], t[1])
-    t = _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, s2, k)
+    t = _gqf_terms(L, beta, s2, k)
     i2 = np.minimum(t[2], t[3])
-    t = _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, ss, k)
+    t = _gqf_terms(L, beta, ss, k)
     isum = np.minimum(t[4], t[5])
     return i1, i2, isum
 
 
-def _nonwz_terms(h1d, h2d, h1r, h2r, hrd, power, beta, ru, k):
+def _nonwz_terms(L, beta, ru, k):
     """Successive-decoding bounds without binning.
 
     The destination first tries to recover the index codeword, treating the
@@ -291,54 +292,40 @@ def _nonwz_terms(h1d, h2d, h1r, h2r, hrd, power, beta, ru, k):
     threshold goes to "recovered".  Otherwise the relay signal is
     interference and the region is the degraded two-slot MAC.
 
-    Returns (i1, i2, isum, recovered, i1_int, i2_int); the ``*_int`` bounds
-    treat the other source as noise and feed the region classifier.
+    Returns (i1, i2, isum, recovered, sigma_q2).
     """
-    a1, a2, c1, c2, d1, d2, e, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
+    a1, a2, c1, c2, d1, d2, e, _ = L
     recovered = (1.0 - beta) * k * _lg(1.0 + e / (1.0 + d1 + d2)) >= ru
     sigma_q2 = _quantizer_variance(c1 + c2, beta, ru, k)
-    t = _gqf_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, k)
-    w = _interference_terms(h1d, h2d, h1r, h2r, hrd, power, beta, sigma_q2, ru, k)
-    f = _direct_terms(h1d, h2d, power, beta, k, slot2_interference=e)
-    bk = beta * k
-    mk = (1.0 - beta) * k
+    t = _gqf_terms(L, beta, sigma_q2, k)
+    f = _direct_terms(L, beta, k, slot2_interference=e)
     i1 = np.where(recovered, t[0], f[0])
     i2 = np.where(recovered, t[2], f[1])
     isum = np.where(recovered, t[4], f[2])
-    v_yd1 = 1.0 + a1 + a2
-    f1_int = bk * _lg(v_yd1 / (1.0 + a2)) + mk * _lg(1.0 + d1 / (1.0 + d2 + e))
-    f2_int = bk * _lg(v_yd1 / (1.0 + a1)) + mk * _lg(1.0 + d2 / (1.0 + d1 + e))
-    i1_int = np.where(recovered, w[0], f1_int)
-    i2_int = np.where(recovered, w[2], f2_int)
-    return i1, i2, isum, recovered, i1_int, i2_int
+    return i1, i2, isum, recovered, sigma_q2
 
 
-def _df_terms(h1d, h2d, h1r, h2r, hrd, power, beta, r1, r2, k):
+def _df_terms(L, beta, r1, r2, k):
     """Decode-forward: the relay forwards whenever it can decode both
     messages from its listen-slot reception (it has no destination-side
     CSI, so it cannot do better); otherwise it stays silent."""
-    a1, a2, c1, c2, d1, d2, e, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
+    a1, a2, c1, c2, d1, d2, e, _ = L
     bk = beta * k
-    mk = (1.0 - beta) * k
     decodes = (
         (r1 <= bk * _lg(1.0 + c1))
         & (r2 <= bk * _lg(1.0 + c2))
         & (r1 + r2 <= bk * _lg(1.0 + c1 + c2))
     )
-    i1 = bk * _lg(1.0 + a1) + mk * np.where(decodes, _lg(1.0 + d1 + e), _lg(1.0 + d1))
-    i2 = bk * _lg(1.0 + a2) + mk * np.where(decodes, _lg(1.0 + d2 + e), _lg(1.0 + d2))
-    isum = bk * _lg(1.0 + a1 + a2) + mk * np.where(
-        decodes, _lg(1.0 + d1 + d2 + e), _lg(1.0 + d1 + d2)
-    )
-    return i1, i2, isum
+    return _mac_terms(a1, a2, d1, d2, beta, k, np.where(decodes, e, 0.0))
 
 
-def _af_terms(h1d, h2d, h1r, h2r, hrd, power, k):
+def _af_terms(g, L, power, k):
     """Amplify-forward at beta = 1/2: the relay retransmits its received
     samples scaled to its power budget, so each listen-slot use pairs with
     one cooperate-slot use and the region follows from the 2x2 output
     covariance of that pair channel."""
-    a1, a2, c1, c2, d1, d2, _, _ = _links(h1d, h2d, h1r, h2r, hrd, power)
+    h1d, h2d, h1r, h2r, hrd = g
+    a1, a2, c1, c2, d1, d2, _, _ = L
     gain = np.sqrt(power.pr / (1.0 + c1 + c2))
     w1 = gain * hrd * h1r
     w2 = gain * hrd * h2r
@@ -373,7 +360,7 @@ def gqf_min_terms_gaussian(
     if not sigma_q2 > 0.0:
         raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
     k = info.prefactor(state.field_kind)
-    t = _gqf_terms(*state.gains(), power, beta, sigma_q2, k)
+    t = _gqf_terms(_links(state.gains(), power), beta, sigma_q2, k)
     return tuple(float(v) for v in t)
 
 
@@ -466,7 +453,7 @@ def sigma_q2_opt_sum(state: ChannelState, power: PowerConfig, beta: float) -> fl
     min-terms are equal there.  Returns inf when the relay-destination
     link carries nothing (hrd = 0), where no finite maximizer exists."""
     _check_beta(beta)
-    return float(_opt_sigma_sum(*state.gains(), power, beta))
+    return float(_opt_sigmas(_links(state.gains(), power), beta)[2])
 
 
 def sigma_q2_opt_indiv(
@@ -474,7 +461,9 @@ def sigma_q2_opt_indiv(
 ) -> float:
     """Quantizer variance maximizing one user's individual-rate min."""
     _check_beta(beta)
-    return float(_opt_sigma_indiv(*state.gains(), power, beta, user))
+    if user not in (1, 2):
+        raise ValueError(f"user must be 1 or 2, got {user!r}")
+    return float(_opt_sigmas(_links(state.gains(), power), beta)[user - 1])
 
 
 def csit_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
@@ -482,7 +471,7 @@ def csit_region(state: ChannelState, power: PowerConfig, beta: float) -> RateReg
     optimal quantizer with the index rate adapted to the channel state."""
     _check_beta(beta)
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_csit_terms(*state.gains(), power, beta, k))
+    return _scalar_region(_csit_terms(_links(state.gains(), power), beta, k))
 
 
 def cf_region_gaussian(
@@ -513,7 +502,7 @@ def direct_mac_region(
     if boost < 1.0:
         raise ValueError(f"power boost must be >= 1, got {boost!r}")
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_direct_terms(state.h1d, state.h2d, power, beta, k, boost))
+    return _scalar_region(_direct_terms(_links(state.gains(), power), beta, k, boost))
 
 
 def nonwz_cf_region_fading(
@@ -530,7 +519,7 @@ def nonwz_cf_region_fading(
     if not ru > 0.0:
         raise ValueError(f"relay index rate must be > 0, got {ru!r}")
     k = info.prefactor(state.field_kind)
-    t = _nonwz_terms(*state.gains(), power, beta, ru, k)
+    t = _nonwz_terms(_links(state.gains(), power), beta, ru, k)
     return _scalar_region(t[:3])
 
 
@@ -546,7 +535,7 @@ def df_region(
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError("target rates must be >= 0")
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_df_terms(*state.gains(), power, beta, r1, r2, k))
+    return _scalar_region(_df_terms(_links(state.gains(), power), beta, r1, r2, k))
 
 
 def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
@@ -555,7 +544,7 @@ def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegio
     if abs(beta - 0.5) > 1e-12:
         raise ValueError("amplify-forward needs beta = 0.5 (sample-wise forwarding)")
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_af_terms(*state.gains(), power, k))
+    return _scalar_region(_af_terms(state.gains(), _links(state.gains(), power), power, k))
 
 
 def optimize_sigma_beta_grid(
@@ -572,10 +561,11 @@ def optimize_sigma_beta_grid(
     if not sigma_grid or not beta_grid:
         raise ValueError("grids must be non-empty")
     k = info.prefactor(state.field_kind)
+    L = _links(state.gains(), power)
     best = None
     for beta in beta_grid:
         _check_beta(beta)
-        t = _gqf_terms(*state.gains(), power, beta, np.asarray(sigma_grid), k)
+        t = _gqf_terms(L, beta, np.asarray(sigma_grid), k)
         vals = np.minimum(t[4], t[5])
         i = int(np.argmax(vals))
         if best is None or vals[i] > best[2]:

@@ -1,5 +1,6 @@
 """Tests of config round-tripping, the sweep runner, presets and the CLI."""
 
+import hashlib
 import json
 import math
 
@@ -65,6 +66,37 @@ def test_config_rejects_bad_input():
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         preset_config("fig9")
+
+
+def test_preset_overrides_are_type_checked():
+    with pytest.raises(ConfigError):
+        preset_config("fig5", seed=1.5)
+    with pytest.raises(ConfigError):
+        preset_config("fig5", n_samples=100.5)
+
+
+def _checked_digest(text):
+    """sha256 over the sweep column and every result column except the
+    ``_ci`` ones, cell text as written."""
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_ci")]
+    return hashlib.sha256(json.dumps([[r[i] for i in keep] for r in rows]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "preset, digest",
+    [
+        ("fig5", "284c147e243fd6d8f6a6f6b1cc482ad6bbf861b097c18cb3321513b83c2ddd2b"),
+        ("fig6", "d9889aa5aad55b14ac83bc18fe4cc109582ed8b349271057a674594c007ac4da"),
+        ("fig7", "2add657aec3433c1f1ea93fcc79aba2044c88ce3e0a709f1d4d4a8605e0c9a13"),
+        ("fig8", "b601a9be31777c448c50eaa5474f41ffee2f285aa34b2277336d1f59594e1780"),
+    ],
+)
+def test_fading_preset_output_is_pinned(preset, digest):
+    # 4101 draws are one full block and a short second one, so both the
+    # full and the cut block path are pinned bit for bit
+    res = run_experiment(preset_config(preset, n_samples=4101))
+    assert _checked_digest(res.to_csv_text()) == digest
 
 
 def test_fig3_reference_properties():
@@ -201,6 +233,16 @@ def test_cli_error_paths(tmp_path):
         ("fig5", "snr_db_grid=[0, 4000]", 2),
         ("fig7", "snr_db=4000", 2),
         ("fig5", "snr_db=1" + "0" * 400, 2),
+        ("fig6", "ru_grid=[.nan]", 2),
+        ("fig6", "ru=.inf", 2),
+        ("fig6", "r1=.nan", 2),
+        ("fig7", "var_1d=.inf", 2),
+        ("fig7", "sigma_rd2_grid=[.inf]", 2),
+        ("fig3", "h1r=.inf", 2),
+        ("fig3", "pr=.inf", 2),
+        ("fig3", "norelay_boost=.inf", 2),
+        ("fig3", "sigma_q2_grid=[1.0, .inf]", 0),
+        ("fig5", "snr_db_grid=[-.inf, 0]", 0),
     ],
 )
 def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, override, code):

@@ -137,6 +137,24 @@ def test_direct_outage_matches_rayleigh_closed_form():
             assert abs(est.p_hat - p) <= z * math.sqrt(p * (1.0 - p) / n), (scheme, snr_db)
 
 
+def test_df_outage_matches_relay_decoding_closed_form():
+    # with vanishing direct links, silent sources in the cooperate slot and
+    # a relay power of 1e12, df is in outage exactly when the relay fails to
+    # decode: at beta = 1/2 the relay needs g1 >= a1, g2 >= a2 and
+    # g1 + g2 >= c on its unit-exponential gains; z = 2.69 is the two-sided
+    # 5 % Bonferroni level over the 7 checks
+    n, seed, z = 100_000, 12345, 2.69
+    profile = FadingProfile(1e-12, 1e-12, 1.0, 1.0, 1.0)
+    for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+        s = 10.0 ** (snr_db / 10.0)
+        pw = PowerConfig(s, s, 0.0, 0.0, 1e12)
+        a1, a2 = (2.0 ** (2 * TARGET.r1) - 1.0) / s, (2.0 ** (2 * TARGET.r2) - 1.0) / s
+        c = (2.0 ** (2 * (TARGET.r1 + TARGET.r2)) - 1.0) / s
+        p = 1.0 - math.exp(-c) * (1.0 + c - a1 - a2)
+        est = common_outage_mc("df", profile, pw, 0.5, TARGET, n, seed)
+        assert abs(est.p_hat - p) <= z * math.sqrt(p * (1.0 - p) / n), snr_db
+
+
 def test_mc_degenerate_profiles():
     dead = FadingProfile.uniform(1e-18)
     est = common_outage_mc("direct", dead, snr_power(10.0), 0.5, TARGET, 2000, 1)

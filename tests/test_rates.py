@@ -26,7 +26,7 @@ from marcsim import (
     sigma_q2_opt_sum,
 )
 from marcsim.channel import draw_states, FadingProfile
-from marcsim.rates import _af_terms, _csit_terms
+from marcsim.rates import _af_terms, _csit_terms, _links
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -255,10 +255,11 @@ def test_csit_dominates_fixed_index_rate_per_draw():
     prof = FadingProfile.uniform(1.0)
     h = draw_states(prof, 1000, 31)
     pw = PowerConfig.from_snr(10.0, 0.5)
-    cs = _csit_terms(*(h[:, i] for i in range(5)), pw, 0.5, 1.0)
+    L = _links(tuple(h[:, i] for i in range(5)), pw)
+    cs = _csit_terms(L, 0.5, 1.0)
     from marcsim.outage import _fixed_ru_terms
 
-    _, t = _fixed_ru_terms(tuple(h[:, i] for i in range(5)), pw, 0.5, 3.0)
+    _, t = _fixed_ru_terms(L, 0.5, 3.0)
     assert np.all(np.minimum(t[0], t[1]) <= cs[0] + 1e-9)
     assert np.all(np.minimum(t[2], t[3]) <= cs[1] + 1e-9)
     assert np.all(np.minimum(t[4], t[5]) <= cs[2] + 1e-9)
@@ -344,8 +345,9 @@ def test_af_below_csit_on_random_draws():
     h = draw_states(prof, 1000, 37)
     pw = PowerConfig.from_snr(10.0, 0.5)
     cols = tuple(h[:, i] for i in range(5))
-    af = _af_terms(*cols, pw, 1.0)
-    cs = _csit_terms(*cols, pw, 0.5, 1.0)
+    L = _links(cols, pw)
+    af = _af_terms(cols, L, pw, 1.0)
+    cs = _csit_terms(L, 0.5, 1.0)
     for a, c in zip(af, cs):
         assert np.all(np.asarray(a) <= np.asarray(c) + 1e-9)
 
