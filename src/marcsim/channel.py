@@ -184,10 +184,14 @@ def sample_fading_block(
     Columns are ordered (h1d, h2d, h1r, h2r, hrd).  The draw depends only on
     (seed, block_index, block_size), never on what was drawn before.
     """
-    rng = substream(seed, block_index)
-    re = rng.standard_normal((block_size, 5))
-    im = rng.standard_normal((block_size, 5))
-    return (re + 1j * im) * np.sqrt(profile.as_array() / 2.0)
+    # one draw of the real parts, then the imaginary parts: the same stream
+    # as two calls, written into the complex matrix without temporaries
+    z = substream(seed, block_index).standard_normal((2, block_size, 5))
+    std = np.sqrt(profile.as_array() / 2.0)
+    h = np.empty((block_size, 5), dtype=complex)
+    np.multiply(z[0], std, out=h.real)
+    np.multiply(z[1], std, out=h.imag)
+    return h
 
 
 def draw_states(profile: FadingProfile, n: int, seed: int) -> np.ndarray:

@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .channel import ChannelState, FadingProfile, PowerConfig
 from .outage import SCHEMES, RateTarget
+from .rates import _links
 
 __all__ = [
     "ConfigError",
@@ -166,7 +168,11 @@ class ExperimentConfig:
         # build what the run builds (and the static channel for every kind),
         # so that a value the channel model rejects is a config error
         try:
-            self.static_channel()
+            state, power = self.static_channel()
+            with np.errstate(over="ignore", invalid="ignore"):
+                links = _links(state.gains(), power)
+            if not all(math.isfinite(v) for v in links):
+                raise ValueError("static link powers |h|^2 p (and the cross term) must be finite")
             if self.kind.startswith("fading"):
                 self.fading_points()
                 for ru in (self.ru, *self.ru_grid):

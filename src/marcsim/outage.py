@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
     "OutageEstimate",
     "RegionOutcome",
     "IndividualOutageEstimate",
+    "BlockTerms",
+    "block_terms",
     "outage_flags",
     "gqf_outage_indicator",
     "classify_region",
@@ -120,17 +122,34 @@ class IndividualOutageEstimate:
     seed: int
 
 
+class BlockTerms(NamedTuple):
+    """Terms of one scheme on one draw matrix that do not depend on the rate
+    target, built once by :func:`block_terms` and shared by every target
+    evaluated on those draws."""
+
+    scheme: str
+    h: np.ndarray
+    g: tuple            # gain columns (h1d, h2d, h1r, h2r, hrd)
+    L: tuple            # link powers rates._links(g, power)
+    power: PowerConfig
+    beta: float
+    terms: object       # Scheme.block(L, beta), or None
+
+
 @dataclass(frozen=True)
 class Scheme:
     """One relaying scheme of the Monte Carlo layer.
 
-    ``bounds(g, L, power, beta, target)`` returns the per-draw (i1, i2,
-    isum) on the gain columns g = (h1d, h2d, h1r, h2r, hrd) of a draw
-    matrix and their link powers ``L = rates._links(g, power)``, with
-    complex fading semantics (prefactor 1).
-    ``regions(g, power, beta, target)`` returns ((i1, i2, isum), reg1, reg2)
-    with the region-1 and region-2 masks of :func:`classify_region_batch`;
-    only schemes with a relay index rate have it, and having it means the
+    ``block(L, beta)``, if set, is the per-block step: the scheme's terms
+    that depend only on the draws, the powers and beta, computed once per
+    draw matrix from its link powers ``L = rates._links(g, power)``.
+    ``bounds(b, target)`` returns the per-draw (i1, i2, isum) from the
+    :class:`BlockTerms` ``b`` (gain columns ``b.g`` = (h1d, h2d, h1r, h2r,
+    hrd), ``b.L``, ``b.power``, ``b.beta`` and ``b.terms``), with complex
+    fading semantics (prefactor 1).
+    ``regions(b, target)`` returns ((i1, i2, isum), reg1, reg2) with the
+    region-1 and region-2 masks of :func:`classify_region_batch`; only
+    schemes with a relay index rate have it, and having it means the
     scheme needs ``target.ru > 0``, gets an ``<name>_opt`` series that
     optimizes ``ru`` and supports individual outage.  ``beta``, if set, is
     the only slot split the scheme is defined for.
@@ -139,6 +158,7 @@ class Scheme:
     bounds: Callable
     regions: Callable | None = None
     beta: float | None = None
+    block: Callable | None = None
 
     def allows(self, beta: float) -> bool:
         """Whether the scheme is defined at slot split ``beta``."""
@@ -149,12 +169,20 @@ def _clamp(x):
     return np.maximum(x, 0.0)
 
 
-def _fixed_ru_terms(L, beta, ru, k=1.0):
+def _fixed_ru_block(L, beta, k=1.0):
+    """Per-block part of the fixed-index-rate joint-decoding kernel: the
+    relay's received power c1 + c2 and the joint-decoding block."""
+    return L[2] + L[3], rates._gqf_block(L, beta, k)
+
+
+def _fixed_ru_terms(F, beta, ru, k=1.0):
     """Quantizer variance that spends exactly ``ru`` on the relay's
     observation, chosen from the source-relay powers c1 + c2 alone
-    (receiver-side CSI), and the six joint-decoding min-terms at it."""
-    sq2 = _quantizer_variance(L[2] + L[3], beta, ru, k)
-    return sq2, rates._gqf_terms(L, beta, sq2, k)
+    (receiver-side CSI), and the six joint-decoding min-terms at it, from
+    the per-block part ``F = _fixed_ru_block(L, beta, k)``."""
+    received, G = F
+    sq2 = _quantizer_variance(received, beta, ru, k)
+    return sq2, rates._gqf_terms(G, beta, sq2, k)
 
 
 def _mins(t):
@@ -162,10 +190,11 @@ def _mins(t):
     return np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
 
 
-def _gqf_regions(g, power, beta, target):
-    L = rates._links(g, power)
-    sq2, t = _fixed_ru_terms(L, beta, target.ru)
-    w1a, w1b, w2a, w2b = rates._interference_terms(g, L, power, beta, sq2, target.ru, 1.0)
+def _gqf_regions(b, target):
+    sq2, t = _fixed_ru_terms(b.terms, b.beta, target.ru)
+    w1a, w1b, w2a, w2b = rates._interference_terms(
+        b.g, b.L, b.power, b.beta, sq2, target.ru, 1.0
+    )
     r1, r2 = target.r1, target.r2
     user1_alone = (r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b))
     user2_alone = (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b))
@@ -174,13 +203,13 @@ def _gqf_regions(g, power, beta, target):
     return _mins(t), reg1, reg2
 
 
-def _nonwz_regions(g, power, beta, target):
-    L = rates._links(g, power)
-    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(L, beta, target.ru, 1.0)
-    w = rates._interference_terms(g, L, power, beta, sq2, target.ru, 1.0)
+def _nonwz_regions(b, target):
+    beta = b.beta
+    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, target.ru, 1.0)
+    w = rates._interference_terms(b.g, b.L, b.power, beta, sq2, target.ru, 1.0)
     # single-user bounds with the other source as noise; without the index
     # the relay signal is cooperate-slot noise as well
-    a1, a2, _, _, d1, d2, e, _ = L
+    a1, a2, _, _, d1, d2, e, _ = b.L
     mb = 1.0 - beta
     v_yd1 = 1.0 + a1 + a2
     f1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
@@ -195,22 +224,27 @@ def _nonwz_regions(g, power, beta, target):
 #: here makes it available to the estimators, configs and sweeps
 SCHEMES = {
     "gqf": Scheme(
-        lambda g, L, power, beta, t: _mins(_fixed_ru_terms(L, beta, t.ru)[1]), _gqf_regions
+        lambda b, t: _mins(_fixed_ru_terms(b.terms, b.beta, t.ru)[1]),
+        _gqf_regions,
+        block=_fixed_ru_block,
     ),
-    "csit": Scheme(lambda g, L, power, beta, t: rates._csit_terms(L, beta, 1.0)),
+    "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta, 1.0)),
     "nonwz_cf": Scheme(
-        lambda g, L, power, beta, t: rates._nonwz_terms(L, beta, t.ru, 1.0)[:3], _nonwz_regions
+        lambda b, t: rates._nonwz_terms(b.terms, b.beta, t.ru, 1.0)[:3],
+        _nonwz_regions,
+        block=lambda L, beta: rates._nonwz_block(L, beta, 1.0),
     ),
-    "df": Scheme(lambda g, L, power, beta, t: rates._df_terms(L, beta, t.r1, t.r2, 1.0)),
-    "af": Scheme(lambda g, L, power, beta, t: rates._af_terms(g, L, power, 1.0), beta=0.5),
-    "direct": Scheme(lambda g, L, power, beta, t: rates._direct_terms(L, beta, 1.0)),
-    "direct15": Scheme(lambda g, L, power, beta, t: rates._direct_terms(L, beta, 1.0, boost=1.5)),
+    "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2, 1.0)),
+    "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power, 1.0), beta=0.5),
+    "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, 1.0)),
+    "direct15": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, 1.0, boost=1.5)),
 }
 
 
-def _scheme(name: str, beta: float, target: RateTarget, *, index_rate=False) -> Scheme:
+def _scheme(name: str, beta: float, target: RateTarget | None, *, index_rate=False) -> Scheme:
     """Table entry of ``name`` after checking that it can run at ``beta``
-    and ``target`` (and, with ``index_rate``, that it has a relay index rate)."""
+    and ``target`` (and, with ``index_rate``, that it has a relay index
+    rate); ``target=None`` skips the target check."""
     spec = SCHEMES.get(name)
     if spec is None:
         raise ValueError(f"unknown scheme {name!r}; known: {tuple(SCHEMES)}")
@@ -219,7 +253,7 @@ def _scheme(name: str, beta: float, target: RateTarget, *, index_rate=False) -> 
     _check_beta(beta)
     if not spec.allows(beta):
         raise ValueError(f"scheme {name!r} needs beta = {spec.beta}")
-    if spec.regions is not None and target.ru <= 0.0:
+    if target is not None and spec.regions is not None and target.ru <= 0.0:
         raise ValueError(f"scheme {name!r} needs a positive relay index rate")
     return spec
 
@@ -239,21 +273,43 @@ def _violated(i1, i2, isum, target: RateTarget):
     )
 
 
+def block_terms(scheme: str, h: np.ndarray, power: PowerConfig, beta: float) -> BlockTerms:
+    """Target-independent terms of ``scheme`` on the draw matrix ``h``.
+
+    Passing them as ``outage_flags(scheme, h, power, beta, target,
+    shared=...)`` evaluates each further target on the same draws without
+    recomputing them; the flags are bit-identical to those computed
+    without ``shared``.
+    """
+    spec = _scheme(scheme, beta, None)
+    g = _columns(h)
+    L = rates._links(g, power)
+    terms = None if spec.block is None else spec.block(L, beta)
+    return BlockTerms(scheme, h, g, L, power, beta, terms)
+
+
 def outage_flags(
     scheme: str,
     h: np.ndarray,
     power: PowerConfig,
     beta: float,
     target: RateTarget,
+    *,
+    shared: BlockTerms | None = None,
 ) -> np.ndarray:
     """Per-draw outage indicators of ``scheme`` on the draw matrix ``h``.
 
     Complex fading semantics (prefactor 1).  Evaluating several schemes on
-    one ``h`` compares them on shared draws.
+    one ``h`` compares them on shared draws.  ``shared``, if given, must be
+    ``block_terms(scheme, h, power, beta)`` for this very ``h``; without it
+    those terms are built here.
     """
     spec = _scheme(scheme, beta, target)
-    g = _columns(h)
-    return _violated(*spec.bounds(g, rates._links(g, power), power, beta, target), target)
+    if shared is None:
+        shared = block_terms(scheme, h, power, beta)
+    elif (shared.scheme, shared.power, shared.beta) != (scheme, power, beta) or shared.h is not h:
+        raise ValueError("shared block terms were built for other arguments")
+    return _violated(*spec.bounds(shared, target), target)
 
 
 def gqf_outage_indicator(
@@ -266,8 +322,9 @@ def gqf_outage_indicator(
     (receiver-side CSI); the six violation tests then see the full state.
     """
     _scheme("gqf", beta, target)
-    L = rates._links(state.gains(), power)
-    _, t = _fixed_ru_terms(L, beta, target.ru, prefactor(state.field_kind))
+    k = prefactor(state.field_kind)
+    F = _fixed_ru_block(rates._links(state.gains(), power), beta, k)
+    _, t = _fixed_ru_terms(F, beta, target.ru, k)
     t = [float(v) for v in t]
     # spending the index rate exactly makes t*b equal the index-charged
     # bounds minus ru, so the raw bounds are recovered by adding ru back
@@ -295,7 +352,7 @@ def classify_region_batch(
     (internal invariant).
     """
     spec = _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = spec.regions(_columns(h), power, beta, target)
+    bounds, reg1, reg2 = spec.regions(block_terms(scheme, h, power, beta), target)
     common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")
@@ -401,7 +458,9 @@ def optimize_ru_grid(
     _scheme(scheme, beta, targets[0], index_rate=True)
 
     def fn(h):
-        return [int(outage_flags(scheme, h, power, beta, t).sum()) for t in targets]
+        # the ru-independent terms are built once per block, not per grid entry
+        shared = block_terms(scheme, h, power, beta)
+        return [int(outage_flags(scheme, h, power, beta, t, shared=shared).sum()) for t in targets]
 
     counts = _accumulate(profile, n, seed, fn)
     best = int(np.argmin(counts))  # first minimum = smallest rate on ties

@@ -164,27 +164,46 @@ def _lg(x):
     return np.log2(x)
 
 
-def _gqf_terms(L, beta, sigma_q2, k):
-    """Six min-terms of the joint-decoding region at quantizer variance
-    sigma_q2: (t1a, t1b, t2a, t2b, tsa, tsb).
+def _gqf_block(L, beta, k, charged=True):
+    """Per-block part of the joint-decoding min-terms: everything that does
+    not depend on the quantizer variance.
+
+    One part per rate (r1, r2, r1 + r2): the destination's listen-slot
+    variance (1 + a), the relay-observation power the quantizer dilutes,
+    and the cooperate-slot terms of the plain bound and (with ``charged``,
+    else None) of the index-charged bound.
+    """
+    a1, a2, c1, c2, d1, d2, e, kap = L
+    mk = (1.0 - beta) * k
+    parts = []
+    for s, c, dsum in (
+        (1.0 + a1, c1, 1.0 + d1),
+        (1.0 + a2, c2, 1.0 + d2),
+        (1.0 + a1 + a2, c1 + c2 + kap, 1.0 + d1 + d2),
+    ):
+        parts.append((s, c, mk * _lg(dsum), mk * _lg(dsum + e) if charged else None))
+    return parts
+
+
+def _gqf_terms(G, beta, sigma_q2, k, charged=True):
+    """Min-terms of the joint-decoding region at quantizer variance
+    sigma_q2, from the per-block part ``G = _gqf_block(L, beta, k)``:
+    (t1a, t1b, t2a, t2b, tsa, tsb), or (t1a, t2a, tsa) without ``charged``.
 
     ``t*a`` are the plain bounds, ``t*b`` the index-charged bounds with the
     index rate spent exactly on the quantizer.  ``sigma_q2 = inf`` (relay
     observation discarded) is handled through 1/(1+sigma_q2) -> 0.
     """
-    a1, a2, c1, c2, d1, d2, e, kap = L
     bk = beta * k
-    mk = (1.0 - beta) * k
+    t = []
     with np.errstate(divide="ignore"):
         u_inv = 1.0 / (1.0 + sigma_q2)    # -> 0 when sigma_q2 = inf
         ratio = 1.0 - u_inv               # sigma_q2 / (1 + sigma_q2)
-        t1a = bk * _lg(1.0 + a1 + c1 * u_inv) + mk * _lg(1.0 + d1)
-        t1b = bk * _lg((1.0 + a1) * ratio) + mk * _lg(1.0 + d1 + e)
-        t2a = bk * _lg(1.0 + a2 + c2 * u_inv) + mk * _lg(1.0 + d2)
-        t2b = bk * _lg((1.0 + a2) * ratio) + mk * _lg(1.0 + d2 + e)
-        tsa = bk * _lg(1.0 + a1 + a2 + (c1 + c2 + kap) * u_inv) + mk * _lg(1.0 + d1 + d2)
-        tsb = bk * _lg((1.0 + a1 + a2) * ratio) + mk * _lg(1.0 + d1 + d2 + e)
-    return t1a, t1b, t2a, t2b, tsa, tsb
+        for s, c, coop, coop_u in G:
+            t.append(bk * _lg(s + c * u_inv) + coop)
+            if charged:
+                t.append(bk * _lg(s * ratio) + coop_u)
+    return tuple(t)
 
 
 def _interference_terms(g, L, power, beta, sigma_q2, ru, k):
@@ -274,18 +293,27 @@ def _opt_sigmas(L, beta):
 def _csit_terms(L, beta, k):
     """Per-bound best quantizer: each bound evaluated at its own equalizer
     variance, the most a relay with full CSI can deliver per bound."""
-    s1, s2, ss = _opt_sigmas(L, beta)
-    t = _gqf_terms(L, beta, s1, k)
-    i1 = np.minimum(t[0], t[1])
-    t = _gqf_terms(L, beta, s2, k)
-    i2 = np.minimum(t[2], t[3])
-    t = _gqf_terms(L, beta, ss, k)
-    isum = np.minimum(t[4], t[5])
-    return i1, i2, isum
+    return tuple(
+        np.minimum(*_gqf_terms([part], beta, s, k))
+        for part, s in zip(_gqf_block(L, beta, k), _opt_sigmas(L, beta))
+    )
 
 
-def _nonwz_terms(L, beta, ru, k):
-    """Successive-decoding bounds without binning.
+def _nonwz_block(L, beta, k):
+    """Per-block part of the non-WZ CF bounds, which does not depend on the
+    index rate: the rate at which the destination can recover the index,
+    the fallback region with the relay signal as cooperate-slot
+    interference, the relay's received power c1 + c2 and the plain part of
+    the joint-decoding block."""
+    a1, a2, c1, c2, d1, d2, e, _ = L
+    index_rate = (1.0 - beta) * k * _lg(1.0 + e / (1.0 + d1 + d2))
+    fallback = _direct_terms(L, beta, k, slot2_interference=e)
+    return index_rate, fallback, c1 + c2, _gqf_block(L, beta, k, charged=False)
+
+
+def _nonwz_terms(N, beta, ru, k):
+    """Successive-decoding bounds without binning at index rate ``ru``, from
+    the per-block part ``N = _nonwz_block(L, beta, k)``.
 
     The destination first tries to recover the index codeword, treating the
     cooperate-slot source signals as interference; the tie at the recovery
@@ -294,14 +322,11 @@ def _nonwz_terms(L, beta, ru, k):
 
     Returns (i1, i2, isum, recovered, sigma_q2).
     """
-    a1, a2, c1, c2, d1, d2, e, _ = L
-    recovered = (1.0 - beta) * k * _lg(1.0 + e / (1.0 + d1 + d2)) >= ru
-    sigma_q2 = _quantizer_variance(c1 + c2, beta, ru, k)
-    t = _gqf_terms(L, beta, sigma_q2, k)
-    f = _direct_terms(L, beta, k, slot2_interference=e)
-    i1 = np.where(recovered, t[0], f[0])
-    i2 = np.where(recovered, t[2], f[1])
-    isum = np.where(recovered, t[4], f[2])
+    index_rate, fallback, received, G = N
+    recovered = index_rate >= ru
+    sigma_q2 = _quantizer_variance(received, beta, ru, k)
+    t = _gqf_terms(G, beta, sigma_q2, k, charged=False)
+    i1, i2, isum = (np.where(recovered, ti, fi) for ti, fi in zip(t, fallback))
     return i1, i2, isum, recovered, sigma_q2
 
 
@@ -360,8 +385,8 @@ def gqf_min_terms_gaussian(
     if not sigma_q2 > 0.0:
         raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
     k = info.prefactor(state.field_kind)
-    t = _gqf_terms(_links(state.gains(), power), beta, sigma_q2, k)
-    return tuple(float(v) for v in t)
+    G = _gqf_block(_links(state.gains(), power), beta, k)
+    return tuple(float(v) for v in _gqf_terms(G, beta, sigma_q2, k))
 
 
 def quantizer_index_rate(
@@ -519,7 +544,7 @@ def nonwz_cf_region_fading(
     if not ru > 0.0:
         raise ValueError(f"relay index rate must be > 0, got {ru!r}")
     k = info.prefactor(state.field_kind)
-    t = _nonwz_terms(_links(state.gains(), power), beta, ru, k)
+    t = _nonwz_terms(_nonwz_block(_links(state.gains(), power), beta, k), beta, ru, k)
     return _scalar_region(t[:3])
 
 
@@ -565,7 +590,7 @@ def optimize_sigma_beta_grid(
     best = None
     for beta in beta_grid:
         _check_beta(beta)
-        t = _gqf_terms(L, beta, np.asarray(sigma_grid), k)
+        t = _gqf_terms(_gqf_block(L, beta, k), beta, np.asarray(sigma_grid), k)
         vals = np.minimum(t[4], t[5])
         i = int(np.argmax(vals))
         if best is None or vals[i] > best[2]:

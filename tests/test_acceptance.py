@@ -33,7 +33,7 @@ from marcsim import (
 from marcsim.channel import draw_states
 from marcsim.experiments import preset_config, run_experiment
 from marcsim.info import mutual_info_discrete
-from marcsim.rates import _gqf_terms, _links
+from marcsim.rates import _gqf_block, _gqf_terms, _links
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -77,7 +77,8 @@ def test_c2_sum_rate_quantizer_optimizer():
     assert peak == pytest.approx(1.1495, abs=1e-3)
     # independent grid-search oracle over (0, 20] at step 1e-3
     grid = np.arange(1e-3, 20.0 + 1e-12, 1e-3)
-    terms = _gqf_terms(_links(FIG3_STATE.gains(), UNIT_POWER), 0.5, grid, 0.5)
+    G = _gqf_block(_links(FIG3_STATE.gains(), UNIT_POWER), 0.5, 0.5)
+    terms = _gqf_terms(G, 0.5, grid, 0.5)
     vals = np.minimum(terms[4], terms[5])
     i = int(np.argmax(vals))
     assert abs(grid[i] - s_opt) <= 1e-3 + 1e-12

@@ -70,6 +70,25 @@ def test_sample_blocks_deterministic_and_scalar_consistent():
     assert np.allclose(one[0], np.array(first.gains()))
 
 
+@pytest.mark.parametrize(
+    "prof",
+    [FadingProfile.uniform(1.0), FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0),
+     FadingProfile(1e-12, 7.0, 1.0, 1e-3, 100.0)],
+)
+def test_sample_block_is_bitwise_the_two_call_expression(prof):
+    # reference: the real parts drawn in one call, the imaginary parts in a
+    # second call, combined as (re + 1j*im) * std
+    std = np.sqrt(prof.as_array() / 2.0)
+    for seed, index, size in ((0, 0, 4096), (12345, 3, 4096), (2**63 + 5, 17, 7), (9, 1, 1)):
+        rng = substream(seed, index)
+        re = rng.standard_normal((size, 5))
+        im = rng.standard_normal((size, 5))
+        ref = (re + 1j * im) * std
+        blk = sample_fading_block(prof, seed, index, block_size=size)
+        assert blk.shape == ref.shape and blk.dtype == ref.dtype
+        assert np.array_equal(blk.view(np.uint64), ref.view(np.uint64))
+
+
 def test_fading_moments():
     # E|h|^2 must match the profile variance within 1% at a million draws
     prof = FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0)

@@ -241,6 +241,8 @@ def test_cli_error_paths(tmp_path):
         ("fig3", "h1r=.inf", 2),
         ("fig3", "pr=.inf", 2),
         ("fig3", "norelay_boost=.inf", 2),
+        ("fig4", "hrd=1.0e+200", 2),
+        ("fig3", "h1r=1.0e+200", 2),
         ("fig3", "sigma_q2_grid=[1.0, .inf]", 0),
         ("fig5", "snr_db_grid=[-.inf, 0]", 0),
     ],

@@ -28,8 +28,9 @@ from marcsim import (
     optimize_ru_grid,
     outage_flags,
 )
-from marcsim.channel import draw_states, sample_fading_block, sigma_q2_for_fixed_ru
-from marcsim.outage import SCHEMES, classify_region_batch
+from marcsim import rates
+from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
+from marcsim.outage import SCHEMES, block_terms, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -365,3 +366,40 @@ def test_scheme_table_rules():
         else:
             with pytest.raises(ValueError):
                 outage_flags(name, h, pw, 0.5, RateTarget(1.0, 1.0))
+
+
+@pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
+@pytest.mark.parametrize("sigma_rd2", [0.001, 1.0, 100.0])
+def test_shared_block_terms_give_the_unshared_flags_and_estimates(scheme, sigma_rd2):
+    # fig8 sweep points: 10 dB, unit source links, relay-destination
+    # variance sigma_rd2 (index recovered almost never at 0.001, often at 100)
+    grid = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
+    prof = FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2)
+    pw = PowerConfig.from_snr_db(10.0, 0.5)
+    n, seed = BLOCK_SIZE + 5, 12345
+    h = sample_fading_block(prof, seed, 0)
+    shared = block_terms(scheme, h, pw, 0.5)
+    for ru in grid:
+        t = RateTarget(1.0, 1.0, ru)
+        assert np.array_equal(
+            outage_flags(scheme, h, pw, 0.5, t, shared=shared), outage_flags(scheme, h, pw, 0.5, t)
+        )
+    if scheme == "nonwz_cf":
+        recovered = [rates._nonwz_terms(shared.terms, 0.5, ru, 1.0)[3].mean() for ru in grid]
+        assert (max(recovered) < 0.01) if sigma_rd2 == 0.001 else (max(recovered) > 0.5)
+    ru_star, est = optimize_ru_grid(prof, pw, 0.5, RateTarget(1.0, 1.0, 3.0), grid, n, seed,
+                                    scheme=scheme)
+    per_ru = [common_outage_mc(scheme, prof, pw, 0.5, RateTarget(1.0, 1.0, ru), n, seed)
+              for ru in grid]
+    assert est == per_ru[grid.index(ru_star)]
+    assert all(e.p_hat >= est.p_hat for e in per_ru)
+
+
+def test_shared_block_terms_must_match_the_call():
+    pw = snr_power(10.0)
+    h = draw_states(PROFILE, 50, 3)
+    shared = block_terms("gqf", h, pw, 0.5)
+    for args in (("nonwz_cf", h, pw, 0.5), ("gqf", h.copy(), pw, 0.5),
+                 ("gqf", h, snr_power(20.0), 0.5), ("gqf", h, pw, 0.4)):
+        with pytest.raises(ValueError, match="other arguments"):
+            outage_flags(*args, TARGET, shared=shared)

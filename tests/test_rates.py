@@ -257,9 +257,9 @@ def test_csit_dominates_fixed_index_rate_per_draw():
     pw = PowerConfig.from_snr(10.0, 0.5)
     L = _links(tuple(h[:, i] for i in range(5)), pw)
     cs = _csit_terms(L, 0.5, 1.0)
-    from marcsim.outage import _fixed_ru_terms
+    from marcsim.outage import _fixed_ru_block, _fixed_ru_terms
 
-    _, t = _fixed_ru_terms(L, 0.5, 3.0)
+    _, t = _fixed_ru_terms(_fixed_ru_block(L, 0.5), 0.5, 3.0)
     assert np.all(np.minimum(t[0], t[1]) <= cs[0] + 1e-9)
     assert np.all(np.minimum(t[2], t[3]) <= cs[1] + 1e-9)
     assert np.all(np.minimum(t[4], t[5]) <= cs[2] + 1e-9)
