@@ -11,7 +11,6 @@ from .channel import (
     PowerConfig,
     draw_states,
     ru_for_sigma_q2,
-    sample_fading,
     sample_fading_block,
     sigma_q2_for_fixed_ru,
     slot1_system,
@@ -31,12 +30,9 @@ from .outage import (
     IndividualOutageEstimate,
     OutageEstimate,
     RateTarget,
-    RegionOutcome,
-    classify_region,
     common_outage_mc,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
-    gqf_outage_indicator,
     individual_outage_mc,
     optimize_ru_grid,
     outage_flags,

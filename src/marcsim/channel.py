@@ -35,7 +35,6 @@ __all__ = [
     "PowerConfig",
     "FadingProfile",
     "substream",
-    "sample_fading",
     "sample_fading_block",
     "draw_states",
     "slot1_system",
@@ -162,18 +161,6 @@ def substream(seed: int, index: int) -> Generator:
         raise ValueError("substream index must fit in an unsigned 64-bit integer")
     key = np.array([seed, index], dtype=np.uint64)
     return Generator(Philox(key=key))
-
-
-def sample_fading(profile: FadingProfile, rng: Generator) -> ChannelState:
-    """Draw one fading state: independent CN(0, var) per link.
-
-    Real and imaginary parts each carry var/2 so that E|h|^2 = var exactly.
-    """
-    std = np.sqrt(profile.as_array() / 2.0)
-    re = rng.standard_normal(5)
-    im = rng.standard_normal(5)
-    h = (re + 1j * im) * std
-    return ChannelState(*(complex(v) for v in h), mode=FADING)
 
 
 def sample_fading_block(

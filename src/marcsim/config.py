@@ -17,7 +17,7 @@ import yaml
 
 from .channel import ChannelState, FadingProfile, PowerConfig
 from .outage import SCHEMES, RateTarget
-from .rates import _links
+from .rates import _links, direct_mac_region, gqf_min_terms_gaussian, sigma_q2_opt_sum
 
 __all__ = [
     "ConfigError",
@@ -165,20 +165,35 @@ class ExperimentConfig:
                     raise ConfigError(f"scheme {token!r} needs beta = {scheme.beta}")
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat")
-        # build what the run builds (and the static channel for every kind),
-        # so that a value the channel model rejects is a config error
+        # build what the run builds (and the static link powers for every
+        # kind), so that a value the channel model rejects or a kernel
+        # input beyond the float range is a config error
         try:
             state, power = self.static_channel()
-            with np.errstate(over="ignore", invalid="ignore"):
-                links = _links(state.gains(), power)
-            if not all(math.isfinite(v) for v in links):
-                raise ValueError("static link powers |h|^2 p (and the cross term) must be finite")
+            with np.errstate(all="raise", under="ignore"):
+                _links(state.gains(), power)
+                if self.kind.startswith("static"):
+                    self._static_kernels(state, power)
             if self.kind.startswith("fading"):
                 self.fading_points()
                 for ru in (self.ru, *self.ru_grid):
                     RateTarget(self.r1, self.r2, ru)
+        except FloatingPointError as exc:
+            raise ConfigError(f"static channel values leave the float range: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def _static_kernels(self, state, power):
+        """Evaluate the kernels of a static run at every beta it uses: the
+        equalizer variance, the min-terms there and the boosted no-relay
+        region.  A sigma sweep's relay term is largest at its smallest
+        variance, so the min-terms there bound every other grid point."""
+        betas = self.beta_grid if self.kind == "static_beta_sweep" else (self.beta,)
+        sigmas = self.sigma_q2_grid[:1] if self.kind == "static_sigma_sweep" else ()
+        for beta in betas:
+            direct_mac_region(state, power, beta, self.norelay_boost)
+            for s in (sigma_q2_opt_sum(state, power, beta), *sigmas):
+                gqf_min_terms_gaussian(state, power, beta, s)
 
     def static_channel(self) -> tuple[ChannelState, PowerConfig]:
         """Channel state and powers of a static kind."""

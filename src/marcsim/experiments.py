@@ -217,60 +217,29 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _fig3() -> ExperimentConfig:
-    return ExperimentConfig(kind="static_sigma_sweep", preset="fig3", out="fig3.csv")
-
-
-def _fig4() -> ExperimentConfig:
-    return ExperimentConfig(kind="static_beta_sweep", preset="fig4", out="fig4.csv")
-
-
-def _fig5() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="fading_snr_sweep",
-        preset="fig5",
-        out="fig5.csv",
-        schemes=("gqf", "csit", "nonwz_cf", "df", "af", "direct", "direct15"),
-    )
-
-
-def _fig6() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="fading_snr_sweep",
-        preset="fig6",
-        out="fig6.csv",
-        schemes=("gqf", "gqf_opt", "csit", "nonwz_cf_opt", "df", "af", "direct", "direct15"),
-    )
-
-
-def _fig7() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="fading_sigmard_sweep",
-        preset="fig7",
-        out="fig7.csv",
-        snr_db=10.0,
-        schemes=("gqf_opt", "csit", "nonwz_cf_opt", "df", "af", "direct", "direct15"),
-    )
-
-
-def _fig8() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="fading_sigmard_sweep",
-        preset="fig8",
-        out="fig8.csv",
-        snr_db=10.0,
-        schemes=("gqf_opt", "nonwz_cf_opt", "direct"),
-        individual=True,
-    )
-
-
+#: the config fields each preset sets; every other field keeps its default
 PRESETS = {
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
+    "fig3": {"kind": "static_sigma_sweep"},
+    "fig4": {"kind": "static_beta_sweep"},
+    "fig5": {
+        "kind": "fading_snr_sweep",
+        "schemes": ("gqf", "csit", "nonwz_cf", "df", "af", "direct", "direct15"),
+    },
+    "fig6": {
+        "kind": "fading_snr_sweep",
+        "schemes": ("gqf", "gqf_opt", "csit", "nonwz_cf_opt", "df", "af", "direct", "direct15"),
+    },
+    "fig7": {
+        "kind": "fading_sigmard_sweep",
+        "snr_db": 10.0,
+        "schemes": ("gqf_opt", "csit", "nonwz_cf_opt", "df", "af", "direct", "direct15"),
+    },
+    "fig8": {
+        "kind": "fading_sigmard_sweep",
+        "snr_db": 10.0,
+        "schemes": ("gqf_opt", "nonwz_cf_opt", "direct"),
+        "individual": True,
+    },
 }
 
 
@@ -279,8 +248,4 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     overrides are checked like the keys of a config file."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    cfg = PRESETS[name]()
-    if overrides:
-        cfg = config_from_dict({**config_to_dict(cfg), **overrides})
-    return cfg
-
+    return config_from_dict({"preset": name, "out": f"{name}.csv", **PRESETS[name], **overrides})

@@ -28,27 +28,22 @@ import numpy as np
 from . import rates
 from .channel import (
     BLOCK_SIZE,
-    ChannelState,
     FadingProfile,
     PowerConfig,
     _check_beta,
     _quantizer_variance,
     sample_fading_block,
 )
-from .info import prefactor
 
 __all__ = [
     "SCHEMES",
     "Scheme",
     "RateTarget",
     "OutageEstimate",
-    "RegionOutcome",
     "IndividualOutageEstimate",
     "BlockTerms",
     "block_terms",
     "outage_flags",
-    "gqf_outage_indicator",
-    "classify_region",
     "classify_region_batch",
     "common_outage_mc",
     "individual_outage_mc",
@@ -93,17 +88,6 @@ class OutageEstimate:
     def from_count(cls, count: int, n: int, seed: int) -> "OutageEstimate":
         p = count / n
         return cls(p, n, seed, 1.96 * math.sqrt(p * (1.0 - p) / n))
-
-
-@dataclass(frozen=True)
-class RegionOutcome:
-    """Rate-plane region of one draw (1, 2, 3 or 4)."""
-
-    region_index: int
-
-    def __post_init__(self):
-        if self.region_index not in (1, 2, 3, 4):
-            raise ValueError(f"region index must be 1..4, got {self.region_index!r}")
 
 
 @dataclass(frozen=True)
@@ -169,20 +153,20 @@ def _clamp(x):
     return np.maximum(x, 0.0)
 
 
-def _fixed_ru_block(L, beta, k=1.0):
+def _fixed_ru_block(L, beta):
     """Per-block part of the fixed-index-rate joint-decoding kernel: the
     relay's received power c1 + c2 and the joint-decoding block."""
-    return L[2] + L[3], rates._gqf_block(L, beta, k)
+    return L[2] + L[3], rates._gqf_block(L, beta, 1.0)
 
 
-def _fixed_ru_terms(F, beta, ru, k=1.0):
+def _fixed_ru_terms(F, beta, ru):
     """Quantizer variance that spends exactly ``ru`` on the relay's
     observation, chosen from the source-relay powers c1 + c2 alone
     (receiver-side CSI), and the six joint-decoding min-terms at it, from
-    the per-block part ``F = _fixed_ru_block(L, beta, k)``."""
+    the per-block part ``F = _fixed_ru_block(L, beta)``."""
     received, G = F
-    sq2 = _quantizer_variance(received, beta, ru, k)
-    return sq2, rates._gqf_terms(G, beta, sq2, k)
+    sq2 = _quantizer_variance(received, beta, ru, 1.0)
+    return sq2, rates._gqf_terms(G, beta, sq2, 1.0)
 
 
 def _mins(t):
@@ -312,30 +296,6 @@ def outage_flags(
     return _violated(*spec.bounds(shared, target), target)
 
 
-def gqf_outage_indicator(
-    state: ChannelState, power: PowerConfig, beta: float, target: RateTarget
-) -> tuple[bool, rates.GqfBounds]:
-    """Outage indicator of the fixed-index-rate joint-decoding scheme for
-    one state, with the six bounds returned for audit.
-
-    The quantizer variance is chosen from the source-relay gains alone
-    (receiver-side CSI); the six violation tests then see the full state.
-    """
-    _scheme("gqf", beta, target)
-    k = prefactor(state.field_kind)
-    F = _fixed_ru_block(rates._links(state.gains(), power), beta, k)
-    _, t = _fixed_ru_terms(F, beta, target.ru, k)
-    t = [float(v) for v in t]
-    # spending the index rate exactly makes t*b equal the index-charged
-    # bounds minus ru, so the raw bounds are recovered by adding ru back
-    bounds = rates.GqfBounds(
-        b_r1=t[0], b_r1u=t[1] + target.ru,
-        b_r2=t[2], b_r2u=t[3] + target.ru,
-        b_r12=t[4], b_r12u=t[5] + target.ru,
-    )
-    return bool(_violated(*_mins(t), target)), bounds
-
-
 def classify_region_batch(
     h: np.ndarray,
     power: PowerConfig,
@@ -361,15 +321,6 @@ def classify_region_batch(
     codes[reg1] = 1
     codes[reg2] = 2
     return codes
-
-
-def classify_region(
-    state: ChannelState, power: PowerConfig, beta: float, target: RateTarget,
-    scheme: str = "gqf",
-) -> RegionOutcome:
-    """Region of one draw; see :func:`classify_region_batch`."""
-    h = np.array([state.gains()], dtype=complex)
-    return RegionOutcome(int(classify_region_batch(h, power, beta, target, scheme)[0]))
 
 
 # ---------------------------------------------------------------------------

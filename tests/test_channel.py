@@ -12,7 +12,6 @@ from marcsim import (
     draw_states,
     mutual_info_gaussian,
     ru_for_sigma_q2,
-    sample_fading,
     sample_fading_block,
     sigma_q2_for_fixed_ru,
     slot1_system,
@@ -53,11 +52,11 @@ def test_fixed_ru_variance_beyond_float_range():
 
 def test_sampler_deterministic():
     prof = FadingProfile.uniform(1.0)
-    a = sample_fading(prof, substream(42, 0))
-    b = sample_fading(prof, substream(42, 0))
-    assert a == b
-    c = sample_fading(prof, substream(42, 1))
-    assert a != c
+    a = sample_fading_block(prof, 42, 0, block_size=1)
+    b = sample_fading_block(prof, 42, 0, block_size=1)
+    assert np.array_equal(a, b)
+    c = sample_fading_block(prof, 42, 1, block_size=1)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_blocks_deterministic_and_scalar_consistent():
@@ -65,9 +64,14 @@ def test_sample_blocks_deterministic_and_scalar_consistent():
     blk = sample_fading_block(prof, 9, 4, block_size=8)
     blk2 = sample_fading_block(prof, 9, 4, block_size=8)
     assert np.array_equal(blk, blk2)
+    # a single draw is the one-row block: five real parts, then five
+    # imaginary parts of the substream, each scaled to var/2
     one = sample_fading_block(prof, 9, 4, block_size=1)
-    first = sample_fading(prof, substream(9, 4))
-    assert np.allclose(one[0], np.array(first.gains()))
+    rng = substream(9, 4)
+    re, im = rng.standard_normal(5), rng.standard_normal(5)
+    std = np.sqrt(prof.as_array() / 2.0)
+    assert one.shape == (1, 5)
+    assert np.array_equal(one[0], (re + 1j * im) * std)
 
 
 @pytest.mark.parametrize(
@@ -102,8 +106,8 @@ def test_fading_moments():
 
 def test_relay_cut_off_limit():
     prof = FadingProfile(1.0, 1.0, 1.0, 1.0, 1e-18)
-    st = sample_fading(prof, substream(0, 0))
-    assert abs(st.hrd) < 1e-6
+    h = sample_fading_block(prof, 0, 0, block_size=1)
+    assert abs(h[0, 4]) < 1e-6
 
 
 def test_slot1_covariance_values():

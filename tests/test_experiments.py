@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marcsim.cli import main
 from marcsim.config import (
@@ -243,6 +245,10 @@ def test_cli_error_paths(tmp_path):
         ("fig3", "norelay_boost=.inf", 2),
         ("fig4", "hrd=1.0e+200", 2),
         ("fig3", "h1r=1.0e+200", 2),
+        ("fig4", "hrd=3.0e+4", 2),
+        ("fig4", "p22=1.7976931348623157e+308", 2),
+        ("fig3", "h1r=1.0e+154", 2),
+        ("fig4", "h1r=1.0e+154", 2),
         ("fig3", "sigma_q2_grid=[1.0, .inf]", 0),
         ("fig5", "snr_db_grid=[-.inf, 0]", 0),
     ],
@@ -252,6 +258,39 @@ def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, overr
     argv = ["preset", preset, "--samples", "100", "--out", str(out), "--override", override]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+_STATIC_FLOATS = (
+    "h1d", "h2d", "h1r", "h2r", "hrd", "p11", "p21", "p12", "p22", "pr", "beta",
+    "norelay_boost",
+)
+_EDGE_FLOATS = (0.0, -0.0, 1e-320, 1e-300, 0.025, 0.975, 1.5, 3571.0, 1e16, 1e154, 1e308,
+                -1e308, 1.7976931348623157e308)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    preset=st.sampled_from(["fig3", "fig4"]),
+    fields=st.dictionaries(
+        st.sampled_from(_STATIC_FLOATS),
+        st.one_of(st.sampled_from(_EDGE_FLOATS),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_static_config_fuzz_exits_cleanly(tmp_path_factory, preset, fields):
+    # any finite static values either run or are rejected by validate with
+    # exit 2; a RuntimeWarning (an error under pytest) or any other
+    # exception fails the test
+    d = config_to_dict(preset_config(preset))
+    d.update(sigma_q2_grid=[1e-3, 1.0, 100.0], beta_grid=[0.025, 0.5, 0.975], **fields)
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(d))
+    validated = main(["validate", str(cfg)])
+    ran = main(["run", str(cfg), "--out", str(work / "out.csv")])
+    assert validated in (0, 2) and ran in (0, 1, 2)
+    assert (ran == 2) == (validated == 2)
 
 
 def test_scheme_tokens():

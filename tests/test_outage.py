@@ -14,7 +14,6 @@ from marcsim import (
     PowerConfig,
     RateTarget,
     af_region,
-    classify_region,
     common_outage_mc,
     csit_region,
     df_region,
@@ -22,7 +21,7 @@ from marcsim import (
     expected_sum_rate_common,
     expected_sum_rate_indiv,
     gqf_bounds_gaussian,
-    gqf_outage_indicator,
+    gqf_region,
     individual_outage_mc,
     nonwz_cf_region_fading,
     optimize_ru_grid,
@@ -40,6 +39,11 @@ def snr_power(snr_db, beta=0.5):
     return PowerConfig.from_snr(10.0 ** (snr_db / 10.0), beta)
 
 
+def one_row(state):
+    """A single draw as the one-row matrix the batch calls take."""
+    return np.array([state.gains()], dtype=complex)
+
+
 def test_target_validation():
     with pytest.raises(ValueError):
         RateTarget(-1.0, 1.0)
@@ -49,28 +53,31 @@ def test_target_validation():
 
 def test_indicator_zero_targets_never_outage():
     st = ChannelState(0.3 + 0.1j, 0.2, 1.0, 0.4, 0.8j, mode="fading")
-    flag, _ = gqf_outage_indicator(st, snr_power(10.0), 0.5, RateTarget(0.0, 0.0, 3.0))
-    assert flag is False
+    flags = outage_flags("gqf", one_row(st), snr_power(10.0), 0.5, RateTarget(0.0, 0.0, 3.0))
+    assert flags.tolist() == [False]
 
 
 def test_indicator_dead_channel_always_outage():
     st = ChannelState(0.0, 0.0, 0.0, 0.0, 0.0, mode="fading")
-    flag, _ = gqf_outage_indicator(st, snr_power(10.0), 0.5, TARGET)
-    assert flag is True
+    assert outage_flags("gqf", one_row(st), snr_power(10.0), 0.5, TARGET).tolist() == [True]
 
 
 def test_indicator_matches_engine_bounds():
-    # unit-magnitude gains, power 10: the closed-path indicator and bounds
-    # must agree with the covariance engine at the relay's quantizer choice
+    # unit-magnitude gains, power 10: the closed-form min-terms and the
+    # one-row flag must agree with the covariance engine at the relay's
+    # quantizer choice; spending the index rate exactly makes each
+    # index-charged min-term the engine bound minus ru
     st = ChannelState(1.0, 1.0, 1.0, 1.0, 1.0, mode="fading")
     pw = PowerConfig(10.0, 10.0, 10.0, 10.0, 10.0)
-    flag, bounds = gqf_outage_indicator(st, pw, 0.5, TARGET)
     s = sigma_q2_for_fixed_ru(st, pw, 0.5, TARGET.ru)
+    t = rates.gqf_min_terms_gaussian(st, pw, 0.5, s)
     eng = gqf_bounds_gaussian(st, pw, 0.5, s)
-    for name in ("b_r1", "b_r1u", "b_r2", "b_r2u", "b_r12", "b_r12u"):
-        assert getattr(bounds, name) == pytest.approx(getattr(eng, name), abs=1e-9)
-    reg = eng.region(TARGET.ru)
-    assert flag == (not reg.contains(TARGET.r1, TARGET.r2))
+    ru = TARGET.ru
+    for got, name in zip(t, ("b_r1", "b_r1u", "b_r2", "b_r2u", "b_r12", "b_r12u")):
+        charged = ru if name.endswith("u") else 0.0
+        assert got + charged == pytest.approx(getattr(eng, name), abs=1e-9)
+    flags = outage_flags("gqf", one_row(st), pw, 0.5, TARGET)
+    assert flags.tolist() == [not eng.region(ru).contains(TARGET.r1, TARGET.r2)]
 
 
 def test_outage_flags_match_indicator_per_draw():
@@ -78,9 +85,7 @@ def test_outage_flags_match_indicator_per_draw():
     pw = snr_power(10.0)
     flags = outage_flags("gqf", h, pw, 0.5, TARGET)
     for i in range(0, 256, 37):
-        st = ChannelState(*(complex(v) for v in h[i]), mode="fading")
-        flag, _ = gqf_outage_indicator(st, pw, 0.5, TARGET)
-        assert flags[i] == flag
+        assert outage_flags("gqf", h[i : i + 1], pw, 0.5, TARGET).tolist() == [flags[i]]
 
 
 def test_mc_bit_identical_across_runs():
@@ -185,18 +190,15 @@ def test_classify_user2_cut_off_gives_region2():
     # fail (the index-charged one needs a relay-destination link weak
     # enough not to cover the pair event), so the draw lands in region 2.
     st = ChannelState(3.0, 1e-9, 3.0, 1e-9, 0.5, mode="fading")
-    out = classify_region(st, snr_power(10.0), 0.5, TARGET)
-    assert out.region_index == 2
+    assert classify_region_batch(one_row(st), snr_power(10.0), 0.5, TARGET).tolist() == [2]
     # mirrored draw lands in region 1
     st_swap = ChannelState(1e-9, 3.0, 1e-9, 3.0, 0.5, mode="fading")
-    out_swap = classify_region(st_swap, snr_power(10.0), 0.5, TARGET)
-    assert out_swap.region_index == 1
+    assert classify_region_batch(one_row(st_swap), snr_power(10.0), 0.5, TARGET).tolist() == [1]
 
 
 def test_classify_strong_symmetric_gives_region4():
     st = ChannelState(1.0, 1.0, 1.0, 1.0, 1.0, mode="fading")
-    out = classify_region(st, snr_power(30.0), 0.5, TARGET)
-    assert out.region_index == 4
+    assert classify_region_batch(one_row(st), snr_power(30.0), 0.5, TARGET).tolist() == [4]
 
 
 def test_classification_partitions():
@@ -239,6 +241,59 @@ def test_individual_outage_identities():
     # matches the common estimator on the same draws
     est = common_outage_mc("gqf", PROFILE, pw, 0.5, TARGET, 20_000, 21)
     assert ind.p_common == est.p_hat
+
+
+def _mac_region_probabilities(v1, v2, r1, r2, s):
+    """Exact (region 1, region 2, common outage) of the two-slot MAC at
+    beta = 1/2 with equal slot powers s, over independent exponential
+    direct gains g1, g2 of means v1 != v2.
+
+    With A_i = (2^r_i - 1)/s and C = (2^(r1+r2) - 1)/s, region 2 is
+    P(g2 < A2, g1 >= (2^r1 - 1)(1/s + g2)), region 1 mirrors it, and no
+    outage is P(g1 >= A1, g2 >= A2, g1 + g2 >= C); each 1-D integral over
+    one gain is evaluated in closed form.
+    """
+    b1, b2 = 2.0**r1 - 1.0, 2.0**r2 - 1.0
+    a1, a2, c = b1 / s, b2 / s, (2.0 ** (r1 + r2) - 1.0) / s
+
+    def decodable_alone_other_not(vi, vj, bi, aj):
+        # int_0^aj exp(-y/vj)/vj * P(g_i >= bi (1/s + y)) dy
+        lam = 1.0 / vj + bi / vi
+        return math.exp(-bi / (s * vi)) * -math.expm1(-aj * lam) / (vj * lam)
+
+    # int_a1^inf exp(-x/v1)/v1 * P(g2 >= max(a2, c - x)) dx, split at c - a2
+    x0 = c - a2
+    p_ok = math.exp(-max(a1, x0) / v1 - a2 / v2)
+    if a1 < x0:
+        mu = 1.0 / v2 - 1.0 / v1
+        p_ok += math.exp(-c / v2) * (math.exp(mu * x0) - math.exp(mu * a1)) / (v1 * mu)
+    return (
+        decodable_alone_other_not(v2, v1, b2, a1),
+        decodable_alone_other_not(v1, v2, b1, a2),
+        1.0 - p_ok,
+    )
+
+
+def test_individual_outage_matches_the_mac_oracle():
+    # a vanishing relay-destination link and a tiny index rate reduce gqf
+    # and nonwz_cf (which then never recovers the index) to the two-slot
+    # MAC, whose regions have exact probabilities; unequal gain means and
+    # targets tell region 1 from region 2.  z = 2.99 is the two-sided 5 %
+    # Bonferroni level over the 18 checks
+    n, seed, z = 100_000, 12345, 2.99
+    v1, v2, r1, r2 = 2.0, 0.5, 1.5, 0.75
+    profile = FadingProfile(v1, v2, 1.0, 1.0, 1e-12)
+    for scheme, ru in (("gqf", 1e-6), ("nonwz_cf", 1e-3)):
+        for snr_db in (5.0, 10.0, 20.0):
+            s = 10.0 ** (snr_db / 10.0)
+            ind = individual_outage_mc(
+                profile, PowerConfig.from_snr(s, 0.5), 0.5, RateTarget(r1, r2, ru), n, seed,
+                scheme=scheme,
+            )
+            got = (ind.region_freqs[0], ind.region_freqs[1], ind.p_common)
+            for name, p_hat, p in zip(("region 1", "region 2", "common"), got,
+                                      _mac_region_probabilities(v1, v2, r1, r2, s)):
+                assert abs(p_hat - p) <= z * math.sqrt(p * (1.0 - p) / n), (scheme, snr_db, name)
 
 
 def test_individual_outage_symmetric_users():
@@ -324,9 +379,12 @@ def test_individual_outage_bit_identical_across_runs():
     assert a == b
 
 
-# per-state outage of every table scheme through the scalar API
+# per-state outage of every table scheme through the scalar API; gqf goes
+# through the covariance engine at the relay's fixed-ru quantizer
 SCALAR_OUTAGE = {
-    "gqf": lambda st, pw, b, t: gqf_outage_indicator(st, pw, b, t)[0],
+    "gqf": lambda st, pw, b, t: not gqf_region(
+        st, pw, b, sigma_q2_for_fixed_ru(st, pw, b, t.ru), t.ru
+    ).contains(t.r1, t.r2),
     "csit": lambda st, pw, b, t: not csit_region(st, pw, b).contains(t.r1, t.r2),
     "nonwz_cf": lambda st, pw, b, t: not nonwz_cf_region_fading(st, pw, b, t.ru).contains(
         t.r1, t.r2
