@@ -271,6 +271,14 @@ def sigma_q2_for_fixed_ru(
     return _quantizer_variance(received, beta, ru, k)
 
 
+def _index_denom(beta: float, ru: float, k: float) -> float:
+    """2^(ru/(beta*k)) - 1, or inf where it exceeds the float range."""
+    try:
+        return math.expm1(ru / (beta * k) * _LN2)
+    except OverflowError:
+        return math.inf
+
+
 def _quantizer_variance(received, beta: float, ru: float, k: float):
     """(1 + received) / (2^(ru/(beta*k)) - 1), broadcasting over ``received``.
 
@@ -278,12 +286,8 @@ def _quantizer_variance(received, beta: float, ru: float, k: float):
     limit 0 (an exact description of the relay observation); one so small
     that the quotient exceeds it gives the limit inf (no description).
     """
-    try:
-        denom = math.expm1(ru / (beta * k) * _LN2)
-    except OverflowError:
-        denom = math.inf
     with np.errstate(over="ignore"):
-        return (1.0 + received) / denom
+        return (1.0 + received) / _index_denom(beta, ru, k)
 
 
 def ru_for_sigma_q2(

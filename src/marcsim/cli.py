@@ -5,7 +5,8 @@
     sim validate <config.yaml>   check a config file and exit
 
 Exit status: 0 on success, 2 on configuration errors, 1 on numerical
-degeneracy.
+degeneracy (including a kernel value beyond the float range in a fading
+run).
 """
 
 from __future__ import annotations
@@ -111,6 +112,9 @@ def main(argv=None) -> int:
         return 2
     except (DegenerateCovarianceError, FeasibilityError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"numerical error: a kernel value leaves the float range ({exc})", file=sys.stderr)
         return 1
 
 

@@ -144,6 +144,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
+        if self.ru_grid[0] <= 0.0:
+            raise ConfigError("ru_grid values must be > 0")
         if self.kind == "static_sigma_sweep" and self.sigma_q2_grid[0] <= 0.0:
             raise ConfigError("sigma_q2_grid values must be > 0")
         if self.kind == "static_beta_sweep" and not (

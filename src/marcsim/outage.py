@@ -31,6 +31,7 @@ from .channel import (
     FadingProfile,
     PowerConfig,
     _check_beta,
+    _index_denom,
     _quantizer_variance,
     sample_fading_block,
 )
@@ -118,6 +119,8 @@ class BlockTerms(NamedTuple):
     power: PowerConfig
     beta: float
     terms: object       # Scheme.block(L, beta), or None
+    rates: tuple | None  # the (r1, r2) the curve was built for, or None
+    curve: object       # Scheme.curve(terms, beta, r1, r2), or None
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,17 @@ class Scheme:
     scheme needs ``target.ru > 0``, gets an ``<name>_opt`` series that
     optimizes ``ru`` and supports individual outage.  ``beta``, if set, is
     the only slot split the scheme is defined for.
+    ``curve(terms, beta, r1, r2)``, if set, builds from the per-block terms
+    an object whose ``flags(target)`` gives the outage flags of that rate
+    pair at any index rate, bit-identical to ``bounds`` and cheaper per
+    target once built.
     """
 
     bounds: Callable
     regions: Callable | None = None
     beta: float | None = None
     block: Callable | None = None
+    curve: Callable | None = None
 
     def allows(self, beta: float) -> bool:
         """Whether the scheme is defined at slot split ``beta``."""
@@ -174,34 +182,185 @@ def _mins(t):
     return np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
 
 
+def _take(parts, idx):
+    """``parts`` (arrays, possibly nested in tuples and lists) at draws ``idx``."""
+    if isinstance(parts, np.ndarray):
+        return parts[idx]
+    if isinstance(parts, (tuple, list)):
+        return type(parts)(_take(p, idx) for p in parts)
+    return parts
+
+
+def _region_masks(fail1, fail2, alone):
+    """Region-1 and region-2 masks from each user's failure of its own
+    bounds and ``alone(idx)``, which gives (user 1 decodable alone, user 2
+    decodable alone) on the draws ``idx``.  Only a draw where one user
+    fails can land in region 1 or 2, so ``alone`` sees those draws only."""
+    reg1 = np.zeros_like(fail1)
+    reg2 = np.zeros_like(fail2)
+    idx = np.flatnonzero(fail1 | fail2)
+    if idx.size:
+        alone1, alone2 = alone(idx)
+        reg1[idx] = alone2 & fail1[idx]
+        reg2[idx] = alone1 & fail2[idx]
+    return reg1, reg2
+
+
 def _gqf_regions(b, target):
     sq2, t = _fixed_ru_terms(b.terms, b.beta, target.ru)
-    w1a, w1b, w2a, w2b = rates._interference_terms(
-        b.g, b.L, b.power, b.beta, sq2, target.ru, 1.0
-    )
     r1, r2 = target.r1, target.r2
-    user1_alone = (r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b))
-    user2_alone = (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b))
-    reg2 = user1_alone & (r2 > _clamp(t[2])) & (r2 > _clamp(t[3]))
-    reg1 = user2_alone & (r1 > _clamp(t[0])) & (r1 > _clamp(t[1]))
-    return _mins(t), reg1, reg2
+
+    def alone(idx):
+        w1a, w1b, w2a, w2b = rates._interference_terms(
+            _take(b.g, idx), _take(b.L, idx), b.power, b.beta, sq2[idx], target.ru, 1.0
+        )
+        return ((r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b)),
+                (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b)))
+
+    fail1 = (r1 > _clamp(t[0])) & (r1 > _clamp(t[1]))
+    fail2 = (r2 > _clamp(t[2])) & (r2 > _clamp(t[3]))
+    return (_mins(t), *_region_masks(fail1, fail2, alone))
 
 
 def _nonwz_regions(b, target):
     beta = b.beta
     i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, target.ru, 1.0)
-    w = rates._interference_terms(b.g, b.L, b.power, beta, sq2, target.ru, 1.0)
-    # single-user bounds with the other source as noise; without the index
-    # the relay signal is cooperate-slot noise as well
-    a1, a2, _, _, d1, d2, e, _ = b.L
-    mb = 1.0 - beta
-    v_yd1 = 1.0 + a1 + a2
-    f1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
-    f2 = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
     r1, r2 = target.r1, target.r2
-    reg2 = (r1 <= _clamp(np.where(recovered, w[0], f1))) & (r2 > _clamp(i2))
-    reg1 = (r2 <= _clamp(np.where(recovered, w[2], f2))) & (r1 > _clamp(i1))
-    return (i1, i2, isum), reg1, reg2
+
+    def alone(idx):
+        # single-user bounds with the other source as noise, each draw with
+        # the ones of its own index outcome
+        rec = recovered[idx]
+        u1, u2 = np.empty(idx.size), np.empty(idx.size)
+        j = idx[rec]
+        if j.size:
+            w = rates._interference_terms(_take(b.g, j), _take(b.L, j), b.power, beta, sq2[j],
+                                          target.ru, 1.0)
+            u1[rec], u2[rec] = w[0], w[2]
+        j = idx[~rec]
+        if j.size:
+            # without the index the relay signal is cooperate-slot noise too
+            a1, a2, _, _, d1, d2, e, _ = _take(b.L, j)
+            mb = 1.0 - beta
+            v_yd1 = 1.0 + a1 + a2
+            u1[~rec] = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
+            u2[~rec] = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
+        return r1 <= _clamp(u1), r2 <= _clamp(u2)
+
+    fail1 = r1 > _clamp(i1)
+    fail2 = r2 > _clamp(i2)
+    return ((i1, i2, isum), *_region_masks(fail1, fail2, alone))
+
+
+# ---------------------------------------------------------------------------
+# outage over the index rate from one per-block interval
+# ---------------------------------------------------------------------------
+
+#: guard band (bits) around each target rate: a draw whose bounds come this
+#: close to a target at the index rate asked for is settled by the exact
+#: per-target kernel, whose rounding stays far inside it
+_GUARD = 1e-9
+#: 1/sigma_q2 above which the index-charged min-term of rates._gqf_terms
+#: (through 1 - 1/(1 + sigma_q2)) can round by more than the guard band;
+#: draws beyond it take the exact kernel too
+_MAX_Z = 1e6
+
+
+class _IndexRateCurve:
+    """Outage of one block's draws for one rate pair at any index rate.
+
+    In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) every
+    fixed-index-rate bound is monotone (see rates._plain_thresholds), so a
+    draw is out of outage on one interval of z.  It is built twice per
+    draw, with every positive target rate lowered by the guard band (outer:
+    outside it outage is certain) and raised by it (inner: inside it no
+    outage is certain).  ``flags`` compares z with both and runs the
+    scheme's exact per-target kernel only on the draws in between, on
+    draws whose inputs are not finite and where 2^(ru/beta) - 1 is 0 or
+    inf, so its flags are bit-identical to the kernel's.
+    """
+
+    def __init__(self, terms, beta, r1, r2, received, G):
+        self.terms, self.beta = terms, beta
+        charged = G[0][3] is not None
+        shifts = (-_GUARD, _GUARD)
+        lo = [np.zeros_like(received) for _ in shifts]
+        hi = [np.full_like(received, np.inf) for _ in shifts] if charged else [None, None]
+        with np.errstate(all="ignore"):
+            self.inv_one_c = 1.0 / (1.0 + received)
+            for part, rate in zip(G, (r1, r2, r1 + r2)):
+                if rate > 0.0:  # a zero rate is met by every clamped bound
+                    for a, t in zip(lo, rates._plain_thresholds(part, beta, rate, shifts)):
+                        np.maximum(a, t, out=a)
+                    if charged:
+                        for a, t in zip(hi, rates._charged_thresholds(part, beta, rate, shifts)):
+                            np.minimum(a, t, out=a)
+            # link powers are non-negative, so the sum-rate part's inputs
+            # bound the other parts' and c1 + c2: their sum is finite
+            # exactly where every input is
+            finite = np.isfinite(sum(v for v in G[2] if v is not None))
+        if not finite.all():
+            for a in (*lo, *hi):
+                if a is not None:
+                    a[~finite] = np.nan  # compares false, so these draws go exact
+        (self.lo_out, self.lo_in), (self.hi_out, self.hi_in) = lo, hi
+
+    def split(self, ru):
+        """(certain-outage flags, undecided band) at index rate ``ru``, or
+        None where every draw needs the exact kernel."""
+        x = _index_denom(self.beta, ru, 1.0)
+        return self._split(x * self.inv_one_c, x, ru) if 0.0 < x < math.inf else None
+
+    def flags(self, target):
+        parts = self.split(target.ru)
+        if parts is None:
+            return self._exact(self.terms, target)
+        flags, band = parts
+        idx = np.flatnonzero(band)
+        if idx.size:
+            flags[idx] = self._exact(_take(self.terms, idx), target)
+        return flags
+
+
+class _GqfCurve(_IndexRateCurve):
+    """:class:`_IndexRateCurve` of the fixed-index-rate joint decoder: the
+    plain bounds hold above a threshold of z and the index-charged ones
+    below one."""
+
+    def __init__(self, terms, beta, r1, r2):
+        super().__init__(terms, beta, r1, r2, *terms)
+        self.max_inv_one_c = float(self.inv_one_c.max(initial=0.0))
+
+    def _split(self, z, x, ru):
+        out = (z < self.lo_out) | (z > self.hi_out)
+        band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
+        if x * self.max_inv_one_c > _MAX_Z:
+            band |= z > _MAX_Z
+        return out, band
+
+    def _exact(self, terms, target):
+        return _violated(*_mins(_fixed_ru_terms(terms, self.beta, target.ru)[1]), target)
+
+
+class _NonwzCurve(_IndexRateCurve):
+    """:class:`_IndexRateCurve` of non-WZ CF: a draw that recovers the index
+    (``index_rate >= ru``, tested exactly) is in outage below its
+    plain-bound threshold; any other takes the fallback verdict, which does
+    not depend on ``ru`` and is found once per block."""
+
+    def __init__(self, terms, beta, r1, r2):
+        self.index_rate, fallback, received, G = terms
+        super().__init__(terms, beta, r1, r2, received, G)
+        self.fallback = _violated(*fallback, RateTarget(r1, r2))
+
+    def _split(self, z, x, ru):
+        recovered = self.index_rate >= ru
+        below = z < self.lo_out
+        band = recovered & ~(below | (z >= self.lo_in))
+        return np.where(recovered, below, self.fallback), band
+
+    def _exact(self, terms, target):
+        return _violated(*rates._nonwz_terms(terms, self.beta, target.ru, 1.0)[:3], target)
 
 
 #: every scheme the Monte Carlo layer evaluates per draw; adding a scheme
@@ -211,12 +370,14 @@ SCHEMES = {
         lambda b, t: _mins(_fixed_ru_terms(b.terms, b.beta, t.ru)[1]),
         _gqf_regions,
         block=_fixed_ru_block,
+        curve=_GqfCurve,
     ),
     "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta, 1.0)),
     "nonwz_cf": Scheme(
         lambda b, t: rates._nonwz_terms(b.terms, b.beta, t.ru, 1.0)[:3],
         _nonwz_regions,
         block=lambda L, beta: rates._nonwz_block(L, beta, 1.0),
+        curve=_NonwzCurve,
     ),
     "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2, 1.0)),
     "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power, 1.0), beta=0.5),
@@ -257,19 +418,33 @@ def _violated(i1, i2, isum, target: RateTarget):
     )
 
 
-def block_terms(scheme: str, h: np.ndarray, power: PowerConfig, beta: float) -> BlockTerms:
+def block_terms(
+    scheme: str,
+    h: np.ndarray,
+    power: PowerConfig,
+    beta: float,
+    rates_pair: tuple[float, float] | None = None,
+) -> BlockTerms:
     """Target-independent terms of ``scheme`` on the draw matrix ``h``.
 
     Passing them as ``outage_flags(scheme, h, power, beta, target,
     shared=...)`` evaluates each further target on the same draws without
     recomputing them; the flags are bit-identical to those computed
-    without ``shared``.
+    without ``shared``.  With ``rates_pair = (r1, r2)`` a scheme with a
+    ``curve`` step also builds its outage curve over the index rate, and
+    every target must then have that rate pair.  The curve costs more than
+    one exact evaluation, so it pays from two index rates on.
     """
     spec = _scheme(scheme, beta, None)
     g = _columns(h)
     L = rates._links(g, power)
     terms = None if spec.block is None else spec.block(L, beta)
-    return BlockTerms(scheme, h, g, L, power, beta, terms)
+    curve = None
+    if rates_pair is not None:
+        rates_pair = (float(rates_pair[0]), float(rates_pair[1]))
+        if spec.curve is not None:
+            curve = spec.curve(terms, beta, *rates_pair)
+    return BlockTerms(scheme, h, g, L, power, beta, terms, rates_pair, curve)
 
 
 def outage_flags(
@@ -285,14 +460,20 @@ def outage_flags(
 
     Complex fading semantics (prefactor 1).  Evaluating several schemes on
     one ``h`` compares them on shared draws.  ``shared``, if given, must be
-    ``block_terms(scheme, h, power, beta)`` for this very ``h``; without it
-    those terms are built here.
+    ``block_terms(scheme, h, power, beta[, (target.r1, target.r2)])`` for
+    this very ``h``; without it those terms are built here.
     """
     spec = _scheme(scheme, beta, target)
     if shared is None:
         shared = block_terms(scheme, h, power, beta)
-    elif (shared.scheme, shared.power, shared.beta) != (scheme, power, beta) or shared.h is not h:
+    elif (
+        (shared.scheme, shared.power, shared.beta) != (scheme, power, beta)
+        or shared.h is not h
+        or shared.rates not in (None, (target.r1, target.r2))
+    ):
         raise ValueError("shared block terms were built for other arguments")
+    if shared.curve is not None:
+        return shared.curve.flags(target)
     return _violated(*spec.bounds(shared, target), target)
 
 
@@ -329,14 +510,20 @@ def classify_region_batch(
 
 
 def _accumulate(profile, n, seed, fn):
-    """Sum fn(block) over the first n draws; fn returns int64 counts."""
+    """Sum fn(block) over the first n draws; fn returns int64 counts.
+
+    A numpy overflow or invalid operation raises FloatingPointError: the
+    kernels ignore, in their own ``np.errstate`` blocks, the ones whose
+    limits they handle, and any other makes the estimate meaningless.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     total = 0
-    for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        # the last block is cut to the draws left
-        h = sample_fading_block(profile, seed, b)[: n - b * BLOCK_SIZE]
-        total = total + np.asarray(fn(h), dtype=np.int64)
+    with np.errstate(over="raise", invalid="raise"):
+        for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+            # the last block is cut to the draws left
+            h = sample_fading_block(profile, seed, b)[: n - b * BLOCK_SIZE]
+            total = total + np.asarray(fn(h), dtype=np.int64)
     return total
 
 
@@ -407,10 +594,12 @@ def optimize_ru_grid(
         raise ValueError("index-rate grid must be positive and strictly increasing")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
     _scheme(scheme, beta, targets[0], index_rate=True)
+    # the ru-independent terms, and from two grid entries on the outage
+    # curve over ru, are built once per block, not per grid entry
+    pair = (target.r1, target.r2) if len(grid) > 1 else None
 
     def fn(h):
-        # the ru-independent terms are built once per block, not per grid entry
-        shared = block_terms(scheme, h, power, beta)
+        shared = block_terms(scheme, h, power, beta, pair)
         return [int(outage_flags(scheme, h, power, beta, t, shared=shared).sum()) for t in targets]
 
     counts = _accumulate(profile, n, seed, fn)

@@ -206,6 +206,37 @@ def _gqf_terms(G, beta, sigma_q2, k, charged=True):
     return tuple(t)
 
 
+# At index rate ru the fixed-index-rate quantizer is
+# sigma_q2 = (1 + c1 + c2)/(2^(ru/beta) - 1).  In z = 1/sigma_q2, for a part
+# (s, c, coop, coop_u) of _gqf_block (complex fading, k = 1) the plain
+# min-term beta*log2(s + c*z/(1 + z)) + coop rises and the index-charged
+# one beta*log2(s/(1 + z)) + coop_u falls, so each reaches a rate on one
+# side of a closed-form threshold of z.  Each shift in ``shifts`` moves the
+# rate and gives one threshold.
+
+
+def _plain_thresholds(part, beta, rate, shifts):
+    """Least z at which the plain min-term of ``part`` reaches ``rate +
+    shift``, per shift: at most 0 where it always does, inf where it never
+    does (and where c = 0 meets the shifted rate exactly, which a guard
+    band around the unshifted rate absorbs)."""
+    s, c, coop, _ = part
+    e = np.exp2((rate - coop) / beta)
+    out = []
+    for shift in shifts:
+        d = e * 2.0 ** (shift / beta) - s  # what c*z/(1 + z) must reach
+        out.append(np.where(c > d, d / (c - d), np.inf))
+    return out
+
+
+def _charged_thresholds(part, beta, rate, shifts):
+    """Greatest z at which the index-charged min-term of ``part`` reaches
+    ``rate + shift``, per shift (negative where it never does)."""
+    s, _, _, coop_u = part
+    q = s / np.exp2((rate - coop_u) / beta)
+    return [q * 2.0 ** (-shift / beta) - 1.0 for shift in shifts]
+
+
 def _interference_terms(g, L, power, beta, sigma_q2, ru, k):
     """Single-user bounds with the other source treated as noise.
 
@@ -218,9 +249,9 @@ def _interference_terms(g, L, power, beta, sigma_q2, ru, k):
     a1, a2, c1, c2, d1, d2, e, _ = L
     v_yd1 = 1.0 + a1 + a2
     v_yhr = 1.0 + c1 + c2 + sigma_q2
-    rho = h1d * np.conj(h1r) * power.p11 + h2d * np.conj(h2r) * power.p21
-    rho2 = h2d * np.conj(h2r) * power.p21
     rho1 = h1d * np.conj(h1r) * power.p11
+    rho2 = h2d * np.conj(h2r) * power.p21
+    rho = rho1 + rho2
     with np.errstate(over="ignore", invalid="ignore"):
         det_full = v_yd1 * v_yhr - np.abs(rho) ** 2
         det_wo1 = (1.0 + a2) * (1.0 + c2 + sigma_q2) - np.abs(rho2) ** 2

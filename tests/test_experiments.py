@@ -236,6 +236,7 @@ def test_cli_error_paths(tmp_path):
         ("fig7", "snr_db=4000", 2),
         ("fig5", "snr_db=1" + "0" * 400, 2),
         ("fig6", "ru_grid=[.nan]", 2),
+        ("fig6", "ru_grid=[0.0, 1.0]", 2),
         ("fig6", "ru=.inf", 2),
         ("fig6", "r1=.nan", 2),
         ("fig7", "var_1d=.inf", 2),
@@ -251,6 +252,8 @@ def test_cli_error_paths(tmp_path):
         ("fig4", "h1r=1.0e+154", 2),
         ("fig3", "sigma_q2_grid=[1.0, .inf]", 0),
         ("fig5", "snr_db_grid=[-.inf, 0]", 0),
+        ("fig5", "snr_db_grid=[3000]", 1),
+        ("fig5", "var_1d=1.0e+200", 1),
     ],
 )
 def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, override, code):
@@ -291,6 +294,37 @@ def test_static_config_fuzz_exits_cleanly(tmp_path_factory, preset, fields):
     ran = main(["run", str(cfg), "--out", str(work / "out.csv")])
     assert validated in (0, 2) and ran in (0, 1, 2)
     assert (ran == 2) == (validated == 2)
+
+
+_FADING_FLOATS = ("var_1d", "var_2d", "var_1r", "var_2r", "var_rd", "snr_db", "r1", "r2", "ru")
+_FADING_EDGES = (0.0, -1.0, 1e-320, 1e-300, 1e-6, 0.5, 1.0, 3.0, 30.0, 40.0, 2000.0, 3000.0,
+                 1e200, 1.7976931348623157e308)
+_fading_values = st.one_of(st.sampled_from(_FADING_EDGES),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    preset=st.sampled_from(["fig5", "fig6", "fig8"]),
+    fields=st.dictionaries(st.sampled_from(_FADING_FLOATS), _fading_values, max_size=3),
+    sweep=st.lists(_fading_values, min_size=1, max_size=2, unique=True),
+    ru_grid=st.lists(_fading_values, min_size=1, max_size=3, unique=True),
+    individual=st.booleans(),
+)
+def test_fading_config_fuzz_exits_cleanly(tmp_path_factory, preset, fields, sweep, ru_grid,
+                                          individual):
+    # any finite fading values, with individual outage and the _opt tokens'
+    # index-rate grid, either run, stop on a kernel value beyond the float
+    # range (exit 1) or are rejected (exit 2); a RuntimeWarning (an error
+    # under pytest) or any other exception fails the test
+    d = config_to_dict(preset_config(preset))
+    grid = "sigma_rd2_grid" if preset == "fig8" else "snr_db_grid"
+    d.update(n_samples=300, individual=individual, ru_grid=sorted(ru_grid))
+    d.update({grid: sorted(sweep)}, **fields)
+    work = tmp_path_factory.mktemp("fuzz")
+    cfg = work / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(d))
+    assert main(["run", str(cfg), "--out", str(work / "out.csv")]) in (0, 1, 2)
 
 
 def test_scheme_tokens():

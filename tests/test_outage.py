@@ -29,7 +29,7 @@ from marcsim import (
 )
 from marcsim import rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
-from marcsim.outage import SCHEMES, block_terms, classify_region_batch
+from marcsim.outage import SCHEMES, _fixed_ru_terms, block_terms, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -461,3 +461,111 @@ def test_shared_block_terms_must_match_the_call():
                  ("gqf", h, snr_power(20.0), 0.5), ("gqf", h, pw, 0.4)):
         with pytest.raises(ValueError, match="other arguments"):
             outage_flags(*args, TARGET, shared=shared)
+
+
+CURVE_RU = (1e-300, 1e-6, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 20.0, 2000.0)
+
+
+@pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
+@pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+def test_curve_flags_equal_exact_flags(scheme, beta):
+    # the outage curve of a block (rate pair given to block_terms) must give
+    # the exact per-target flags at every index rate: the fig8 ru_grid, the
+    # subnormal-like and huge rates whose quantizer variance over- or
+    # underflows, and 20, where the quantizer variance is small enough for
+    # the exact kernel's rounding to need the fallback; one target has a
+    # zero rate
+    for snr_db in (0.0, 10.0, 30.0):
+        pw = PowerConfig.from_snr_db(snr_db, beta)
+        for sigma_rd2 in (0.001, 1.0, 100.0):
+            h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:1024]
+            for r1, r2 in ((1.0, 1.0), (0.0, 1.5), (2.0, 0.5)):
+                shared = block_terms(scheme, h, pw, beta, (r1, r2))
+                assert shared.curve is not None
+                for ru in CURVE_RU:
+                    t = RateTarget(r1, r2, ru)
+                    assert np.array_equal(outage_flags(scheme, h, pw, beta, t, shared=shared),
+                                          outage_flags(scheme, h, pw, beta, t)), (snr_db, sigma_rd2, t)
+
+
+@pytest.mark.parametrize(
+    "scheme, snr_db, sigma_rd2, ru",
+    [("gqf", 10.0, 100.0, 1.0), ("nonwz_cf", 10.0, 100.0, 1.0), ("gqf", 30.0, 1e4, 20.0)],
+)
+def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigma_rd2, ru):
+    # r1 at a draw's exact user-1 bound (no outage: equality is inside) and
+    # one ulp above it (outage) puts that draw inside the guard band, so the
+    # exact kernel must decide it; r2 = 0 leaves user 1's bounds and a
+    # looser sum bound.  For nonwz_cf the draws recover the index, so their
+    # bound is the ru-dependent one.  At ru = 20 the quantizer variance is
+    # about 1e-9, where the exact index-charged bound rounds by far more
+    # than the guard band
+    pw = snr_power(snr_db)
+    h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
+    b = block_terms(scheme, h, pw, 0.5)
+    i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
+    ok = (i1 > 0.0) & (i1 < isum)
+    if scheme == "nonwz_cf":
+        ok &= b.terms[0] >= ru
+    draws = np.flatnonzero(ok)[:8]
+    assert draws.size == 8
+    for j in draws:
+        for r1, outage in ((float(i1[j]), False), (float(np.nextafter(i1[j], np.inf)), True)):
+            t = RateTarget(r1, 0.0, ru)
+            shared = block_terms(scheme, h, pw, 0.5, (r1, 0.0))
+            assert shared.curve.split(ru)[1][j]
+            flags = outage_flags(scheme, h, pw, 0.5, t, shared=shared)
+            assert flags[j] == outage
+            assert np.array_equal(flags, outage_flags(scheme, h, pw, 0.5, t))
+    with pytest.raises(ValueError, match="other arguments"):
+        outage_flags(scheme, h, pw, 0.5, RateTarget(1.0, 1.0, ru), shared=shared)
+
+
+def _codes_on_every_draw(scheme, h, pw, beta, target):
+    """Region codes with the single-user bounds evaluated on every draw,
+    as classify_region_batch did before it restricted them to the draws
+    where a user fails its own bounds."""
+    b = block_terms(scheme, h, pw, beta)
+    r1, r2, ru = target.r1, target.r2, target.ru
+    clamp = lambda x: np.maximum(x, 0.0)
+    if scheme == "gqf":
+        sq2, t = _fixed_ru_terms(b.terms, beta, ru)
+        w1a, w1b, w2a, w2b = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru, 1.0)
+        reg2 = (r1 <= clamp(w1a)) & (r1 <= clamp(w1b)) & (r2 > clamp(t[2])) & (r2 > clamp(t[3]))
+        reg1 = (r2 <= clamp(w2a)) & (r2 <= clamp(w2b)) & (r1 > clamp(t[0])) & (r1 > clamp(t[1]))
+        i1, i2, isum = np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
+    else:
+        i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, ru, 1.0)
+        w = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru, 1.0)
+        a1, a2, _, _, d1, d2, e, _ = b.L
+        v_yd1 = 1.0 + a1 + a2
+        mb = 1.0 - beta
+        f1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
+        f2 = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
+        reg2 = (r1 <= clamp(np.where(recovered, w[0], f1))) & (r2 > clamp(i2))
+        reg1 = (r2 <= clamp(np.where(recovered, w[2], f2))) & (r1 > clamp(i1))
+    common = (r1 > clamp(i1)) | (r2 > clamp(i2)) | (r1 + r2 > clamp(isum))
+    codes = np.full(len(h), 4, dtype=np.int8)
+    codes[common] = 3
+    codes[reg1] = 1
+    codes[reg2] = 2
+    return codes
+
+
+@pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
+def test_subset_classification_equals_evaluation_on_every_draw(scheme):
+    # fig8 points (10 dB, the sigma_rd2 grid), symmetric and asymmetric
+    # targets, ru over the grid and at 1e-320 and 30, where the
+    # single-user determinants reach their limit
+    pw = snr_power(10.0)
+    seen = set()
+    for sigma_rd2 in (0.001, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
+        h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:2048]
+        for r1, r2 in ((1.0, 1.0), (1.5, 0.75), (0.5, 2.0)):
+            for ru in (1e-320, 0.5, 1.5, 3.0, 6.0, 30.0):
+                t = RateTarget(r1, r2, ru)
+                codes = classify_region_batch(h, pw, 0.5, t, scheme)
+                assert np.array_equal(codes, _codes_on_every_draw(scheme, h, pw, 0.5, t)), (
+                    sigma_rd2, t)
+                seen.update(codes.tolist())
+    assert seen == {1, 2, 3, 4}
