@@ -119,7 +119,6 @@ class BlockTerms(NamedTuple):
     power: PowerConfig
     beta: float
     terms: object       # Scheme.block(L, beta), or None
-    rates: tuple | None  # the (r1, r2) the curve was built for, or None
     curve: object       # Scheme.curve(terms, beta, r1, r2), or None
 
 
@@ -280,8 +279,9 @@ class _IndexRateCurve:
     inf, so its flags are bit-identical to the kernel's.
     """
 
-    def __init__(self, terms, beta, r1, r2, received, G):
-        self.terms, self.beta = terms, beta
+    def __init__(self, terms, beta, r1, r2):
+        self.terms, self.beta, self.rates = terms, beta, (r1, r2)
+        received, G = terms[-2:]  # c1 + c2 and the _gqf_block parts
         charged = G[0][3] is not None
         shifts = (-_GUARD, _GUARD)
         lo = [np.zeros_like(received) for _ in shifts]
@@ -309,7 +309,7 @@ class _IndexRateCurve:
         """(certain-outage flags, undecided band) at index rate ``ru``, or
         None where every draw needs the exact kernel."""
         x = _index_denom(self.beta, ru, 1.0)
-        return self._split(x * self.inv_one_c, x, ru) if 0.0 < x < math.inf else None
+        return self._split(x * self.inv_one_c, ru) if 0.0 < x < math.inf else None
 
     def flags(self, target):
         parts = self.split(target.ru)
@@ -327,15 +327,10 @@ class _GqfCurve(_IndexRateCurve):
     plain bounds hold above a threshold of z and the index-charged ones
     below one."""
 
-    def __init__(self, terms, beta, r1, r2):
-        super().__init__(terms, beta, r1, r2, *terms)
-        self.max_inv_one_c = float(self.inv_one_c.max(initial=0.0))
-
-    def _split(self, z, x, ru):
+    def _split(self, z, ru):
         out = (z < self.lo_out) | (z > self.hi_out)
         band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
-        if x * self.max_inv_one_c > _MAX_Z:
-            band |= z > _MAX_Z
+        band |= z > _MAX_Z
         return out, band
 
     def _exact(self, terms, target):
@@ -349,11 +344,11 @@ class _NonwzCurve(_IndexRateCurve):
     not depend on ``ru`` and is found once per block."""
 
     def __init__(self, terms, beta, r1, r2):
-        self.index_rate, fallback, received, G = terms
-        super().__init__(terms, beta, r1, r2, received, G)
+        self.index_rate, fallback = terms[:2]
+        super().__init__(terms, beta, r1, r2)
         self.fallback = _violated(*fallback, RateTarget(r1, r2))
 
-    def _split(self, z, x, ru):
+    def _split(self, z, ru):
         recovered = self.index_rate >= ru
         below = z < self.lo_out
         band = recovered & ~(below | (z >= self.lo_in))
@@ -432,19 +427,16 @@ def block_terms(
     recomputing them; the flags are bit-identical to those computed
     without ``shared``.  With ``rates_pair = (r1, r2)`` a scheme with a
     ``curve`` step also builds its outage curve over the index rate, and
-    every target must then have that rate pair.  The curve costs more than
-    one exact evaluation, so it pays from two index rates on.
+    every target must then have that rate pair.
     """
     spec = _scheme(scheme, beta, None)
     g = _columns(h)
     L = rates._links(g, power)
     terms = None if spec.block is None else spec.block(L, beta)
     curve = None
-    if rates_pair is not None:
-        rates_pair = (float(rates_pair[0]), float(rates_pair[1]))
-        if spec.curve is not None:
-            curve = spec.curve(terms, beta, *rates_pair)
-    return BlockTerms(scheme, h, g, L, power, beta, terms, rates_pair, curve)
+    if rates_pair is not None and spec.curve is not None:
+        curve = spec.curve(terms, beta, float(rates_pair[0]), float(rates_pair[1]))
+    return BlockTerms(scheme, h, g, L, power, beta, terms, curve)
 
 
 def outage_flags(
@@ -469,7 +461,7 @@ def outage_flags(
     elif (
         (shared.scheme, shared.power, shared.beta) != (scheme, power, beta)
         or shared.h is not h
-        or shared.rates not in (None, (target.r1, target.r2))
+        or (shared.curve is not None and shared.curve.rates != (target.r1, target.r2))
     ):
         raise ValueError("shared block terms were built for other arguments")
     if shared.curve is not None:
@@ -594,12 +586,11 @@ def optimize_ru_grid(
         raise ValueError("index-rate grid must be positive and strictly increasing")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
     _scheme(scheme, beta, targets[0], index_rate=True)
-    # the ru-independent terms, and from two grid entries on the outage
-    # curve over ru, are built once per block, not per grid entry
-    pair = (target.r1, target.r2) if len(grid) > 1 else None
+    # the ru-independent terms and the outage curve over ru are built once
+    # per block, not per grid entry
 
     def fn(h):
-        shared = block_terms(scheme, h, power, beta, pair)
+        shared = block_terms(scheme, h, power, beta, (target.r1, target.r2))
         return [int(outage_flags(scheme, h, power, beta, t, shared=shared).sum()) for t in targets]
 
     counts = _accumulate(profile, n, seed, fn)

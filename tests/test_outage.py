@@ -474,11 +474,14 @@ def test_curve_flags_equal_exact_flags(scheme, beta):
     # subnormal-like and huge rates whose quantizer variance over- or
     # underflows, and 20, where the quantizer variance is small enough for
     # the exact kernel's rounding to need the fallback; one target has a
-    # zero rate
+    # zero rate.  One block holds a NaN draw, which must send only itself,
+    # not the block's other draws, past the curve's checks
     for snr_db in (0.0, 10.0, 30.0):
         pw = PowerConfig.from_snr_db(snr_db, beta)
         for sigma_rd2 in (0.001, 1.0, 100.0):
             h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:1024]
+            if sigma_rd2 == 100.0:
+                h[7] = np.nan
             for r1, r2 in ((1.0, 1.0), (0.0, 1.5), (2.0, 0.5)):
                 shared = block_terms(scheme, h, pw, beta, (r1, r2))
                 assert shared.curve is not None
@@ -499,9 +502,11 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     # looser sum bound.  For nonwz_cf the draws recover the index, so their
     # bound is the ru-dependent one.  At ru = 20 the quantizer variance is
     # about 1e-9, where the exact index-charged bound rounds by far more
-    # than the guard band
+    # than the guard band.  The last draw is NaN; it must not keep the
+    # others out of the band
     pw = snr_power(snr_db)
     h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
+    h[-1] = np.nan
     b = block_terms(scheme, h, pw, 0.5)
     i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
     ok = (i1 > 0.0) & (i1 < isum)
