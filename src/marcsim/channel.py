@@ -266,28 +266,28 @@ def sigma_q2_for_fixed_ru(
     _check_beta(beta)
     if not ru > 0.0:
         raise ValueError(f"relay index rate must be > 0, got {ru!r}")
-    k = prefactor(state.field_kind)
     received = abs(state.h1r) ** 2 * power.p11 + abs(state.h2r) ** 2 * power.p21
-    return _quantizer_variance(received, beta, ru, k)
+    return _quantizer_variance(received, beta, ru / prefactor(state.field_kind))
 
 
-def _index_denom(beta: float, ru: float, k: float) -> float:
-    """2^(ru/(beta*k)) - 1, or inf where it exceeds the float range."""
+def _index_denom(beta: float, ru: float) -> float:
+    """2^(ru/beta) - 1, or inf where it exceeds the float range."""
     try:
-        return math.expm1(ru / (beta * k) * _LN2)
+        return math.expm1(ru / beta * _LN2)
     except OverflowError:
         return math.inf
 
 
-def _quantizer_variance(received, beta: float, ru: float, k: float):
-    """(1 + received) / (2^(ru/(beta*k)) - 1), broadcasting over ``received``.
+def _quantizer_variance(received, beta: float, ru: float):
+    """(1 + received) / (2^(ru/beta) - 1) for ``ru`` in complex units,
+    broadcasting over ``received``.
 
-    An index rate whose 2^(ru/(beta*k)) exceeds the float range gives the
+    An index rate whose 2^(ru/beta) exceeds the float range gives the
     limit 0 (an exact description of the relay observation); one so small
     that the quotient exceeds it gives the limit inf (no description).
     """
     with np.errstate(over="ignore"):
-        return (1.0 + received) / _index_denom(beta, ru, k)
+        return (1.0 + received) / _index_denom(beta, ru)
 
 
 def ru_for_sigma_q2(

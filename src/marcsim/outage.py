@@ -32,7 +32,6 @@ from .channel import (
     PowerConfig,
     _check_beta,
     _index_denom,
-    _quantizer_variance,
     sample_fading_block,
 )
 
@@ -131,8 +130,8 @@ class Scheme:
     draw matrix from its link powers ``L = rates._links(g, power)``.
     ``bounds(b, target)`` returns the per-draw (i1, i2, isum) from the
     :class:`BlockTerms` ``b`` (gain columns ``b.g`` = (h1d, h2d, h1r, h2r,
-    hrd), ``b.L``, ``b.power``, ``b.beta`` and ``b.terms``), with complex
-    fading semantics (prefactor 1).
+    hrd), ``b.L``, ``b.power``, ``b.beta`` and ``b.terms``), in the
+    complex-signalling units of the ``rates`` cores.
     ``regions(b, target)`` returns ((i1, i2, isum), reg1, reg2) with the
     region-1 and region-2 masks of :func:`classify_region_batch`; only
     schemes with a relay index rate have it, and having it means the
@@ -158,22 +157,6 @@ class Scheme:
 
 def _clamp(x):
     return np.maximum(x, 0.0)
-
-
-def _fixed_ru_block(L, beta):
-    """Per-block part of the fixed-index-rate joint-decoding kernel: the
-    relay's received power c1 + c2 and the joint-decoding block."""
-    return L[2] + L[3], rates._gqf_block(L, beta, 1.0)
-
-
-def _fixed_ru_terms(F, beta, ru):
-    """Quantizer variance that spends exactly ``ru`` on the relay's
-    observation, chosen from the source-relay powers c1 + c2 alone
-    (receiver-side CSI), and the six joint-decoding min-terms at it, from
-    the per-block part ``F = _fixed_ru_block(L, beta)``."""
-    received, G = F
-    sq2 = _quantizer_variance(received, beta, ru, 1.0)
-    return sq2, rates._gqf_terms(G, beta, sq2, 1.0)
 
 
 def _mins(t):
@@ -206,12 +189,12 @@ def _region_masks(fail1, fail2, alone):
 
 
 def _gqf_regions(b, target):
-    sq2, t = _fixed_ru_terms(b.terms, b.beta, target.ru)
+    sq2, t = rates._fixed_ru_terms(b.terms, b.beta, target.ru)
     r1, r2 = target.r1, target.r2
 
     def alone(idx):
         w1a, w1b, w2a, w2b = rates._interference_terms(
-            _take(b.g, idx), _take(b.L, idx), b.power, b.beta, sq2[idx], target.ru, 1.0
+            _take(b.g, idx), _take(b.L, idx), b.power, b.beta, sq2[idx], target.ru
         )
         return ((r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b)),
                 (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b)))
@@ -223,7 +206,7 @@ def _gqf_regions(b, target):
 
 def _nonwz_regions(b, target):
     beta = b.beta
-    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, target.ru, 1.0)
+    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, target.ru)
     r1, r2 = target.r1, target.r2
 
     def alone(idx):
@@ -234,7 +217,7 @@ def _nonwz_regions(b, target):
         j = idx[rec]
         if j.size:
             w = rates._interference_terms(_take(b.g, j), _take(b.L, j), b.power, beta, sq2[j],
-                                          target.ru, 1.0)
+                                          target.ru)
             u1[rec], u2[rec] = w[0], w[2]
         j = idx[~rec]
         if j.size:
@@ -259,10 +242,6 @@ def _nonwz_regions(b, target):
 #: close to a target at the index rate asked for is settled by the exact
 #: per-target kernel, whose rounding stays far inside it
 _GUARD = 1e-9
-#: 1/sigma_q2 above which the index-charged min-term of rates._gqf_terms
-#: (through 1 - 1/(1 + sigma_q2)) can round by more than the guard band;
-#: draws beyond it take the exact kernel too
-_MAX_Z = 1e6
 
 
 class _IndexRateCurve:
@@ -277,28 +256,30 @@ class _IndexRateCurve:
     scheme's exact per-target kernel only on the draws in between, on
     draws whose inputs are not finite and where 2^(ru/beta) - 1 is 0 or
     inf, so its flags are bit-identical to the kernel's.
+
+    ``fixed`` is the ``rates._fixed_ru_block`` within ``terms`` (default:
+    ``terms`` itself); a subclass sets whether that block is ``charged``.
     """
 
-    def __init__(self, terms, beta, r1, r2):
+    def __init__(self, terms, beta, r1, r2, fixed=None):
         self.terms, self.beta, self.rates = terms, beta, (r1, r2)
-        received, G = terms[-2:]  # c1 + c2 and the _gqf_block parts
-        charged = G[0][3] is not None
+        received, G = terms if fixed is None else fixed
         shifts = (-_GUARD, _GUARD)
         lo = [np.zeros_like(received) for _ in shifts]
-        hi = [np.full_like(received, np.inf) for _ in shifts] if charged else [None, None]
+        hi = [np.full_like(received, np.inf) for _ in shifts] if self.charged else [None, None]
         with np.errstate(all="ignore"):
             self.inv_one_c = 1.0 / (1.0 + received)
             for part, rate in zip(G, (r1, r2, r1 + r2)):
                 if rate > 0.0:  # a zero rate is met by every clamped bound
                     for a, t in zip(lo, rates._plain_thresholds(part, beta, rate, shifts)):
                         np.maximum(a, t, out=a)
-                    if charged:
+                    if self.charged:
                         for a, t in zip(hi, rates._charged_thresholds(part, beta, rate, shifts)):
                             np.minimum(a, t, out=a)
             # link powers are non-negative, so the sum-rate part's inputs
             # bound the other parts' and c1 + c2: their sum is finite
             # exactly where every input is
-            finite = np.isfinite(sum(v for v in G[2] if v is not None))
+            finite = np.isfinite(sum(G[2][: 4 if self.charged else 3]))
         if not finite.all():
             for a in (*lo, *hi):
                 if a is not None:
@@ -308,7 +289,7 @@ class _IndexRateCurve:
     def split(self, ru):
         """(certain-outage flags, undecided band) at index rate ``ru``, or
         None where every draw needs the exact kernel."""
-        x = _index_denom(self.beta, ru, 1.0)
+        x = _index_denom(self.beta, ru)
         return self._split(x * self.inv_one_c, ru) if 0.0 < x < math.inf else None
 
     def flags(self, target):
@@ -327,14 +308,15 @@ class _GqfCurve(_IndexRateCurve):
     plain bounds hold above a threshold of z and the index-charged ones
     below one."""
 
+    charged = True
+
     def _split(self, z, ru):
         out = (z < self.lo_out) | (z > self.hi_out)
         band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
-        band |= z > _MAX_Z
         return out, band
 
     def _exact(self, terms, target):
-        return _violated(*_mins(_fixed_ru_terms(terms, self.beta, target.ru)[1]), target)
+        return _violated(*_mins(rates._fixed_ru_terms(terms, self.beta, target.ru)[1]), target)
 
 
 class _NonwzCurve(_IndexRateCurve):
@@ -343,9 +325,11 @@ class _NonwzCurve(_IndexRateCurve):
     plain-bound threshold; any other takes the fallback verdict, which does
     not depend on ``ru`` and is found once per block."""
 
+    charged = False
+
     def __init__(self, terms, beta, r1, r2):
-        self.index_rate, fallback = terms[:2]
-        super().__init__(terms, beta, r1, r2)
+        self.index_rate, fallback, fixed = terms
+        super().__init__(terms, beta, r1, r2, fixed)
         self.fallback = _violated(*fallback, RateTarget(r1, r2))
 
     def _split(self, z, ru):
@@ -355,29 +339,29 @@ class _NonwzCurve(_IndexRateCurve):
         return np.where(recovered, below, self.fallback), band
 
     def _exact(self, terms, target):
-        return _violated(*rates._nonwz_terms(terms, self.beta, target.ru, 1.0)[:3], target)
+        return _violated(*rates._nonwz_terms(terms, self.beta, target.ru)[:3], target)
 
 
 #: every scheme the Monte Carlo layer evaluates per draw; adding a scheme
 #: here makes it available to the estimators, configs and sweeps
 SCHEMES = {
     "gqf": Scheme(
-        lambda b, t: _mins(_fixed_ru_terms(b.terms, b.beta, t.ru)[1]),
+        lambda b, t: _mins(rates._fixed_ru_terms(b.terms, b.beta, t.ru)[1]),
         _gqf_regions,
-        block=_fixed_ru_block,
+        block=rates._fixed_ru_block,
         curve=_GqfCurve,
     ),
-    "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta, 1.0)),
+    "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta)),
     "nonwz_cf": Scheme(
-        lambda b, t: rates._nonwz_terms(b.terms, b.beta, t.ru, 1.0)[:3],
+        lambda b, t: rates._nonwz_terms(b.terms, b.beta, t.ru)[:3],
         _nonwz_regions,
-        block=lambda L, beta: rates._nonwz_block(L, beta, 1.0),
+        block=rates._nonwz_block,
         curve=_NonwzCurve,
     ),
-    "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2, 1.0)),
-    "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power, 1.0), beta=0.5),
-    "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, 1.0)),
-    "direct15": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, 1.0, boost=1.5)),
+    "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2)),
+    "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power), beta=0.5),
+    "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta)),
+    "direct15": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, boost=1.5)),
 }
 
 
@@ -450,8 +434,8 @@ def outage_flags(
 ) -> np.ndarray:
     """Per-draw outage indicators of ``scheme`` on the draw matrix ``h``.
 
-    Complex fading semantics (prefactor 1).  Evaluating several schemes on
-    one ``h`` compares them on shared draws.  ``shared``, if given, must be
+    Complex-signalling units, as in the ``rates`` cores.  Evaluating
+    several schemes on one ``h`` compares them on shared draws.  ``shared``, if given, must be
     ``block_terms(scheme, h, power, beta[, (target.r1, target.r2)])`` for
     this very ``h``; without it those terms are built here.
     """

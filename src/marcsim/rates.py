@@ -17,7 +17,9 @@ Schemes covered:
   standard form (see README for the exact constructions).
 
 The numeric cores broadcast over numpy arrays, so the Monte Carlo layer
-evaluates exactly the expressions the scalar API exposes.  The engine-path
+evaluates exactly the expressions the scalar API exposes.  They work in
+complex-signalling units (prefactor 1), rate inputs too; the scalar API
+applies the 1/2 of real signalling.  The engine-path
 evaluators (`gqf_bounds_gaussian`) instead go through
 :func:`marcsim.info.mutual_info_gaussian` on the slot systems, giving every
 closed form an independent in-package oracle.
@@ -132,7 +134,7 @@ class GqfBounds:
 
 
 # ---------------------------------------------------------------------------
-# broadcastable closed-form cores
+# broadcastable closed-form cores (complex-signalling units)
 #
 # notation for per-draw received powers (noise is unit variance):
 #   a1, a2: source -> destination, listen slot     |h_id|^2 * p_i1
@@ -164,7 +166,7 @@ def _lg(x):
     return np.log2(x)
 
 
-def _gqf_block(L, beta, k, charged=True):
+def _gqf_block(L, beta, charged=True):
     """Per-block part of the joint-decoding min-terms: everything that does
     not depend on the quantizer variance.
 
@@ -174,45 +176,62 @@ def _gqf_block(L, beta, k, charged=True):
     else None) of the index-charged bound.
     """
     a1, a2, c1, c2, d1, d2, e, kap = L
-    mk = (1.0 - beta) * k
+    mb = 1.0 - beta
     parts = []
     for s, c, dsum in (
         (1.0 + a1, c1, 1.0 + d1),
         (1.0 + a2, c2, 1.0 + d2),
         (1.0 + a1 + a2, c1 + c2 + kap, 1.0 + d1 + d2),
     ):
-        parts.append((s, c, mk * _lg(dsum), mk * _lg(dsum + e) if charged else None))
+        parts.append((s, c, mb * _lg(dsum), mb * _lg(dsum + e) if charged else None))
     return parts
 
 
-def _gqf_terms(G, beta, sigma_q2, k, charged=True):
+def _gqf_terms(G, beta, sigma_q2, charged=True):
     """Min-terms of the joint-decoding region at quantizer variance
-    sigma_q2, from the per-block part ``G = _gqf_block(L, beta, k)``:
+    sigma_q2, from the per-block part ``G = _gqf_block(L, beta)``:
     (t1a, t1b, t2a, t2b, tsa, tsb), or (t1a, t2a, tsa) without ``charged``.
 
     ``t*a`` are the plain bounds, ``t*b`` the index-charged bounds with the
     index rate spent exactly on the quantizer.  ``sigma_q2 = inf`` (relay
     observation discarded) is handled through 1/(1+sigma_q2) -> 0.
     """
-    bk = beta * k
     t = []
     with np.errstate(divide="ignore"):
         u_inv = 1.0 / (1.0 + sigma_q2)    # -> 0 when sigma_q2 = inf
-        ratio = 1.0 - u_inv               # sigma_q2 / (1 + sigma_q2)
+        with np.errstate(invalid="ignore"):  # inf * 0, replaced by the limit 1
+            # sigma_q2 / (1 + sigma_q2), with no cancellation at small sigma_q2
+            ratio = np.where(np.isinf(sigma_q2), 1.0, sigma_q2 * u_inv)
         for s, c, coop, coop_u in G:
-            t.append(bk * _lg(s + c * u_inv) + coop)
+            t.append(beta * _lg(s + c * u_inv) + coop)
             if charged:
-                t.append(bk * _lg(s * ratio) + coop_u)
+                t.append(beta * _lg(s * ratio) + coop_u)
     return tuple(t)
+
+
+def _fixed_ru_block(L, beta, charged=True):
+    """Per-block part of the fixed-index-rate joint-decoding kernel: the
+    relay's received power c1 + c2 and ``_gqf_block(L, beta, charged)``."""
+    return L[2] + L[3], _gqf_block(L, beta, charged)
+
+
+def _fixed_ru_terms(F, beta, ru, charged=True):
+    """Quantizer variance that spends exactly ``ru`` on the relay's
+    observation, chosen from the source-relay powers c1 + c2 alone
+    (receiver-side CSI), and the joint-decoding min-terms at it, from the
+    per-block part ``F = _fixed_ru_block(L, beta, charged)``."""
+    received, G = F
+    sigma_q2 = _quantizer_variance(received, beta, ru)
+    return sigma_q2, _gqf_terms(G, beta, sigma_q2, charged)
 
 
 # At index rate ru the fixed-index-rate quantizer is
 # sigma_q2 = (1 + c1 + c2)/(2^(ru/beta) - 1).  In z = 1/sigma_q2, for a part
-# (s, c, coop, coop_u) of _gqf_block (complex fading, k = 1) the plain
-# min-term beta*log2(s + c*z/(1 + z)) + coop rises and the index-charged
-# one beta*log2(s/(1 + z)) + coop_u falls, so each reaches a rate on one
-# side of a closed-form threshold of z.  Each shift in ``shifts`` moves the
-# rate and gives one threshold.
+# (s, c, coop, coop_u) of _gqf_block the plain min-term
+# beta*log2(s + c*z/(1 + z)) + coop rises and the index-charged one
+# beta*log2(s/(1 + z)) + coop_u falls, so each reaches a rate on one side
+# of a closed-form threshold of z.  Each shift in ``shifts`` moves the rate
+# and gives one threshold.
 
 
 def _plain_thresholds(part, beta, rate, shifts):
@@ -237,7 +256,7 @@ def _charged_thresholds(part, beta, rate, shifts):
     return [q * 2.0 ** (-shift / beta) - 1.0 for shift in shifts]
 
 
-def _interference_terms(g, L, power, beta, sigma_q2, ru, k):
+def _interference_terms(g, L, power, beta, sigma_q2, ru):
     """Single-user bounds with the other source treated as noise.
 
     Returns (w1a, w1b, w2a, w2b): plain and index-charged bounds for
@@ -262,28 +281,26 @@ def _interference_terms(g, L, power, beta, sigma_q2, ru, k):
     if np.any(lim):
         q1 = [np.where(lim, v_yd1 / (1.0 + a2), q) for q in q1]
         q2 = [np.where(lim, v_yd1 / (1.0 + a1), q) for q in q2]
-    bk = beta * k
-    mk = (1.0 - beta) * k
-    w1a = bk * _lg(q1[0]) + mk * _lg((1.0 + d1 + d2) / (1.0 + d2))
-    w1b = bk * _lg(q1[1]) + mk * _lg((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
-    w2a = bk * _lg(q2[0]) + mk * _lg((1.0 + d1 + d2) / (1.0 + d1))
-    w2b = bk * _lg(q2[1]) + mk * _lg((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
+    mb = 1.0 - beta
+    w1a = beta * _lg(q1[0]) + mb * _lg((1.0 + d1 + d2) / (1.0 + d2))
+    w1b = beta * _lg(q1[1]) + mb * _lg((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
+    w2a = beta * _lg(q2[0]) + mb * _lg((1.0 + d1 + d2) / (1.0 + d1))
+    w2b = beta * _lg(q2[1]) + mb * _lg((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
     return w1a, w1b, w2a, w2b
 
 
-def _mac_terms(a1, a2, d1, d2, beta, k, e=0.0):
+def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
     """Two-slot MAC bounds (i1, i2, isum): listen-slot powers a1, a2 and
     cooperate-slot powers d1, d2, with relay power ``e`` added to every
     cooperate-slot bound (0 for a silent relay)."""
-    bk = beta * k
-    mk = (1.0 - beta) * k
-    i1 = bk * _lg(1.0 + a1) + mk * _lg(1.0 + d1 + e)
-    i2 = bk * _lg(1.0 + a2) + mk * _lg(1.0 + d2 + e)
-    isum = bk * _lg(1.0 + a1 + a2) + mk * _lg(1.0 + d1 + d2 + e)
+    mb = 1.0 - beta
+    i1 = beta * _lg(1.0 + a1) + mb * _lg(1.0 + d1 + e)
+    i2 = beta * _lg(1.0 + a2) + mb * _lg(1.0 + d2 + e)
+    isum = beta * _lg(1.0 + a1 + a2) + mb * _lg(1.0 + d1 + d2 + e)
     return i1, i2, isum
 
 
-def _direct_terms(L, beta, k, boost=1.0, slot2_interference=0.0):
+def _direct_terms(L, beta, boost=1.0, slot2_interference=0.0):
     """Two-slot MAC bounds with a silent relay.
 
     ``boost`` scales the source powers; ``slot2_interference`` adds
@@ -292,7 +309,7 @@ def _direct_terms(L, beta, k, boost=1.0, slot2_interference=0.0):
     """
     a1, a2, _, _, d1, d2, _, _ = L
     nf = 1.0 + slot2_interference
-    return _mac_terms(a1 * boost, a2 * boost, d1 * boost / nf, d2 * boost / nf, beta, k)
+    return _mac_terms(a1 * boost, a2 * boost, d1 * boost / nf, d2 * boost / nf, beta)
 
 
 def _equalizer_sigma(num_frac, e, dsum, beta):
@@ -321,30 +338,29 @@ def _opt_sigmas(L, beta):
     )
 
 
-def _csit_terms(L, beta, k):
+def _csit_terms(L, beta):
     """Per-bound best quantizer: each bound evaluated at its own equalizer
     variance, the most a relay with full CSI can deliver per bound."""
     return tuple(
-        np.minimum(*_gqf_terms([part], beta, s, k))
-        for part, s in zip(_gqf_block(L, beta, k), _opt_sigmas(L, beta))
+        np.minimum(*_gqf_terms([part], beta, s))
+        for part, s in zip(_gqf_block(L, beta), _opt_sigmas(L, beta))
     )
 
 
-def _nonwz_block(L, beta, k):
+def _nonwz_block(L, beta):
     """Per-block part of the non-WZ CF bounds, which does not depend on the
     index rate: the rate at which the destination can recover the index,
     the fallback region with the relay signal as cooperate-slot
-    interference, the relay's received power c1 + c2 and the plain part of
-    the joint-decoding block."""
-    a1, a2, c1, c2, d1, d2, e, _ = L
-    index_rate = (1.0 - beta) * k * _lg(1.0 + e / (1.0 + d1 + d2))
-    fallback = _direct_terms(L, beta, k, slot2_interference=e)
-    return index_rate, fallback, c1 + c2, _gqf_block(L, beta, k, charged=False)
+    interference and the plain fixed-index-rate block."""
+    _, _, _, _, d1, d2, e, _ = L
+    index_rate = (1.0 - beta) * _lg(1.0 + e / (1.0 + d1 + d2))
+    fallback = _direct_terms(L, beta, slot2_interference=e)
+    return index_rate, fallback, _fixed_ru_block(L, beta, charged=False)
 
 
-def _nonwz_terms(N, beta, ru, k):
+def _nonwz_terms(N, beta, ru):
     """Successive-decoding bounds without binning at index rate ``ru``, from
-    the per-block part ``N = _nonwz_block(L, beta, k)``.
+    the per-block part ``N = _nonwz_block(L, beta)``.
 
     The destination first tries to recover the index codeword, treating the
     cooperate-slot source signals as interference; the tie at the recovery
@@ -353,29 +369,27 @@ def _nonwz_terms(N, beta, ru, k):
 
     Returns (i1, i2, isum, recovered, sigma_q2).
     """
-    index_rate, fallback, received, G = N
+    index_rate, fallback, F = N
     recovered = index_rate >= ru
-    sigma_q2 = _quantizer_variance(received, beta, ru, k)
-    t = _gqf_terms(G, beta, sigma_q2, k, charged=False)
+    sigma_q2, t = _fixed_ru_terms(F, beta, ru, charged=False)
     i1, i2, isum = (np.where(recovered, ti, fi) for ti, fi in zip(t, fallback))
     return i1, i2, isum, recovered, sigma_q2
 
 
-def _df_terms(L, beta, r1, r2, k):
+def _df_terms(L, beta, r1, r2):
     """Decode-forward: the relay forwards whenever it can decode both
     messages from its listen-slot reception (it has no destination-side
     CSI, so it cannot do better); otherwise it stays silent."""
     a1, a2, c1, c2, d1, d2, e, _ = L
-    bk = beta * k
     decodes = (
-        (r1 <= bk * _lg(1.0 + c1))
-        & (r2 <= bk * _lg(1.0 + c2))
-        & (r1 + r2 <= bk * _lg(1.0 + c1 + c2))
+        (r1 <= beta * _lg(1.0 + c1))
+        & (r2 <= beta * _lg(1.0 + c2))
+        & (r1 + r2 <= beta * _lg(1.0 + c1 + c2))
     )
-    return _mac_terms(a1, a2, d1, d2, beta, k, np.where(decodes, e, 0.0))
+    return _mac_terms(a1, a2, d1, d2, beta, np.where(decodes, e, 0.0))
 
 
-def _af_terms(g, L, power, k):
+def _af_terms(g, L, power):
     """Amplify-forward at beta = 1/2: the relay retransmits its received
     samples scaled to its power budget, so each listen-slot use pairs with
     one cooperate-slot use and the region follows from the 2x2 output
@@ -394,8 +408,7 @@ def _af_terms(g, L, power, k):
     v2 = n2 + d1 + d2 + q1 + q2
     cross = h1d * np.conj(w1) * power.p11 + h2d * np.conj(w2) * power.p21
     dets = v1 * v2 - np.abs(cross) ** 2
-    half = 0.5 * k
-    return half * _lg(det1 / n2), half * _lg(det2 / n2), half * _lg(dets / n2)
+    return 0.5 * _lg(det1 / n2), 0.5 * _lg(det2 / n2), 0.5 * _lg(dets / n2)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +416,9 @@ def _af_terms(g, L, power, k):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_region(terms) -> RateRegion:
-    return RateRegion.from_bounds(*(float(t) for t in terms))
+def _scalar_region(terms, k) -> RateRegion:
+    """Region of a core's (i1, i2, isum) scaled by the prefactor ``k``."""
+    return RateRegion.from_bounds(*(k * float(t) for t in terms))
 
 
 def gqf_min_terms_gaussian(
@@ -416,8 +430,8 @@ def gqf_min_terms_gaussian(
     if not sigma_q2 > 0.0:
         raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
     k = info.prefactor(state.field_kind)
-    G = _gqf_block(_links(state.gains(), power), beta, k)
-    return tuple(float(v) for v in _gqf_terms(G, beta, sigma_q2, k))
+    G = _gqf_block(_links(state.gains(), power), beta)
+    return tuple(k * float(v) for v in _gqf_terms(G, beta, sigma_q2))
 
 
 def quantizer_index_rate(
@@ -527,7 +541,7 @@ def csit_region(state: ChannelState, power: PowerConfig, beta: float) -> RateReg
     optimal quantizer with the index rate adapted to the channel state."""
     _check_beta(beta)
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_csit_terms(_links(state.gains(), power), beta, k))
+    return _scalar_region(_csit_terms(_links(state.gains(), power), beta), k)
 
 
 def cf_region_gaussian(
@@ -558,7 +572,7 @@ def direct_mac_region(
     if boost < 1.0:
         raise ValueError(f"power boost must be >= 1, got {boost!r}")
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_direct_terms(_links(state.gains(), power), beta, k, boost))
+    return _scalar_region(_direct_terms(_links(state.gains(), power), beta, boost), k)
 
 
 def nonwz_cf_region_fading(
@@ -575,8 +589,8 @@ def nonwz_cf_region_fading(
     if not ru > 0.0:
         raise ValueError(f"relay index rate must be > 0, got {ru!r}")
     k = info.prefactor(state.field_kind)
-    t = _nonwz_terms(_nonwz_block(_links(state.gains(), power), beta, k), beta, ru, k)
-    return _scalar_region(t[:3])
+    t = _nonwz_terms(_nonwz_block(_links(state.gains(), power), beta), beta, ru / k)
+    return _scalar_region(t[:3], k)
 
 
 def df_region(
@@ -591,7 +605,7 @@ def df_region(
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError("target rates must be >= 0")
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_df_terms(_links(state.gains(), power), beta, r1, r2, k))
+    return _scalar_region(_df_terms(_links(state.gains(), power), beta, r1 / k, r2 / k), k)
 
 
 def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
@@ -600,7 +614,7 @@ def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegio
     if abs(beta - 0.5) > 1e-12:
         raise ValueError("amplify-forward needs beta = 0.5 (sample-wise forwarding)")
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_af_terms(state.gains(), _links(state.gains(), power), power, k))
+    return _scalar_region(_af_terms(state.gains(), _links(state.gains(), power), power), k)
 
 
 def optimize_sigma_beta_grid(
@@ -621,8 +635,8 @@ def optimize_sigma_beta_grid(
     best = None
     for beta in beta_grid:
         _check_beta(beta)
-        t = _gqf_terms(_gqf_block(L, beta, k), beta, np.asarray(sigma_grid), k)
-        vals = np.minimum(t[4], t[5])
+        t = _gqf_terms(_gqf_block(L, beta), beta, np.asarray(sigma_grid))
+        vals = k * np.minimum(t[4], t[5])
         i = int(np.argmax(vals))
         if best is None or vals[i] > best[2]:
             best = (sigma_grid[i], beta, float(vals[i]))

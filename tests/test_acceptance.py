@@ -77,9 +77,11 @@ def test_c2_sum_rate_quantizer_optimizer():
     assert peak == pytest.approx(1.1495, abs=1e-3)
     # independent grid-search oracle over (0, 20] at step 1e-3
     grid = np.arange(1e-3, 20.0 + 1e-12, 1e-3)
-    G = _gqf_block(_links(FIG3_STATE.gains(), UNIT_POWER), 0.5, 0.5)
-    terms = _gqf_terms(G, 0.5, grid, 0.5)
-    vals = np.minimum(terms[4], terms[5])
+    # the cores are in complex-signalling units; the static state's real
+    # signalling halves them
+    G = _gqf_block(_links(FIG3_STATE.gains(), UNIT_POWER), 0.5)
+    terms = _gqf_terms(G, 0.5, grid)
+    vals = 0.5 * np.minimum(terms[4], terms[5])
     i = int(np.argmax(vals))
     assert abs(grid[i] - s_opt) <= 1e-3 + 1e-12
     assert vals[i] == pytest.approx(1.1495, abs=1e-3)

@@ -29,7 +29,7 @@ from marcsim import (
 )
 from marcsim import rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
-from marcsim.outage import SCHEMES, _fixed_ru_terms, block_terms, classify_region_batch
+from marcsim.outage import SCHEMES, block_terms, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -443,7 +443,7 @@ def test_shared_block_terms_give_the_unshared_flags_and_estimates(scheme, sigma_
             outage_flags(scheme, h, pw, 0.5, t, shared=shared), outage_flags(scheme, h, pw, 0.5, t)
         )
     if scheme == "nonwz_cf":
-        recovered = [rates._nonwz_terms(shared.terms, 0.5, ru, 1.0)[3].mean() for ru in grid]
+        recovered = [rates._nonwz_terms(shared.terms, 0.5, ru)[3].mean() for ru in grid]
         assert (max(recovered) < 0.01) if sigma_rd2 == 0.001 else (max(recovered) > 0.5)
     ru_star, est = optimize_ru_grid(prof, pw, 0.5, RateTarget(1.0, 1.0, 3.0), grid, n, seed,
                                     scheme=scheme)
@@ -463,7 +463,8 @@ def test_shared_block_terms_must_match_the_call():
             outage_flags(*args, TARGET, shared=shared)
 
 
-CURVE_RU = (1e-300, 1e-6, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 20.0, 2000.0)
+CURVE_RU = (1e-300, 1e-6, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 20.0, 40.0, 60.0,
+            2000.0)
 
 
 @pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
@@ -472,9 +473,8 @@ def test_curve_flags_equal_exact_flags(scheme, beta):
     # the outage curve of a block (rate pair given to block_terms) must give
     # the exact per-target flags at every index rate: the fig8 ru_grid, the
     # subnormal-like and huge rates whose quantizer variance over- or
-    # underflows, and 20, where the quantizer variance is small enough for
-    # the exact kernel's rounding to need the fallback; one target has a
-    # zero rate.  One block holds a NaN draw, which must send only itself,
+    # underflows, and 20, 40 and 60, where the quantizer variance is far
+    # below 1e-6 (down to about 1e-36); one target has a zero rate.  One block holds a NaN draw, which must send only itself,
     # not the block's other draws, past the curve's checks
     for snr_db in (0.0, 10.0, 30.0):
         pw = PowerConfig.from_snr_db(snr_db, beta)
@@ -501,9 +501,8 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     # exact kernel must decide it; r2 = 0 leaves user 1's bounds and a
     # looser sum bound.  For nonwz_cf the draws recover the index, so their
     # bound is the ru-dependent one.  At ru = 20 the quantizer variance is
-    # about 1e-9, where the exact index-charged bound rounds by far more
-    # than the guard band.  The last draw is NaN; it must not keep the
-    # others out of the band
+    # about 1e-9, so the band must also hold for tiny variances.  The last
+    # draw is NaN; it must not keep the others out of the band
     pw = snr_power(snr_db)
     h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
     h[-1] = np.nan
@@ -534,14 +533,14 @@ def _codes_on_every_draw(scheme, h, pw, beta, target):
     r1, r2, ru = target.r1, target.r2, target.ru
     clamp = lambda x: np.maximum(x, 0.0)
     if scheme == "gqf":
-        sq2, t = _fixed_ru_terms(b.terms, beta, ru)
-        w1a, w1b, w2a, w2b = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru, 1.0)
+        sq2, t = rates._fixed_ru_terms(b.terms, beta, ru)
+        w1a, w1b, w2a, w2b = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru)
         reg2 = (r1 <= clamp(w1a)) & (r1 <= clamp(w1b)) & (r2 > clamp(t[2])) & (r2 > clamp(t[3]))
         reg1 = (r2 <= clamp(w2a)) & (r2 <= clamp(w2b)) & (r1 > clamp(t[0])) & (r1 > clamp(t[1]))
         i1, i2, isum = np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
     else:
-        i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, ru, 1.0)
-        w = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru, 1.0)
+        i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, ru)
+        w = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru)
         a1, a2, _, _, d1, d2, e, _ = b.L
         v_yd1 = 1.0 + a1 + a2
         mb = 1.0 - beta

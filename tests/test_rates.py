@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from marcsim import (
+    FADING,
+    STATIC,
     ChannelState,
     FeasibilityError,
     PowerConfig,
@@ -22,11 +24,19 @@ from marcsim import (
     nonwz_cf_region_fading,
     optimize_sigma_beta_grid,
     quantizer_index_rate,
+    sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )
 from marcsim.channel import draw_states, FadingProfile
-from marcsim.rates import _af_terms, _csit_terms, _links
+from marcsim.rates import (
+    _af_terms,
+    _csit_terms,
+    _fixed_ru_block,
+    _fixed_ru_terms,
+    _links,
+    _nonwz_block,
+)
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -119,6 +129,30 @@ def test_sum_min_terms_monotone_and_cross_at_optimizer():
     lo = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, 0.5, s_opt * (1 - 1e-6))
     hi = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, 0.5, s_opt * (1 + 1e-6))
     assert lo[4] - lo[5] > 0.0 > hi[4] - hi[5]
+
+
+@pytest.mark.parametrize("mode", [STATIC, FADING])
+@pytest.mark.parametrize("sigma_q2", [1e-300, 1e-17, 1e-9])
+def test_index_charged_terms_at_tiny_quantizer_variance(mode, sigma_q2):
+    # the index-charged min-terms hold log2(s * sigma_q2/(1 + sigma_q2)),
+    # which must stay finite and accurate however fine the quantizer:
+    # compare with log2(sigma_q2) - log1p(sigma_q2)/ln 2, which does not
+    # cancel
+    h1d, h2d, _, _, hrd = gains = (0.8, 1.2, 3.0, 0.5, 3.0)
+    st = ChannelState(*gains, mode=mode)
+    pw = PowerConfig(2.0, 1.5, 3.0, 0.5, 4.0)
+    beta = 0.4
+    k = 0.5 if mode == STATIC else 1.0
+    a1, a2 = h1d**2 * pw.p11, h2d**2 * pw.p21
+    d1, d2 = h1d**2 * pw.p12, h2d**2 * pw.p22
+    e = hrd**2 * pw.pr
+    t = gqf_min_terms_gaussian(st, pw, beta, sigma_q2)
+    for got, s, dsum in zip(
+        t[1::2], (1.0 + a1, 1.0 + a2, 1.0 + a1 + a2), (1.0 + d1, 1.0 + d2, 1.0 + d1 + d2)
+    ):
+        log_ratio = math.log2(sigma_q2) - math.log1p(sigma_q2) / math.log(2.0)
+        want = k * (beta * (math.log2(s) + log_ratio) + (1.0 - beta) * math.log2(dsum + e))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_gqf_region_at_equality_matches_min_terms():
@@ -256,9 +290,7 @@ def test_csit_dominates_fixed_index_rate_per_draw():
     h = draw_states(prof, 1000, 31)
     pw = PowerConfig.from_snr(10.0, 0.5)
     L = _links(tuple(h[:, i] for i in range(5)), pw)
-    cs = _csit_terms(L, 0.5, 1.0)
-    from marcsim.outage import _fixed_ru_block, _fixed_ru_terms
-
+    cs = _csit_terms(L, 0.5)
     _, t = _fixed_ru_terms(_fixed_ru_block(L, 0.5), 0.5, 3.0)
     assert np.all(np.minimum(t[0], t[1]) <= cs[0] + 1e-9)
     assert np.all(np.minimum(t[2], t[3]) <= cs[1] + 1e-9)
@@ -346,8 +378,8 @@ def test_af_below_csit_on_random_draws():
     pw = PowerConfig.from_snr(10.0, 0.5)
     cols = tuple(h[:, i] for i in range(5))
     L = _links(cols, pw)
-    af = _af_terms(cols, L, pw, 1.0)
-    cs = _csit_terms(L, 0.5, 1.0)
+    af = _af_terms(cols, L, pw)
+    cs = _csit_terms(L, 0.5)
     for a, c in zip(af, cs):
         assert np.all(np.asarray(a) <= np.asarray(c) + 1e-9)
 
@@ -393,3 +425,54 @@ def test_optimize_sigma_beta_grid():
     assert 0.0 < b < 1.0
     with pytest.raises(ValueError):
         optimize_sigma_beta_grid(FIG3_STATE, UNIT_POWER, [], [0.5])
+
+
+def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
+    # real signalling halves every mutual information: on a static state
+    # each scalar function gives exactly half its value on a fading state
+    # with the same real gains, once every rate input (r1, r2, ru) is
+    # doubled.  The relay's decode and index-recovery thresholds are probed
+    # on and one ulp above, where only a correctly scaled rate input keeps
+    # the branch of both states the same
+    gains = (0.9, -0.4, 1.3, 0.7, 1.1)
+    static = ChannelState(*gains)
+    fading = ChannelState(*gains, mode=FADING)
+    pw = PowerConfig(2.0, 1.5, 3.0, 0.5, 4.0)
+    beta = 0.4
+    half = lambda reg: RateRegion(0.5 * reg.i1, 0.5 * reg.i2, 0.5 * reg.isum)
+
+    for s in (1e-9, 0.7, 5.0, math.inf):
+        got = gqf_min_terms_gaussian(static, pw, beta, s)
+        assert got == tuple(0.5 * v for v in gqf_min_terms_gaussian(fading, pw, beta, s))
+    assert csit_region(static, pw, beta) == half(csit_region(fading, pw, beta))
+    for boost in (1.0, 1.5):
+        assert direct_mac_region(static, pw, beta, boost) == half(
+            direct_mac_region(fading, pw, beta, boost)
+        )
+    assert af_region(static, pw, 0.5) == half(af_region(fading, pw, 0.5))
+    sigmas, betas = np.arange(0.2, 6.0, 0.2), np.arange(0.1, 1.0, 0.1)
+    s_f, b_f, v_f = optimize_sigma_beta_grid(fading, pw, sigmas, betas)
+    assert optimize_sigma_beta_grid(static, pw, sigmas, betas) == (s_f, b_f, 0.5 * v_f)
+
+    # user 1 at the static relay's decoding threshold and one ulp above
+    L = _links(gains, pw)
+    x1 = float(beta * np.log2(1.0 + L[2])) / 2.0
+    regions = []
+    for r1 in (x1, float(np.nextafter(x1, math.inf))):
+        for r2 in (0.0, 0.25):
+            got = df_region(static, pw, beta, r1, r2)
+            assert got == half(df_region(fading, pw, beta, 2.0 * r1, 2.0 * r2))
+            regions.append(got)
+    assert regions[0] != regions[2]  # the relay forwards, then stays silent
+
+    # the static index-recovery threshold and one ulp above
+    x = float(_nonwz_block(L, beta)[0]) / 2.0
+    regions = []
+    for ru in (x, float(np.nextafter(x, math.inf)), 0.3, 3.0):
+        got = nonwz_cf_region_fading(static, pw, beta, ru)
+        assert got == half(nonwz_cf_region_fading(fading, pw, beta, 2.0 * ru))
+        regions.append(got)
+        assert sigma_q2_for_fixed_ru(static, pw, beta, ru) == sigma_q2_for_fixed_ru(
+            fading, pw, beta, 2.0 * ru
+        )
+    assert regions[0] != regions[1]  # the index is recovered, then not
