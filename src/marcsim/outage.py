@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -94,8 +95,10 @@ class OutageEstimate:
 class IndividualOutageEstimate:
     """Individual and common outage from one classification pass.
 
-    By construction p_indiv1 = f1 + f3, p_indiv2 = f2 + f3 and
-    p_common = f1 + f2 + f3 hold exactly, where region_freqs = (f1..f4).
+    With region_freqs = (f1..f4), p_indiv1 = f1 + f3 and p_indiv2 = f2 + f3
+    hold exactly.  p_common is the count of regions 1-3 over n_samples, so
+    it equals ``common_outage_mc(...).p_hat`` on the same draws; it equals
+    f1 + f2 + f3 up to the rounding of that float sum.
     """
 
     p_indiv1: float
@@ -141,7 +144,10 @@ class Scheme:
     ``curve(terms, beta, r1, r2)``, if set, builds from the per-block terms
     an object whose ``flags(target)`` gives the outage flags of that rate
     pair at any index rate, bit-identical to ``bounds`` and cheaper per
-    target once built.
+    target once built.  ``gqf`` and ``nonwz_cf`` set ``bounds`` and
+    ``curve`` together through :func:`_index_rate_scheme`, so both use one
+    :class:`_IndexRateCurve` whose exact fallback is the kernel behind
+    ``bounds``.
     """
 
     bounds: Callable
@@ -205,8 +211,7 @@ def _gqf_regions(b, target):
 
 
 def _nonwz_regions(b, target):
-    beta = b.beta
-    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, target.ru)
+    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, b.beta, target.ru)
     r1, r2 = target.r1, target.r2
 
     def alone(idx):
@@ -216,17 +221,12 @@ def _nonwz_regions(b, target):
         u1, u2 = np.empty(idx.size), np.empty(idx.size)
         j = idx[rec]
         if j.size:
-            w = rates._interference_terms(_take(b.g, j), _take(b.L, j), b.power, beta, sq2[j],
+            w = rates._interference_terms(_take(b.g, j), _take(b.L, j), b.power, b.beta, sq2[j],
                                           target.ru)
             u1[rec], u2[rec] = w[0], w[2]
         j = idx[~rec]
         if j.size:
-            # without the index the relay signal is cooperate-slot noise too
-            a1, a2, _, _, d1, d2, e, _ = _take(b.L, j)
-            mb = 1.0 - beta
-            v_yd1 = 1.0 + a1 + a2
-            u1[~rec] = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
-            u2[~rec] = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
+            u1[~rec], u2[~rec] = rates._no_index_interference_terms(_take(b.L, j), b.beta)
         return r1 <= _clamp(u1), r2 <= _clamp(u2)
 
     fail1 = r1 > _clamp(i1)
@@ -248,116 +248,101 @@ class _IndexRateCurve:
     """Outage of one block's draws for one rate pair at any index rate.
 
     In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) every
-    fixed-index-rate bound is monotone (see rates._plain_thresholds), so a
-    draw is out of outage on one interval of z.  It is built twice per
-    draw, with every positive target rate lowered by the guard band (outer:
-    outside it outage is certain) and raised by it (inner: inside it no
-    outage is certain).  ``flags`` compares z with both and runs the
-    scheme's exact per-target kernel only on the draws in between, on
-    draws whose inputs are not finite and where 2^(ru/beta) - 1 is 0 or
-    inf, so its flags are bit-identical to the kernel's.
+    fixed-index-rate bound is monotone (see rates._plain_thresholds): the
+    plain bounds hold above a threshold of z and the index-charged ones,
+    if the block has them, below one, so a draw that recovers the index is
+    out of outage on one interval of z.  It is built twice per draw, with
+    every positive target rate lowered by the guard band (outer: outside
+    it outage is certain) and raised by it (inner: inside it no outage is
+    certain).  ``flags`` compares z with both and runs ``kernel(terms,
+    beta, ru)``, the scheme's exact per-target (i1, i2, isum), only on the
+    draws in between, on draws whose inputs are not finite and where
+    2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
+    kernel's.
 
-    ``fixed`` is the ``rates._fixed_ru_block`` within ``terms`` (default:
-    ``terms`` itself); a subclass sets whether that block is ``charged``.
+    ``terms`` is a ``rates._fixed_ru_block`` (``gqf``, whose joint decoder
+    always counts as recovering the index) or, with ``recovery``, a
+    ``rates._nonwz_block`` (``nonwz_cf``): recovery is then tested exactly
+    (``index_rate >= ru``), and a draw that does not recover takes the
+    fallback verdict, which does not depend on ``ru`` and is found once
+    per block.
     """
 
-    def __init__(self, terms, beta, r1, r2, fixed=None):
-        self.terms, self.beta, self.rates = terms, beta, (r1, r2)
-        received, G = terms if fixed is None else fixed
+    def __init__(self, kernel, terms, beta, r1, r2, *, recovery=False):
+        self.kernel, self.terms, self.beta, self.rates = kernel, terms, beta, (r1, r2)
+        self.fallback = None
+        if recovery:
+            self.index_rate, fallback, terms = terms
+            self.fallback = _violated(*fallback, RateTarget(r1, r2))
+        received, G = terms
+        self.charged = charged = G[0][3] is not None
         shifts = (-_GUARD, _GUARD)
         lo = [np.zeros_like(received) for _ in shifts]
-        hi = [np.full_like(received, np.inf) for _ in shifts] if self.charged else [None, None]
+        hi = [np.full_like(received, np.inf) for _ in shifts] if charged else [None, None]
         with np.errstate(all="ignore"):
             self.inv_one_c = 1.0 / (1.0 + received)
             for part, rate in zip(G, (r1, r2, r1 + r2)):
                 if rate > 0.0:  # a zero rate is met by every clamped bound
                     for a, t in zip(lo, rates._plain_thresholds(part, beta, rate, shifts)):
                         np.maximum(a, t, out=a)
-                    if self.charged:
+                    if charged:
                         for a, t in zip(hi, rates._charged_thresholds(part, beta, rate, shifts)):
                             np.minimum(a, t, out=a)
             # link powers are non-negative, so the sum-rate part's inputs
             # bound the other parts' and c1 + c2: their sum is finite
             # exactly where every input is
-            finite = np.isfinite(sum(G[2][: 4 if self.charged else 3]))
+            finite = np.isfinite(sum(G[2][: 4 if charged else 3]))
         if not finite.all():
-            for a in (*lo, *hi):
-                if a is not None:
-                    a[~finite] = np.nan  # compares false, so these draws go exact
+            for a in (*lo, *hi) if charged else lo:
+                a[~finite] = np.nan  # compares false, so these draws go exact
         (self.lo_out, self.lo_in), (self.hi_out, self.hi_in) = lo, hi
 
     def split(self, ru):
         """(certain-outage flags, undecided band) at index rate ``ru``, or
         None where every draw needs the exact kernel."""
         x = _index_denom(self.beta, ru)
-        return self._split(x * self.inv_one_c, ru) if 0.0 < x < math.inf else None
+        if not 0.0 < x < math.inf:
+            return None
+        z = x * self.inv_one_c
+        out = z < self.lo_out
+        inside = z >= self.lo_in
+        if self.charged:
+            out |= z > self.hi_out
+            inside &= z <= self.hi_in
+        band = ~(out | inside)
+        if self.fallback is None:  # gqf: the index is always recovered
+            return out, band
+        recovered = self.index_rate >= ru
+        return np.where(recovered, out, self.fallback), recovered & band
 
     def flags(self, target):
+        exact = lambda terms: _violated(*self.kernel(terms, self.beta, target.ru), target)
         parts = self.split(target.ru)
         if parts is None:
-            return self._exact(self.terms, target)
+            return exact(self.terms)
         flags, band = parts
         idx = np.flatnonzero(band)
         if idx.size:
-            flags[idx] = self._exact(_take(self.terms, idx), target)
+            flags[idx] = exact(_take(self.terms, idx))
         return flags
 
 
-class _GqfCurve(_IndexRateCurve):
-    """:class:`_IndexRateCurve` of the fixed-index-rate joint decoder: the
-    plain bounds hold above a threshold of z and the index-charged ones
-    below one."""
-
-    charged = True
-
-    def _split(self, z, ru):
-        out = (z < self.lo_out) | (z > self.hi_out)
-        band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
-        return out, band
-
-    def _exact(self, terms, target):
-        return _violated(*_mins(rates._fixed_ru_terms(terms, self.beta, target.ru)[1]), target)
-
-
-class _NonwzCurve(_IndexRateCurve):
-    """:class:`_IndexRateCurve` of non-WZ CF: a draw that recovers the index
-    (``index_rate >= ru``, tested exactly) is in outage below its
-    plain-bound threshold; any other takes the fallback verdict, which does
-    not depend on ``ru`` and is found once per block."""
-
-    charged = False
-
-    def __init__(self, terms, beta, r1, r2):
-        self.index_rate, fallback, fixed = terms
-        super().__init__(terms, beta, r1, r2, fixed)
-        self.fallback = _violated(*fallback, RateTarget(r1, r2))
-
-    def _split(self, z, ru):
-        recovered = self.index_rate >= ru
-        below = z < self.lo_out
-        band = recovered & ~(below | (z >= self.lo_in))
-        return np.where(recovered, below, self.fallback), band
-
-    def _exact(self, terms, target):
-        return _violated(*rates._nonwz_terms(terms, self.beta, target.ru)[:3], target)
+def _index_rate_scheme(kernel, regions, block, recovery=False):
+    """Table entry of a scheme with a relay index rate whose exact
+    per-target (i1, i2, isum) is ``kernel(terms, beta, ru)``: its bounds
+    and the exact fallback of its curve both call that kernel."""
+    return Scheme(lambda b, t: kernel(b.terms, b.beta, t.ru), regions, block=block,
+                  curve=partial(_IndexRateCurve, kernel, recovery=recovery))
 
 
 #: every scheme the Monte Carlo layer evaluates per draw; adding a scheme
 #: here makes it available to the estimators, configs and sweeps
 SCHEMES = {
-    "gqf": Scheme(
-        lambda b, t: _mins(rates._fixed_ru_terms(b.terms, b.beta, t.ru)[1]),
-        _gqf_regions,
-        block=rates._fixed_ru_block,
-        curve=_GqfCurve,
-    ),
+    "gqf": _index_rate_scheme(lambda F, beta, ru: _mins(rates._fixed_ru_terms(F, beta, ru)[1]),
+                              _gqf_regions, rates._fixed_ru_block),
     "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta)),
-    "nonwz_cf": Scheme(
-        lambda b, t: rates._nonwz_terms(b.terms, b.beta, t.ru)[:3],
-        _nonwz_regions,
-        block=rates._nonwz_block,
-        curve=_NonwzCurve,
-    ),
+    "nonwz_cf": _index_rate_scheme(lambda N, beta, ru: rates._nonwz_terms(N, beta, ru)[:3],
+                                   _nonwz_regions, rates._nonwz_block, recovery=True),
     "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2)),
     "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power), beta=0.5),
     "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta)),
@@ -538,12 +523,12 @@ def individual_outage_mc(
         codes = classify_region_batch(h, power, beta, target, scheme)
         return np.bincount(codes, minlength=5)[1:5]
 
-    counts = _accumulate(profile, n, seed, fn)
-    f1, f2, f3, f4 = (int(c) / n for c in counts)
+    counts = [int(c) for c in _accumulate(profile, n, seed, fn)]
+    f1, f2, f3, f4 = (c / n for c in counts)
     return IndividualOutageEstimate(
         p_indiv1=f1 + f3,
         p_indiv2=f2 + f3,
-        p_common=f1 + f2 + f3,
+        p_common=sum(counts[:3]) / n,
         region_freqs=(f1, f2, f3, f4),
         n_samples=n,
         seed=seed,

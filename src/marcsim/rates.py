@@ -243,7 +243,7 @@ def _plain_thresholds(part, beta, rate, shifts):
     e = np.exp2((rate - coop) / beta)
     out = []
     for shift in shifts:
-        d = e * 2.0 ** (shift / beta) - s  # what c*z/(1 + z) must reach
+        d = e * np.exp2(shift / beta) - s  # what c*z/(1 + z) must reach
         out.append(np.where(c > d, d / (c - d), np.inf))
     return out
 
@@ -253,7 +253,7 @@ def _charged_thresholds(part, beta, rate, shifts):
     ``rate + shift``, per shift (negative where it never does)."""
     s, _, _, coop_u = part
     q = s / np.exp2((rate - coop_u) / beta)
-    return [q * 2.0 ** (-shift / beta) - 1.0 for shift in shifts]
+    return [q * np.exp2(-shift / beta) - 1.0 for shift in shifts]
 
 
 def _interference_terms(g, L, power, beta, sigma_q2, ru):
@@ -287,6 +287,17 @@ def _interference_terms(g, L, power, beta, sigma_q2, ru):
     w2a = beta * _lg(q2[0]) + mb * _lg((1.0 + d1 + d2) / (1.0 + d1))
     w2b = beta * _lg(q2[1]) + mb * _lg((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
     return w1a, w1b, w2a, w2b
+
+
+def _no_index_interference_terms(L, beta):
+    """Single-user bounds (user 1, user 2) with the other source treated as
+    noise when the destination does not recover the relay index (non-WZ
+    CF): the relay signal is cooperate-slot noise too."""
+    a1, a2, _, _, d1, d2, e, _ = L
+    mb = 1.0 - beta
+    v_yd1 = 1.0 + a1 + a2
+    return (beta * _lg(v_yd1 / (1.0 + a2)) + mb * _lg(1.0 + d1 / (1.0 + d2 + e)),
+            beta * _lg(v_yd1 / (1.0 + a1)) + mb * _lg(1.0 + d2 / (1.0 + d1 + e)))
 
 
 def _mac_terms(a1, a2, d1, d2, beta, e=0.0):

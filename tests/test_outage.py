@@ -2,6 +2,8 @@
 classification, determinism, and the estimator contracts."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from marcsim import (
     optimize_ru_grid,
     outage_flags,
 )
-from marcsim import rates
+from marcsim import outage, rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
 from marcsim.outage import SCHEMES, block_terms, classify_region_batch
 
@@ -241,6 +243,15 @@ def test_individual_outage_identities():
     # matches the common estimator on the same draws
     est = common_outage_mc("gqf", PROFILE, pw, 0.5, TARGET, 20_000, 21)
     assert ind.p_common == est.p_hat
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_individual_common_outage_is_the_common_estimate(seed):
+    # p_common is the count of regions 1-3 over n, not the float sum
+    # f1 + f2 + f3, so it equals the common estimate at every seed
+    pw = snr_power(10.0)
+    ind = individual_outage_mc(PROFILE, pw, 0.5, TARGET, 5000, seed)
+    assert ind.p_common == common_outage_mc("gqf", PROFILE, pw, 0.5, TARGET, 5000, seed).p_hat
 
 
 def _mac_region_probabilities(v1, v2, r1, r2, s):
@@ -468,20 +479,26 @@ CURVE_RU = (1e-300, 1e-6, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0
 
 
 @pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
-@pytest.mark.parametrize("beta", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("beta", [0.2, 0.5, 0.8, 1e-13, 1e-300])
 def test_curve_flags_equal_exact_flags(scheme, beta):
     # the outage curve of a block (rate pair given to block_terms) must give
     # the exact per-target flags at every index rate: the fig8 ru_grid, the
     # subnormal-like and huge rates whose quantizer variance over- or
     # underflows, and 20, 40 and 60, where the quantizer variance is far
-    # below 1e-6 (down to about 1e-36); one target has a zero rate.  One block holds a NaN draw, which must send only itself,
-    # not the block's other draws, past the curve's checks
+    # below 1e-6 (down to about 1e-36); one target has a zero rate.  At
+    # beta 1e-13 and 1e-300 the guard band shifted by 1/beta leaves the
+    # float range.  One block holds a NaN draw, which must send only itself,
+    # not the block's other draws, past the curve's checks; in another only
+    # hrd is NaN on every 7th draw, which leaves the plain-bound thresholds
+    # finite while the exact bounds are NaN (never outage)
     for snr_db in (0.0, 10.0, 30.0):
         pw = PowerConfig.from_snr_db(snr_db, beta)
         for sigma_rd2 in (0.001, 1.0, 100.0):
             h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:1024]
             if sigma_rd2 == 100.0:
                 h[7] = np.nan
+            if sigma_rd2 == 1.0:
+                h[::7, 4] = np.nan
             for r1, r2 in ((1.0, 1.0), (0.0, 1.5), (2.0, 0.5)):
                 shared = block_terms(scheme, h, pw, beta, (r1, r2))
                 assert shared.curve is not None
@@ -523,6 +540,13 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
             assert np.array_equal(flags, outage_flags(scheme, h, pw, 0.5, t))
     with pytest.raises(ValueError, match="other arguments"):
         outage_flags(scheme, h, pw, 0.5, RateTarget(1.0, 1.0, ru), shared=shared)
+
+
+def test_outage_module_computes_no_rate():
+    # every rate expression lives in marcsim.rates; the Monte Carlo layer
+    # only compares the kernels' values with the targets
+    source = Path(outage.__file__).read_text()
+    assert re.findall(r"\b(?:log2|exp2|log1p|expm1)\b", source) == []
 
 
 def _codes_on_every_draw(scheme, h, pw, beta, target):
