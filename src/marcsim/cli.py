@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     sim run <config.yaml>        run an experiment from a config file
-    sim preset <name>            run a shipped preset (fig3..fig8)
+    sim preset <name>            run a shipped preset (fig3..fig8, fig8_hetero)
     sim validate <config.yaml>   check a config file and exit
 
 Exit status: 0 on success, 2 on configuration errors, 1 on numerical
@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import yaml
-
 from .config import ConfigError, config_from_dict, config_to_dict, load_config, save_config
 from .experiments import PRESETS, preset_config, run_experiment
 from .info import DegenerateCovarianceError
@@ -23,6 +21,7 @@ from .rates import FeasibilityError
 
 
 def _parse_overrides(pairs):
+    import yaml
     out = {}
     for pair in pairs or ():
         key, sep, raw = pair.partition("=")

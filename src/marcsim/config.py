@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .channel import ChannelState, FadingProfile, PowerConfig
 from .outage import SCHEMES, RateTarget
@@ -31,12 +31,19 @@ __all__ = [
     "save_config",
 ]
 
-KINDS = (
-    "static_sigma_sweep",
-    "static_beta_sweep",
-    "fading_snr_sweep",
-    "fading_sigmard_sweep",
-)
+
+class Sweep(NamedTuple):
+    name: str  # the swept quantity; its grid is the field <name>_grid
+    fading: bool  # Monte Carlo over fading draws, else a static channel
+
+
+#: every sweep kind; a new kind takes an entry here and a runner in experiments
+KINDS = {
+    "static_sigma_sweep": Sweep("sigma_q2", fading=False),
+    "static_beta_sweep": Sweep("beta", fading=False),
+    "fading_snr_sweep": Sweep("snr_db", fading=True),
+    "fading_sigmard_sweep": Sweep("sigma_rd2", fading=True),
+}
 
 #: per-sweep-point series the fading sweeps can emit, mapped to (scheme,
 #: optimized): every Monte Carlo scheme, and for each scheme with a relay
@@ -73,18 +80,18 @@ class ExperimentConfig:
     r1: float = 1.0
     r2: float = 1.0
     ru: float = 3.0
-    ru_grid: tuple = _DEFAULT_RU_GRID
+    ru_grid: tuple[float, ...] = _DEFAULT_RU_GRID
 
     # fading scenarios
-    schemes: tuple = ("gqf", "csit", "nonwz_cf", "df", "af", "direct", "direct15")
+    schemes: tuple[str, ...] = ("gqf", "csit", "nonwz_cf", "df", "af", "direct", "direct15")
     snr_db: float = 10.0
-    snr_db_grid: tuple = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+    snr_db_grid: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     var_1d: float = 1.0
     var_2d: float = 1.0
     var_1r: float = 1.0
     var_2r: float = 1.0
     var_rd: float = 1.0
-    sigma_rd2_grid: tuple = (0.001, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
+    sigma_rd2_grid: tuple[float, ...] = (0.001, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0)
     individual: bool = False
 
     # static scenarios
@@ -99,26 +106,18 @@ class ExperimentConfig:
     p22: float = 1.0
     pr: float = 1.0
     norelay_boost: float = 1.5
-    sigma_q2_grid: tuple = _DEFAULT_SIGMA_GRID
-    beta_grid: tuple = _DEFAULT_BETA_GRID
+    sigma_q2_grid: tuple[float, ...] = _DEFAULT_SIGMA_GRID
+    beta_grid: tuple[float, ...] = _DEFAULT_BETA_GRID
 
     def __post_init__(self):
-        object.__setattr__(self, "ru_grid", _float_tuple("ru_grid", self.ru_grid))
-        object.__setattr__(self, "schemes", _str_tuple("schemes", self.schemes))
-        object.__setattr__(self, "snr_db_grid", _float_tuple("snr_db_grid", self.snr_db_grid))
-        object.__setattr__(
-            self, "sigma_rd2_grid", _float_tuple("sigma_rd2_grid", self.sigma_rd2_grid)
-        )
-        object.__setattr__(self, "sigma_q2_grid", _float_tuple("sigma_q2_grid", self.sigma_q2_grid))
-        object.__setattr__(self, "beta_grid", _float_tuple("beta_grid", self.beta_grid))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _COERCE[f.type](f.name, getattr(self, f.name)))
         self.validate()
 
     def validate(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown kind {self.kind!r}; known: {KINDS}")
-        for name, kind in _FIELD_TYPES.items():
-            if kind == "float" and math.isnan(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got nan")
+            raise ConfigError(f"unknown kind {self.kind!r}; known: {tuple(KINDS)}")
+        sweep = KINDS[self.kind]
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         if not (0 <= self.seed < 2**64):
@@ -132,13 +131,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be > 0")
         if not (math.isfinite(self.norelay_boost) and self.norelay_boost >= 1.0):
             raise ConfigError("norelay_boost must be finite and >= 1")
-        grid_name = {
-            "static_sigma_sweep": "sigma_q2_grid",
-            "static_beta_sweep": "beta_grid",
-            "fading_snr_sweep": "snr_db_grid",
-            "fading_sigmard_sweep": "sigma_rd2_grid",
-        }[self.kind]
-        for name in (grid_name, "ru_grid"):
+        for name in (f"{sweep.name}_grid", "ru_grid"):
             grid = getattr(self, name)
             if not grid:
                 raise ConfigError(f"{name} must be non-empty")
@@ -146,15 +139,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if self.ru_grid[0] <= 0.0:
             raise ConfigError("ru_grid values must be > 0")
-        if self.kind == "static_sigma_sweep" and self.sigma_q2_grid[0] <= 0.0:
-            raise ConfigError("sigma_q2_grid values must be > 0")
-        if self.kind == "static_beta_sweep" and not (
-            0.0 < self.beta_grid[0] and self.beta_grid[-1] < 1.0
-        ):
-            raise ConfigError("beta_grid values must lie in (0, 1)")
-        if self.kind == "fading_sigmard_sweep" and self.sigma_rd2_grid[0] <= 0.0:
-            raise ConfigError("sigma_rd2_grid values must be > 0")
-        if self.kind.startswith("fading"):
+        if sweep.fading:
             if not self.schemes:
                 raise ConfigError("schemes must be non-empty")
             for token in self.schemes:
@@ -168,18 +153,18 @@ class ExperimentConfig:
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat")
         # build what the run builds (and the static link powers for every
-        # kind), so that a value the channel model rejects or a kernel
-        # input beyond the float range is a config error
+        # kind): a value the model rejects, such as a grid value out of its
+        # domain, or a kernel input beyond the float range is a config error
         try:
             state, power = self.static_channel()
             with np.errstate(all="raise", under="ignore"):
                 _links(state.gains(), power)
-                if self.kind.startswith("static"):
+                if sweep.fading:
+                    self.fading_points()
+                    for ru in (self.ru, *self.ru_grid):
+                        RateTarget(self.r1, self.r2, ru)
+                else:
                     self._static_kernels(state, power)
-            if self.kind.startswith("fading"):
-                self.fading_points()
-                for ru in (self.ru, *self.ru_grid):
-                    RateTarget(self.r1, self.r2, ru)
         except FloatingPointError as exc:
             raise ConfigError(f"static channel values leave the float range: {exc}") from exc
         except ValueError as exc:
@@ -190,12 +175,19 @@ class ExperimentConfig:
         equalizer variance, the min-terms there and the boosted no-relay
         region.  A sigma sweep's relay term is largest at its smallest
         variance, so the min-terms there bound every other grid point."""
-        betas = self.beta_grid if self.kind == "static_beta_sweep" else (self.beta,)
-        sigmas = self.sigma_q2_grid[:1] if self.kind == "static_sigma_sweep" else ()
-        for beta in betas:
+        for beta in self._swept("beta") or (self.beta,):
             direct_mac_region(state, power, beta, self.norelay_boost)
-            for s in (sigma_q2_opt_sum(state, power, beta), *sigmas):
+            for s in (sigma_q2_opt_sum(state, power, beta), *self._swept("sigma_q2")[:1]):
                 gqf_min_terms_gaussian(state, power, beta, s)
+
+    @property
+    def sweep_values(self) -> tuple:
+        """The grid of the quantity this kind sweeps."""
+        return getattr(self, f"{KINDS[self.kind].name}_grid")
+
+    def _swept(self, name) -> tuple:
+        """The grid of ``name`` if this kind sweeps it, else ()."""
+        return self.sweep_values if KINDS[self.kind].name == name else ()
 
     def static_channel(self) -> tuple[ChannelState, PowerConfig]:
         """Channel state and powers of a static kind."""
@@ -206,14 +198,35 @@ class ExperimentConfig:
 
     def fading_points(self) -> list[tuple[FadingProfile, PowerConfig]]:
         """Fading profile and powers at every point of a fading sweep: the
-        SNR grid sets the powers, the sigma_rd2 grid the relay-destination
-        variance."""
+        SNR sets the powers and sigma_rd2 the relay-destination variance,
+        each from the grid if the kind sweeps it, else from its field."""
         var = (self.var_1d, self.var_2d, self.var_1r, self.var_2r)
-        if self.kind == "fading_snr_sweep":
-            profile = FadingProfile(*var, self.var_rd)
-            return [(profile, PowerConfig.from_snr_db(x, self.beta)) for x in self.snr_db_grid]
-        power = PowerConfig.from_snr_db(self.snr_db, self.beta)
-        return [(FadingProfile(*var, x), power) for x in self.sigma_rd2_grid]
+        return [
+            (FadingProfile(*var, var_rd), PowerConfig.from_snr_db(snr, self.beta))
+            for snr in self._swept("snr_db") or (self.snr_db,)
+            for var_rd in self._swept("sigma_rd2") or (self.var_rd,)
+        ]
+
+
+def _typed(types, what):
+    """Rule passing a value of ``types`` through; a bool only where asked for."""
+
+    def rule(name, value):
+        if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+            raise ConfigError(f"{name} must be {what}")
+        return value
+
+    return rule
+
+
+def _float(name, value):
+    try:
+        value = float(_typed((int, float), "a number")(name, value))
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is too large for a float") from exc
+    if math.isnan(value):
+        raise ConfigError(f"{name} must be a number, got nan")
+    return value
 
 
 def _float_tuple(name, values):
@@ -235,7 +248,15 @@ def _str_tuple(name, values):
         raise ConfigError(f"{name} must be a list of strings") from exc
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+#: the coercion and type check of each field, by its annotation
+_COERCE = {
+    "int": _typed(int, "an integer"),
+    "float": _float,
+    "bool": _typed(bool, "a boolean"),
+    "str": _typed(str, "a string"),
+    "tuple[float, ...]": _float_tuple,
+    "tuple[str, ...]": _str_tuple,
+}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -250,45 +271,22 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping of keys to values")
-    unknown = set(data) - set(_FIELD_TYPES)
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     if "kind" not in data:
         raise ConfigError("config needs a 'kind'")
-    coerced = {}
-    for name, value in data.items():
-        kind = _FIELD_TYPES[name]
-        if kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer")
-            coerced[name] = value
-        elif kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number")
-            try:
-                coerced[name] = float(value)
-            except OverflowError as exc:
-                raise ConfigError(f"{name} is too large for a float") from exc
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be a boolean")
-            coerced[name] = value
-        elif kind == "str":
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string")
-            coerced[name] = value
-        else:  # tuple-valued
-            coerced[name] = value
     try:
-        return ExperimentConfig(**coerced)
+        return ExperimentConfig(**data)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Deterministic YAML text for the config."""
+    import yaml
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True, default_flow_style=False)
 
 
@@ -297,6 +295,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -9,6 +9,7 @@ machine-readable data:
     fig6  fading common outage vs SNR, index rate optimized per point
     fig7  fading expected sum rate vs relay-destination variance
     fig8  fig7 sweep with individual outage and both throughput metrics
+    fig8_hetero  fig8 with unequal direct links and rate targets
 
 Outputs are CSV with a '#' metadata header (plus an optional JSON mirror)
 and are byte-identical for a fixed seed.
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .config import SCHEME_TOKENS, ConfigError, ExperimentConfig, config_from_dict, config_to_dict
+from .config import KINDS, SCHEME_TOKENS, ConfigError, ExperimentConfig, config_from_dict
+from .config import config_to_dict
 from .outage import (
     SCHEMES,
     RateTarget,
@@ -76,13 +78,10 @@ class SweepResult:
             "version": __version__,
             "metadata": self.metadata,
             "sweep_name": self.sweep_name,
-            "sweep_values": list(self.sweep_values),
-            "columns": {
-                k: [None if _is_nan(v) else v for v in series]
-                for k, series in self.columns.items()
-            },
+            "sweep_values": self.sweep_values,
+            "columns": self.columns,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write(self, out_path, json_path=None) -> None:
         Path(out_path).write_text(self.to_csv_text())
@@ -90,30 +89,32 @@ class SweepResult:
             Path(json_path).write_text(self.to_json_text())
 
 
-def _is_nan(v) -> bool:
-    return isinstance(v, float) and math.isnan(v)
+def _json_safe(v):
+    """``v`` as strict JSON values: NaN becomes null and +-inf the CSV's
+    own text, "inf" / "-inf"; tuples become lists."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return None if math.isnan(v) else _fmt(v)
+    return v
 
 
 def _fmt(v) -> str:
     # repr keeps the shortest exact decimal, so reruns are byte-identical;
     # infeasible points (nan) become empty cells
-    if _is_nan(v):
+    if isinstance(v, float) and math.isnan(v):
         return ""
     return repr(float(v))
 
 
-def _metadata(cfg: ExperimentConfig) -> dict:
-    meta = config_to_dict(cfg)
-    meta["version"] = __version__
-    return meta
-
-
-def _run_sigma_sweep(cfg: ExperimentConfig) -> SweepResult:
+def _run_sigma_sweep(cfg: ExperimentConfig) -> dict:
     state, power = cfg.static_channel()
     threshold = sigma_q2_opt_sum(state, power, cfg.beta)
     norelay = direct_mac_region(state, power, cfg.beta, boost=cfg.norelay_boost).isum
     first, second, best, cf = [], [], [], []
-    for s in cfg.sigma_q2_grid:
+    for s in cfg.sweep_values:
         t = gqf_min_terms_gaussian(state, power, cfg.beta, s)
         first.append(t[4])
         second.append(t[5])
@@ -122,37 +123,33 @@ def _run_sigma_sweep(cfg: ExperimentConfig) -> SweepResult:
         # relay-destination link can deliver the quantizer; below the
         # threshold the scheme is infeasible, not zero-rate
         cf.append(t[4] if s > threshold else math.nan)
-    columns = {
-        "gqf_sum_first": tuple(first),
-        "gqf_sum_second": tuple(second),
-        "gqf_sum": tuple(best),
-        "cf_sum": tuple(cf),
-        "norelay_sum": tuple(norelay for _ in cfg.sigma_q2_grid),
+    return {
+        "gqf_sum_first": first,
+        "gqf_sum_second": second,
+        "gqf_sum": best,
+        "cf_sum": cf,
+        "norelay_sum": [norelay] * len(cfg.sweep_values),
     }
-    return SweepResult("sigma_q2", cfg.sigma_q2_grid, columns, _metadata(cfg))
 
 
-def _run_beta_sweep(cfg: ExperimentConfig) -> SweepResult:
+def _run_beta_sweep(cfg: ExperimentConfig) -> dict:
     state, power = cfg.static_channel()
-    sigma_col, gqf_col, cf_col, norelay_col = [], [], [], []
-    for beta in cfg.beta_grid:
+    sigma_col, gqf_col, norelay_col = [], [], []
+    for beta in cfg.sweep_values:
         s = sigma_q2_opt_sum(state, power, beta)
         t = gqf_min_terms_gaussian(state, power, beta, s)
-        val = min(t[4], t[5])
         sigma_col.append(s)
-        gqf_col.append(val)
+        gqf_col.append(min(t[4], t[5]))
+        norelay_col.append(direct_mac_region(state, power, beta, cfg.norelay_boost).isum)
+    return {
+        "sigma_q2_opt": sigma_col,
+        "gqf_sum": gqf_col,
         # at the equalizer the compress-forward feasibility threshold is
         # met with equality; its supremum sum rate coincides with the
         # joint-decoding value
-        cf_col.append(val)
-        norelay_col.append(direct_mac_region(state, power, beta, cfg.norelay_boost).isum)
-    columns = {
-        "sigma_q2_opt": tuple(sigma_col),
-        "gqf_sum": tuple(gqf_col),
-        "cf_sum": tuple(cf_col),
-        "norelay_sum": tuple(norelay_col),
+        "cf_sum": gqf_col,
+        "norelay_sum": norelay_col,
     }
-    return SweepResult("beta", cfg.beta_grid, columns, _metadata(cfg))
 
 
 def _run_fading_point(cfg, profile, power, columns):
@@ -190,15 +187,14 @@ def _run_fading_point(cfg, profile, power, columns):
             )
 
 
-def _run_fading_sweep(cfg: ExperimentConfig) -> SweepResult:
+def _run_fading_sweep(cfg: ExperimentConfig) -> dict:
     columns: dict = {}
     for profile, power in cfg.fading_points():
         _run_fading_point(cfg, profile, power, columns)
-    columns = {k: tuple(v) for k, v in columns.items()}
-    name = "snr_db" if cfg.kind == "fading_snr_sweep" else "sigma_rd2"
-    return SweepResult(name, getattr(cfg, f"{name}_grid"), columns, _metadata(cfg))
+    return columns
 
 
+#: the result columns, one list entry per sweep point, of each kind in config.KINDS
 _RUNNERS = {
     "static_sigma_sweep": _run_sigma_sweep,
     "static_beta_sweep": _run_beta_sweep,
@@ -209,7 +205,9 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Run one experiment; deterministic for a fixed config."""
-    return _RUNNERS[cfg.kind](cfg)
+    columns = {k: tuple(v) for k, v in _RUNNERS[cfg.kind](cfg).items()}
+    metadata = {**config_to_dict(cfg), "version": __version__}
+    return SweepResult(KINDS[cfg.kind].name, cfg.sweep_values, columns, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +239,8 @@ PRESETS = {
         "individual": True,
     },
 }
+# the paper's third claim: user 1 has the stronger direct link and higher rate
+PRESETS["fig8_hetero"] = {**PRESETS["fig8"], "var_1d": 2.0, "var_2d": 0.5, "r1": 1.5, "r2": 0.75}
 
 
 def preset_config(name: str, **overrides) -> ExperimentConfig:

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marcsim
 from marcsim.cli import main
 from marcsim.config import (
     SCHEME_TOKENS,
@@ -63,6 +68,8 @@ def test_config_rejects_bad_input():
         config_from_dict({"kind": "fading_snr_sweep", "n_samples": 0})
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
+    with pytest.raises(ConfigError):  # unknown keys of mixed types, as YAML can give
+        config_from_dict({"kind": "fading_snr_sweep", 1: 2, "mystery_knob": 3})
 
 
 def test_unknown_preset():
@@ -75,6 +82,28 @@ def test_preset_overrides_are_type_checked():
         preset_config("fig5", seed=1.5)
     with pytest.raises(ConfigError):
         preset_config("fig5", n_samples=100.5)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_samples", True), ("seed", 1.5), ("snr_db", "10"), ("individual", 1)]
+)
+def test_direct_config_is_type_checked(field, value):
+    # a config built without config_from_dict gets the same field checks
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="fading_snr_sweep", **{field: value})
+
+
+def test_building_a_config_does_not_import_yaml():
+    # only reading or writing YAML text needs yaml, not the library path
+    code = (
+        "import sys, marcsim.experiments\n"
+        "from marcsim.config import config_from_dict\n"
+        "config_from_dict({'kind': 'fading_snr_sweep'})\n"
+        "assert 'yaml' not in sys.modules\n"
+    )
+    src = str(Path(marcsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def _checked_digest(text):
@@ -94,6 +123,7 @@ def _checked_digest(text):
         ("fig6", "d9889aa5aad55b14ac83bc18fe4cc109582ed8b349271057a674594c007ac4da"),
         ("fig7", "2add657aec3433c1f1ea93fcc79aba2044c88ce3e0a709f1d4d4a8605e0c9a13"),
         ("fig8", "b601a9be31777c448c50eaa5474f41ffee2f285aa34b2277336d1f59594e1780"),
+        ("fig8_hetero", "8c5ead4b945e414bd8d7f4b0ac99900408928d3c42da82020853999a99f2bd27"),
     ],
 )
 def test_fading_preset_output_is_pinned(preset, digest):
@@ -192,6 +222,29 @@ def test_run_byte_identical(tmp_path):
     assert payload["columns"]["gqf_p"] == list(res1.columns["gqf_p"])
 
 
+@pytest.mark.parametrize(
+    "preset, override, values",
+    [
+        ("fig3", "sigma_q2_grid=[1.0, .inf]", [1.0, "inf"]),
+        ("fig5", "snr_db_grid=[-.inf, 0]", ["-inf", 0.0]),
+    ],
+)
+def test_json_mirror_is_strict_json(tmp_path, preset, override, values):
+    # an infinite grid value is written as the CSV writes it, "inf" or
+    # "-inf", in the sweep values and the metadata alike
+    out, js = tmp_path / "out.csv", tmp_path / "out.json"
+    argv = ["preset", preset, "--samples", "200", "--out", str(out), "--json-out", str(js),
+            "--override", override]
+    assert main(argv) == 0
+    payload = json.loads(js.read_text(), parse_constant=_reject_constant)
+    assert payload["sweep_values"] == values
+    assert payload["metadata"][f"{payload['sweep_name']}_grid"] == values
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        v if isinstance(v, str) else repr(v) for v in values
+    ]
+
+
 def test_csv_layout_and_nan_cells(tmp_path):
     res = run_experiment(
         preset_config("fig3", sigma_q2_grid=(0.5, 3.0), out=str(tmp_path / "f.csv"))
@@ -225,6 +278,33 @@ def test_cli_preset_and_validate(tmp_path):
     a = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     b = [l for l in out2.read_text().splitlines() if not l.startswith("#")]
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "kind, field, grid, code",
+    [
+        ("static_sigma_sweep", "sigma_q2_grid", [0.0, 1.0], 2),
+        ("static_sigma_sweep", "sigma_q2_grid", [-1.0, 1.0], 2),
+        ("static_sigma_sweep", "sigma_q2_grid", [-math.inf, 1.0], 2),
+        ("static_sigma_sweep", "sigma_q2_grid", [1.0, math.inf], 0),
+        ("static_beta_sweep", "beta_grid", [0.0, 0.5], 2),
+        ("static_beta_sweep", "beta_grid", [0.5, 1.0], 2),
+        ("static_beta_sweep", "beta_grid", [-math.inf, 0.5], 2),
+        ("static_beta_sweep", "beta_grid", [0.5, math.inf], 2),
+        ("fading_snr_sweep", "snr_db_grid", [0.0, math.inf], 2),
+        ("fading_snr_sweep", "snr_db_grid", [-math.inf, 0.0], 0),
+        ("fading_sigmard_sweep", "sigma_rd2_grid", [0.0, 1.0], 2),
+        ("fading_sigmard_sweep", "sigma_rd2_grid", [-1.0, 1.0], 2),
+        ("fading_sigmard_sweep", "sigma_rd2_grid", [-math.inf, 1.0], 2),
+        ("fading_sigmard_sweep", "sigma_rd2_grid", [1.0, math.inf], 2),
+    ],
+)
+def test_validate_checks_sweep_grids_through_the_model(tmp_path, kind, field, grid, code):
+    # no grid has a domain check of its own: validate builds what the run
+    # builds, and the channel model rejects a grid value out of its domain
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"kind": kind, field: grid}))
+    assert main(["validate", str(cfg)]) == code
 
 
 def test_cli_error_paths(tmp_path):
