@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelState, FadingProfile, PowerConfig
 from .outage import SCHEMES, RateTarget
-from .rates import _links, direct_mac_region, gqf_min_terms_gaussian, sigma_q2_opt_sum
+from .rates import _links, _static_model
 
 __all__ = [
     "ConfigError",
@@ -164,21 +164,12 @@ class ExperimentConfig:
                     for ru in (self.ru, *self.ru_grid):
                         RateTarget(self.r1, self.r2, ru)
                 else:
-                    self._static_kernels(state, power)
+                    _static_model(state, power, self._swept("beta") or self.beta,
+                                  self._swept("sigma_q2") or None, self.norelay_boost)
         except FloatingPointError as exc:
             raise ConfigError(f"static channel values leave the float range: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def _static_kernels(self, state, power):
-        """Evaluate the kernels of a static run at every beta it uses: the
-        equalizer variance, the min-terms there and the boosted no-relay
-        region.  A sigma sweep's relay term is largest at its smallest
-        variance, so the min-terms there bound every other grid point."""
-        for beta in self._swept("beta") or (self.beta,):
-            direct_mac_region(state, power, beta, self.norelay_boost)
-            for s in (sigma_q2_opt_sum(state, power, beta), *self._swept("sigma_q2")[:1]):
-                gqf_min_terms_gaussian(state, power, beta, s)
 
     @property
     def sweep_values(self) -> tuple:
@@ -230,13 +221,12 @@ def _float(name, value):
 
 
 def _float_tuple(name, values):
+    if isinstance(values, str):
+        raise ConfigError(f"{name} must be a list of numbers")
     try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return tuple(_float(f"each value of {name}", v) for v in values)
+    except TypeError as exc:
         raise ConfigError(f"{name} must be a list of numbers") from exc
-    if any(math.isnan(v) for v in out):
-        raise ConfigError(f"{name} must be a list of numbers, got nan")
-    return out
 
 
 def _str_tuple(name, values):

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import KINDS, SCHEME_TOKENS, ConfigError, ExperimentConfig, config_from_dict
 from .config import config_to_dict
@@ -34,11 +36,7 @@ from .outage import (
     individual_outage_mc,
     optimize_ru_grid,
 )
-from .rates import (
-    direct_mac_region,
-    gqf_min_terms_gaussian,
-    sigma_q2_opt_sum,
-)
+from .rates import _static_model
 
 __all__ = [
     "SweepResult",
@@ -110,45 +108,34 @@ def _fmt(v) -> str:
 
 
 def _run_sigma_sweep(cfg: ExperimentConfig) -> dict:
-    state, power = cfg.static_channel()
-    threshold = sigma_q2_opt_sum(state, power, cfg.beta)
-    norelay = direct_mac_region(state, power, cfg.beta, boost=cfg.norelay_boost).isum
-    first, second, best, cf = [], [], [], []
-    for s in cfg.sweep_values:
-        t = gqf_min_terms_gaussian(state, power, cfg.beta, s)
-        first.append(t[4])
-        second.append(t[5])
-        best.append(min(t[4], t[5]))
+    threshold, (first, second), norelay = _static_model(
+        *cfg.static_channel(), cfg.beta, cfg.sweep_values, cfg.norelay_boost
+    )
+    return {
+        "gqf_sum_first": first.tolist(),
+        "gqf_sum_second": second.tolist(),
+        "gqf_sum": np.minimum(first, second).tolist(),
         # the compress-forward sum rate equals the plain sum bound once the
         # relay-destination link can deliver the quantizer; below the
         # threshold the scheme is infeasible, not zero-rate
-        cf.append(t[4] if s > threshold else math.nan)
-    return {
-        "gqf_sum_first": first,
-        "gqf_sum_second": second,
-        "gqf_sum": best,
-        "cf_sum": cf,
-        "norelay_sum": [norelay] * len(cfg.sweep_values),
+        "cf_sum": np.where(np.asarray(cfg.sweep_values) > threshold, first, math.nan).tolist(),
+        "norelay_sum": [float(norelay)] * len(cfg.sweep_values),
     }
 
 
 def _run_beta_sweep(cfg: ExperimentConfig) -> dict:
-    state, power = cfg.static_channel()
-    sigma_col, gqf_col, norelay_col = [], [], []
-    for beta in cfg.sweep_values:
-        s = sigma_q2_opt_sum(state, power, beta)
-        t = gqf_min_terms_gaussian(state, power, beta, s)
-        sigma_col.append(s)
-        gqf_col.append(min(t[4], t[5]))
-        norelay_col.append(direct_mac_region(state, power, beta, cfg.norelay_boost).isum)
+    sigma, (first, second), norelay = _static_model(
+        *cfg.static_channel(), cfg.sweep_values, None, cfg.norelay_boost
+    )
+    gqf = np.minimum(first, second).tolist()
     return {
-        "sigma_q2_opt": sigma_col,
-        "gqf_sum": gqf_col,
+        "sigma_q2_opt": sigma.tolist(),
+        "gqf_sum": gqf,
         # at the equalizer the compress-forward feasibility threshold is
         # met with equality; its supremum sum rate coincides with the
         # joint-decoding value
-        "cf_sum": gqf_col,
-        "norelay_sum": norelay_col,
+        "cf_sum": gqf,
+        "norelay_sum": norelay.tolist(),
     }
 
 

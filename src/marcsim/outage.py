@@ -72,7 +72,9 @@ class RateTarget:
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """Empirical outage probability with its normal-approximation 95% CI."""
+    """Empirical outage probability.  ``ci95_halfwidth`` is that of the
+    shortest interval centred at p_hat holding the 95% Wilson score interval,
+    so it stays positive at an outage count of 0 or n_samples."""
 
     p_hat: float
     n_samples: int
@@ -87,8 +89,10 @@ class OutageEstimate:
 
     @classmethod
     def from_count(cls, count: int, n: int, seed: int) -> "OutageEstimate":
-        p = count / n
-        return cls(p, n, seed, 1.96 * math.sqrt(p * (1.0 - p) / n))
+        p, z = count / n, 1.96
+        centre = (count + z * z / 2.0) / (n + z * z)
+        half = z * math.sqrt(count * (n - count) / n + z * z / 4.0) / (n + z * z)
+        return cls(p, n, seed, half + abs(p - centre))
 
 
 @dataclass(frozen=True)

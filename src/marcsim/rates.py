@@ -628,6 +628,32 @@ def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegio
     return _scalar_region(_af_terms(state.gains(), _links(state.gains(), power), power), k)
 
 
+def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, boost=1.0):
+    """The static model over arrays of slot split ``beta`` and quantizer
+    variance ``sigma_q2`` (by default each beta's equalizer variance), which
+    broadcast against each other: the equalizer variances, the sum-rate
+    min-terms (tsa, tsb) and the no-relay sum rate, prefactor applied, as
+    ``sigma_q2_opt_sum``, ``gqf_min_terms_gaussian`` and
+    ``direct_mac_region(..., boost).isum`` give them one point at a time,
+    with the checks those calls make."""
+    beta = np.asarray(beta, dtype=float)
+    _check_beta(float(beta.min()))
+    _check_beta(float(beta.max()))
+    if boost < 1.0:
+        raise ValueError(f"power boost must be >= 1, got {boost!r}")
+    k = info.prefactor(state.field_kind)
+    L = _links(state.gains(), power)
+    sigma_opt = _opt_sigmas(L, beta)[2]
+    sigma_q2 = sigma_opt if sigma_q2 is None else np.asarray(sigma_q2, dtype=float)
+    if not sigma_q2.min() > 0.0:
+        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2.min()}")
+    _, _, _, _, tsa, tsb = _gqf_terms(_gqf_block(L, beta), beta, sigma_q2)
+    norelay = np.maximum(k * _direct_terms(L, beta, boost)[2], 0.0)
+    if not np.all(np.isfinite(norelay)):
+        raise ValueError(f"rate bound isum must be finite and >= 0, got {norelay.max()}")
+    return sigma_opt, (k * tsa, k * tsb), norelay
+
+
 def optimize_sigma_beta_grid(
     state: ChannelState,
     power: PowerConfig,
@@ -637,21 +663,12 @@ def optimize_sigma_beta_grid(
     """Grid search of (sigma_q2, beta) maximizing the equal-index-rate sum
     rate; returns (sigma_q2, beta, sum_rate).  Ties resolve to the first
     grid point in row-major (beta, sigma) order."""
-    sigma_grid = [float(s) for s in sigma_grid]
-    beta_grid = [float(b) for b in beta_grid]
-    if not sigma_grid or not beta_grid:
+    sigma, beta = (np.asarray(g, dtype=float) for g in (sigma_grid, beta_grid))
+    if not sigma.size or not beta.size:
         raise ValueError("grids must be non-empty")
-    k = info.prefactor(state.field_kind)
-    L = _links(state.gains(), power)
-    best = None
-    for beta in beta_grid:
-        _check_beta(beta)
-        t = _gqf_terms(_gqf_block(L, beta), beta, np.asarray(sigma_grid))
-        vals = k * np.minimum(t[4], t[5])
-        i = int(np.argmax(vals))
-        if best is None or vals[i] > best[2]:
-            best = (sigma_grid[i], beta, float(vals[i]))
-    return best
+    vals = np.minimum(*_static_model(state, power, beta[:, None], sigma)[1])
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(sigma[j]), float(beta[i]), float(vals[i, j])
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,19 @@ def test_direct_config_is_type_checked(field, value):
         ExperimentConfig(kind="fading_snr_sweep", **{field: value})
 
 
+@pytest.mark.parametrize(
+    "override", ['snr_db_grid="12"', "snr_db_grid=[true, 5]", 'ru_grid=[0.5, "1"]']
+)
+def test_cli_list_fields_take_numbers_only(tmp_path, capsys, override):
+    # a list field takes each value by the scalar float rule: a string, a
+    # bool inside the list or a string for the whole list is a config error
+    out = tmp_path / "out.csv"
+    argv = ["preset", "fig5", "--samples", "100", "--out", str(out), "--override", override]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_building_a_config_does_not_import_yaml():
     # only reading or writing YAML text needs yaml, not the library path
     code = (
@@ -177,7 +190,11 @@ def test_fading_snr_sweep_small():
     for token in cfg.schemes:
         assert len(res.columns[f"{token}_p"]) == 2
         p, ci = res.columns[f"{token}_p"][0], res.columns[f"{token}_ci"][0]
-        assert ci == pytest.approx(1.96 * math.sqrt(p * (1 - p) / 4000), abs=1e-15)
+        # the 95% Wilson score interval, centre +- half, lies within p +- ci
+        z, n = 1.96, 4000
+        centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+        half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        assert ci == pytest.approx(max(p - centre + half, centre + half - p), abs=1e-15)
     assert res.metadata["seed"] == 3
     # shared draws: fixed-rate relay never beats the full-CSI relay
     assert all(
@@ -362,6 +379,15 @@ _EDGE_FLOATS = (0.0, -0.0, 1e-320, 1e-300, 0.025, 0.975, 1.5, 3571.0, 1e16, 1e15
                 -1e308, 1.7976931348623157e308)
 
 
+_SIGMA_EDGES = (5e-324, 1e-300, 1e-3, 1.0, 100.0, math.inf)
+_BETA_EDGES = (1e-300, 0.025, 0.5, 0.975, 0.999999999999)
+
+
+def _grid(edges):
+    values = st.one_of(st.sampled_from(edges), st.floats(allow_nan=False))
+    return st.lists(values, min_size=1, max_size=3, unique=True).map(sorted)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     preset=st.sampled_from(["fig3", "fig4"]),
@@ -371,13 +397,16 @@ _EDGE_FLOATS = (0.0, -0.0, 1e-320, 1e-300, 0.025, 0.975, 1.5, 3571.0, 1e16, 1e15
                   st.floats(allow_nan=False, allow_infinity=False)),
         min_size=1, max_size=3,
     ),
+    sigma_q2_grid=_grid(_SIGMA_EDGES),
+    beta_grid=_grid(_BETA_EDGES),
 )
-def test_static_config_fuzz_exits_cleanly(tmp_path_factory, preset, fields):
-    # any finite static values either run or are rejected by validate with
-    # exit 2; a RuntimeWarning (an error under pytest) or any other
-    # exception fails the test
+def test_static_config_fuzz_exits_cleanly(tmp_path_factory, preset, fields, sigma_q2_grid,
+                                          beta_grid):
+    # any finite static values on any grids either run or are rejected by
+    # validate with exit 2; a RuntimeWarning (an error under pytest) or any
+    # other exception fails the test
     d = config_to_dict(preset_config(preset))
-    d.update(sigma_q2_grid=[1e-3, 1.0, 100.0], beta_grid=[0.025, 0.5, 0.975], **fields)
+    d.update(sigma_q2_grid=sigma_q2_grid, beta_grid=beta_grid, **fields)
     work = tmp_path_factory.mktemp("fuzz")
     cfg = work / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(d))

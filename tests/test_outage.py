@@ -173,9 +173,20 @@ def test_mc_degenerate_profiles():
 
 
 def test_estimate_ci_formula():
-    est = OutageEstimate.from_count(250, 1000, 7)
-    assert est.p_hat == 0.25
-    assert est.ci95_halfwidth == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 1000))
+    # p_hat +- ci holds the 95% Wilson score interval, and touches one end
+    z = 1.96
+    for count, n in ((250, 1000), (3, 10), (0, 100_000), (100_000, 100_000)):
+        est = OutageEstimate.from_count(count, n, 7)
+        p = count / n
+        assert est.p_hat == p
+        centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+        half = z / (1 + z * z / n) * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+        lo, hi = centre - half, centre + half
+        assert est.ci95_halfwidth == pytest.approx(max(p - lo, hi - p), rel=1e-12)
+    # no outage in 100k draws still leaves an interval of about 3.84e-5
+    est = OutageEstimate.from_count(0, 100_000, 7)
+    assert est.ci95_halfwidth == pytest.approx(z * z / (100_000 + z * z), rel=1e-12)
+    assert est.ci95_halfwidth > 3.8e-5
 
 
 def test_expected_rates_arithmetic():

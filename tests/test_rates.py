@@ -426,6 +426,37 @@ def test_optimize_sigma_beta_grid():
     with pytest.raises(ValueError):
         optimize_sigma_beta_grid(FIG3_STATE, UNIT_POWER, [], [0.5])
 
+    # no source-relay link and equal powers: the plain sum bound depends on
+    # neither sigma_q2 nor beta, and at these variances it is below the
+    # index-charged one, so every point ties and the first in row-major
+    # (beta, sigma) order wins
+    no_relay_in = ChannelState(1.0, 0.7, 0.0, 0.0, 2.0)
+    got = optimize_sigma_beta_grid(no_relay_in, UNIT_POWER, [10.0, 100.0, 1000.0], [0.3, 0.5])
+    assert got == (10.0, 0.3, 0.658072871146678)
+
+    # the double loop over the scalar min-terms, on real and complex states
+    def loop(state, pw, sigmas, betas):
+        best = None
+        for beta in betas:
+            for s in sigmas:
+                t = gqf_min_terms_gaussian(state, pw, beta, s)
+                if best is None or min(t[4], t[5]) > best[2]:
+                    best = (s, beta, min(t[4], t[5]))
+        return best
+
+    rng = np.random.default_rng(29)
+    for i in range(20):
+        state, pw, _ = random_static(rng)
+        if i % 2:
+            h = rng.normal(size=5) + 1j * rng.normal(size=5)
+            state = ChannelState(*(complex(v) for v in h), mode=FADING)
+        sigmas = sorted(float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, 6)) + [math.inf]
+        betas = sorted(float(v) for v in rng.uniform(0.02, 0.98, 5))
+        assert optimize_sigma_beta_grid(state, pw, sigmas, betas) == loop(state, pw, sigmas, betas)
+    for sigmas, betas in (([0.0, 1.0], [0.5]), ([1.0], [0.5, 1.0]), ([1.0], [0.0])):
+        with pytest.raises(ValueError):
+            optimize_sigma_beta_grid(FIG3_STATE, UNIT_POWER, sigmas, betas)
+
 
 def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
     # real signalling halves every mutual information: on a static state
