@@ -52,7 +52,7 @@ KINDS = {
 SCHEME_TOKENS = {
     token: (name, token != name)
     for name, scheme in SCHEMES.items()
-    for token in ((name, f"{name}_opt") if scheme.regions is not None else (name,))
+    for token in ((name, f"{name}_opt") if scheme.recover is not None else (name,))
 }
 
 _DEFAULT_SIGMA_GRID = tuple(round(0.05 * i, 10) for i in range(1, 201))
@@ -199,12 +199,18 @@ class ExperimentConfig:
         ]
 
 
+def _got(value) -> str:
+    """The end of a type error: the value given and its type (YAML 1.1
+    reads ``1e-3`` or ``1.0e300`` as a string, so the user sees why)."""
+    return f", got {value!r} ({type(value).__name__})"
+
+
 def _typed(types, what):
     """Rule passing a value of ``types`` through; a bool only where asked for."""
 
     def rule(name, value):
         if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
-            raise ConfigError(f"{name} must be {what}")
+            raise ConfigError(f"{name} must be {what}{_got(value)}")
         return value
 
     return rule
@@ -222,20 +228,20 @@ def _float(name, value):
 
 def _float_tuple(name, values):
     if isinstance(values, str):
-        raise ConfigError(f"{name} must be a list of numbers")
+        raise ConfigError(f"{name} must be a list of numbers{_got(values)}")
     try:
         return tuple(_float(f"each value of {name}", v) for v in values)
     except TypeError as exc:
-        raise ConfigError(f"{name} must be a list of numbers") from exc
+        raise ConfigError(f"{name} must be a list of numbers{_got(values)}") from exc
 
 
 def _str_tuple(name, values):
     if isinstance(values, str):
-        raise ConfigError(f"{name} must be a list of strings")
+        raise ConfigError(f"{name} must be a list of strings{_got(values)}")
     try:
         return tuple(str(v) for v in values)
     except TypeError as exc:
-        raise ConfigError(f"{name} must be a list of strings") from exc
+        raise ConfigError(f"{name} must be a list of strings{_got(values)}") from exc
 
 
 #: the coercion and type check of each field, by its annotation

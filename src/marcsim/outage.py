@@ -20,8 +20,9 @@ draws without cross-scheme Monte Carlo noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,41 +125,35 @@ class BlockTerms(NamedTuple):
     L: tuple            # link powers rates._links(g, power)
     power: PowerConfig
     beta: float
-    terms: object       # Scheme.block(L, beta), or None
-    curve: object       # Scheme.curve(terms, beta, r1, r2), or None
+    terms: object       # rates._index_block(L, beta, Scheme.recover), or None
+    curve: object       # _IndexRateCurve(terms, beta, r1, r2), or None
 
 
 @dataclass(frozen=True)
 class Scheme:
     """One relaying scheme of the Monte Carlo layer.
 
-    ``block(L, beta)``, if set, is the per-block step: the scheme's terms
-    that depend only on the draws, the powers and beta, computed once per
-    draw matrix from its link powers ``L = rates._links(g, power)``.
     ``bounds(b, target)`` returns the per-draw (i1, i2, isum) from the
     :class:`BlockTerms` ``b`` (gain columns ``b.g`` = (h1d, h2d, h1r, h2r,
-    hrd), ``b.L``, ``b.power``, ``b.beta`` and ``b.terms``), in the
-    complex-signalling units of the ``rates`` cores.
-    ``regions(b, target)`` returns ((i1, i2, isum), reg1, reg2) with the
-    region-1 and region-2 masks of :func:`classify_region_batch`; only
-    schemes with a relay index rate have it, and having it means the
-    scheme needs ``target.ru > 0``, gets an ``<name>_opt`` series that
-    optimizes ``ru`` and supports individual outage.  ``beta``, if set, is
-    the only slot split the scheme is defined for.
-    ``curve(terms, beta, r1, r2)``, if set, builds from the per-block terms
-    an object whose ``flags(target)`` gives the outage flags of that rate
-    pair at any index rate, bit-identical to ``bounds`` and cheaper per
-    target once built.  ``gqf`` and ``nonwz_cf`` set ``bounds`` and
-    ``curve`` together through :func:`_index_rate_scheme`, so both use one
-    :class:`_IndexRateCurve` whose exact fallback is the kernel behind
-    ``bounds``.
+    hrd), link powers ``b.L = rates._links(g, power)``, ``b.power``,
+    ``b.beta`` and ``b.terms``), in the complex-signalling units of the
+    ``rates`` cores.  ``beta``, if set, is the only slot split the scheme
+    is defined for.
+    ``recover`` is set only for a scheme with a relay index rate and says
+    how the destination treats the index: False, it decodes jointly and is
+    charged the index rate (GQF); True, it first recovers the index and
+    falls back to the two-slot MAC when it cannot (non-WZ CF).  Such a
+    scheme has the per-block terms ``rates._index_block(L, beta,
+    recover)``, its bounds and region classification come from
+    ``rates._index_terms``, and it gets an outage curve over the index
+    rate (:class:`_IndexRateCurve`).  It needs ``target.ru > 0``, gets an
+    ``<name>_opt`` series that optimizes ``ru`` and supports individual
+    outage.
     """
 
     bounds: Callable
-    regions: Callable | None = None
     beta: float | None = None
-    block: Callable | None = None
-    curve: Callable | None = None
+    recover: bool | None = None
 
     def allows(self, beta: float) -> bool:
         """Whether the scheme is defined at slot split ``beta``."""
@@ -169,9 +164,19 @@ def _clamp(x):
     return np.maximum(x, 0.0)
 
 
-def _mins(t):
-    """(i1, i2, isum) of the six min-terms (t1a, t1b, t2a, t2b, tsa, tsb)."""
-    return np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
+def _mins(terms):
+    """(i1, i2, isum): the least of each rate's min-terms."""
+    return tuple(reduce(np.minimum, t) for t in terms)
+
+
+def _index_bounds(b, target):
+    """(i1, i2, isum) of a scheme with a relay index rate at ``target.ru``."""
+    return _mins(rates._index_terms(b.terms, b.beta, target.ru)[0])
+
+
+def _all(masks):
+    """Elementwise AND of one or more boolean arrays."""
+    return reduce(operator.and_, masks)
 
 
 def _take(parts, idx):
@@ -198,44 +203,37 @@ def _region_masks(fail1, fail2, alone):
     return reg1, reg2
 
 
-def _gqf_regions(b, target):
-    sq2, t = rates._fixed_ru_terms(b.terms, b.beta, target.ru)
+def _index_regions(b, target):
+    """(i1, i2, isum) and the region-1 and region-2 masks of a scheme with a
+    relay index rate.  A user fails where it violates all of its own
+    min-terms; it is decodable alone where it meets the single-user bounds,
+    with the other source as noise, of its draw's index outcome."""
+    terms, recovered, sq2 = rates._index_terms(b.terms, b.beta, target.ru)
     r1, r2 = target.r1, target.r2
+    n = len(terms[0])  # min-terms per rate: 2 where the index is charged
 
-    def alone(idx):
+    def decodable(j):  # draws that recover the index
         w1a, w1b, w2a, w2b = rates._interference_terms(
-            _take(b.g, idx), _take(b.L, idx), b.power, b.beta, sq2[idx], target.ru
+            _take(b.g, j), _take(b.L, j), b.power, b.beta, sq2[j], target.ru
         )
-        return ((r1 <= _clamp(w1a)) & (r1 <= _clamp(w1b)),
-                (r2 <= _clamp(w2a)) & (r2 <= _clamp(w2b)))
-
-    fail1 = (r1 > _clamp(t[0])) & (r1 > _clamp(t[1]))
-    fail2 = (r2 > _clamp(t[2])) & (r2 > _clamp(t[3]))
-    return (_mins(t), *_region_masks(fail1, fail2, alone))
-
-
-def _nonwz_regions(b, target):
-    i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, b.beta, target.ru)
-    r1, r2 = target.r1, target.r2
+        return (_all(r1 <= _clamp(w) for w in (w1a, w1b)[:n]),
+                _all(r2 <= _clamp(w) for w in (w2a, w2b)[:n]))
 
     def alone(idx):
-        # single-user bounds with the other source as noise, each draw with
-        # the ones of its own index outcome
+        if recovered is None:
+            return decodable(idx)
+        ok1, ok2 = np.empty(idx.size, bool), np.empty(idx.size, bool)
         rec = recovered[idx]
-        u1, u2 = np.empty(idx.size), np.empty(idx.size)
-        j = idx[rec]
-        if j.size:
-            w = rates._interference_terms(_take(b.g, j), _take(b.L, j), b.power, b.beta, sq2[j],
-                                          target.ru)
-            u1[rec], u2[rec] = w[0], w[2]
-        j = idx[~rec]
-        if j.size:
-            u1[~rec], u2[~rec] = rates._no_index_interference_terms(_take(b.L, j), b.beta)
-        return r1 <= _clamp(u1), r2 <= _clamp(u2)
+        if rec.any():
+            ok1[rec], ok2[rec] = decodable(idx[rec])
+        if not rec.all():
+            u1, u2 = rates._no_index_interference_terms(_take(b.L, idx[~rec]), b.beta)
+            ok1[~rec], ok2[~rec] = r1 <= _clamp(u1), r2 <= _clamp(u2)
+        return ok1, ok2
 
-    fail1 = r1 > _clamp(i1)
-    fail2 = r2 > _clamp(i2)
-    return ((i1, i2, isum), *_region_masks(fail1, fail2, alone))
+    fail1 = _all(r1 > _clamp(t) for t in terms[0])
+    fail2 = _all(r2 > _clamp(t) for t in terms[1])
+    return (_mins(terms), *_region_masks(fail1, fail2, alone))
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +256,22 @@ class _IndexRateCurve:
     out of outage on one interval of z.  It is built twice per draw, with
     every positive target rate lowered by the guard band (outer: outside
     it outage is certain) and raised by it (inner: inside it no outage is
-    certain).  ``flags`` compares z with both and runs ``kernel(terms,
-    beta, ru)``, the scheme's exact per-target (i1, i2, isum), only on the
-    draws in between, on draws whose inputs are not finite and where
-    2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
-    kernel's.
+    certain).  ``flags`` compares z with both and runs the exact per-target
+    kernel ``rates._index_terms`` only on the draws in between, on draws
+    whose inputs are not finite and where 2^(ru/beta) - 1 is 0 or inf, so
+    its flags are bit-identical to the kernel's.
 
-    ``terms`` is a ``rates._fixed_ru_block`` (``gqf``, whose joint decoder
-    always counts as recovering the index) or, with ``recovery``, a
-    ``rates._nonwz_block`` (``nonwz_cf``): recovery is then tested exactly
-    (``index_rate >= ru``), and a draw that does not recover takes the
-    fallback verdict, which does not depend on ``ru`` and is found once
-    per block.
+    ``terms`` is a ``rates._index_block``.  Without a recovery rate (GQF)
+    every draw counts as recovering the index.  With one (non-WZ CF)
+    recovery is tested exactly (``index_rate >= ru``), and a draw that does
+    not recover takes the fallback verdict, which does not depend on ``ru``
+    and is found once per block.
     """
 
-    def __init__(self, kernel, terms, beta, r1, r2, *, recovery=False):
-        self.kernel, self.terms, self.beta, self.rates = kernel, terms, beta, (r1, r2)
-        self.fallback = None
-        if recovery:
-            self.index_rate, fallback, terms = terms
-            self.fallback = _violated(*fallback, RateTarget(r1, r2))
-        received, G = terms
+    def __init__(self, terms, beta, r1, r2):
+        self.terms, self.beta, self.rates = terms, beta, (r1, r2)
+        received, G, self.index_rate, fallback = terms
+        self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
         self.charged = charged = G[0][3] is not None
         shifts = (-_GUARD, _GUARD)
         lo = [np.zeros_like(received) for _ in shifts]
@@ -320,7 +313,8 @@ class _IndexRateCurve:
         return np.where(recovered, out, self.fallback), recovered & band
 
     def flags(self, target):
-        exact = lambda terms: _violated(*self.kernel(terms, self.beta, target.ru), target)
+        exact = lambda terms: _violated(*_mins(rates._index_terms(terms, self.beta, target.ru)[0]),
+                                        target)
         parts = self.split(target.ru)
         if parts is None:
             return exact(self.terms)
@@ -331,22 +325,12 @@ class _IndexRateCurve:
         return flags
 
 
-def _index_rate_scheme(kernel, regions, block, recovery=False):
-    """Table entry of a scheme with a relay index rate whose exact
-    per-target (i1, i2, isum) is ``kernel(terms, beta, ru)``: its bounds
-    and the exact fallback of its curve both call that kernel."""
-    return Scheme(lambda b, t: kernel(b.terms, b.beta, t.ru), regions, block=block,
-                  curve=partial(_IndexRateCurve, kernel, recovery=recovery))
-
-
 #: every scheme the Monte Carlo layer evaluates per draw; adding a scheme
 #: here makes it available to the estimators, configs and sweeps
 SCHEMES = {
-    "gqf": _index_rate_scheme(lambda F, beta, ru: _mins(rates._fixed_ru_terms(F, beta, ru)[1]),
-                              _gqf_regions, rates._fixed_ru_block),
+    "gqf": Scheme(_index_bounds, recover=False),
     "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta)),
-    "nonwz_cf": _index_rate_scheme(lambda N, beta, ru: rates._nonwz_terms(N, beta, ru)[:3],
-                                   _nonwz_regions, rates._nonwz_block, recovery=True),
+    "nonwz_cf": Scheme(_index_bounds, recover=True),
     "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2)),
     "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power), beta=0.5),
     "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta)),
@@ -361,12 +345,12 @@ def _scheme(name: str, beta: float, target: RateTarget | None, *, index_rate=Fal
     spec = SCHEMES.get(name)
     if spec is None:
         raise ValueError(f"unknown scheme {name!r}; known: {tuple(SCHEMES)}")
-    if index_rate and spec.regions is None:
+    if index_rate and spec.recover is None:
         raise ValueError(f"scheme {name!r} has no relay index rate to classify or optimize")
     _check_beta(beta)
     if not spec.allows(beta):
         raise ValueError(f"scheme {name!r} needs beta = {spec.beta}")
-    if target is not None and spec.regions is not None and target.ru <= 0.0:
+    if target is not None and spec.recover is not None and target.ru <= 0.0:
         raise ValueError(f"scheme {name!r} needs a positive relay index rate")
     return spec
 
@@ -399,16 +383,17 @@ def block_terms(
     shared=...)`` evaluates each further target on the same draws without
     recomputing them; the flags are bit-identical to those computed
     without ``shared``.  With ``rates_pair = (r1, r2)`` a scheme with a
-    ``curve`` step also builds its outage curve over the index rate, and
+    relay index rate also builds its outage curve over the index rate, and
     every target must then have that rate pair.
     """
     spec = _scheme(scheme, beta, None)
     g = _columns(h)
     L = rates._links(g, power)
-    terms = None if spec.block is None else spec.block(L, beta)
-    curve = None
-    if rates_pair is not None and spec.curve is not None:
-        curve = spec.curve(terms, beta, float(rates_pair[0]), float(rates_pair[1]))
+    terms = curve = None
+    if spec.recover is not None:
+        terms = rates._index_block(L, beta, spec.recover)
+        if rates_pair is not None:
+            curve = _IndexRateCurve(terms, beta, float(rates_pair[0]), float(rates_pair[1]))
     return BlockTerms(scheme, h, g, L, power, beta, terms, curve)
 
 
@@ -457,8 +442,8 @@ def classify_region_batch(
     mirrors it.  Raises RuntimeError if the four regions fail to partition
     (internal invariant).
     """
-    spec = _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = spec.regions(block_terms(scheme, h, power, beta), target)
+    _scheme(scheme, beta, target, index_rate=True)
+    bounds, reg1, reg2 = _index_regions(block_terms(scheme, h, power, beta), target)
     common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")

@@ -162,10 +162,6 @@ def _links(g, power: PowerConfig):
     return a1, a2, c1, c2, d1, d2, e, kap
 
 
-def _lg(x):
-    return np.log2(x)
-
-
 def _gqf_block(L, beta, charged=True):
     """Per-block part of the joint-decoding min-terms: everything that does
     not depend on the quantizer variance.
@@ -183,14 +179,16 @@ def _gqf_block(L, beta, charged=True):
         (1.0 + a2, c2, 1.0 + d2),
         (1.0 + a1 + a2, c1 + c2 + kap, 1.0 + d1 + d2),
     ):
-        parts.append((s, c, mb * _lg(dsum), mb * _lg(dsum + e) if charged else None))
+        parts.append((s, c, mb * np.log2(dsum), mb * np.log2(dsum + e) if charged else None))
     return parts
 
 
-def _gqf_terms(G, beta, sigma_q2, charged=True):
+def _gqf_terms(G, beta, sigma_q2):
     """Min-terms of the joint-decoding region at quantizer variance
-    sigma_q2, from the per-block part ``G = _gqf_block(L, beta)``:
-    (t1a, t1b, t2a, t2b, tsa, tsb), or (t1a, t2a, tsa) without ``charged``.
+    sigma_q2, per rate (r1, r2, r1 + r2), from the per-block part
+    ``G = _gqf_block(L, beta, charged)``: ((t1a, t1b), (t2a, t2b),
+    (tsa, tsb)), or ((t1a,), (t2a,), (tsa,)) for a block without the
+    index-charged terms.
 
     ``t*a`` are the plain bounds, ``t*b`` the index-charged bounds with the
     index rate spent exactly on the quantizer.  ``sigma_q2 = inf`` (relay
@@ -203,26 +201,54 @@ def _gqf_terms(G, beta, sigma_q2, charged=True):
             # sigma_q2 / (1 + sigma_q2), with no cancellation at small sigma_q2
             ratio = np.where(np.isinf(sigma_q2), 1.0, sigma_q2 * u_inv)
         for s, c, coop, coop_u in G:
-            t.append(beta * _lg(s + c * u_inv) + coop)
-            if charged:
-                t.append(beta * _lg(s * ratio) + coop_u)
+            plain = beta * np.log2(s + c * u_inv) + coop
+            t.append((plain,) if coop_u is None else (plain, beta * np.log2(s * ratio) + coop_u))
     return tuple(t)
 
 
-def _fixed_ru_block(L, beta, charged=True):
-    """Per-block part of the fixed-index-rate joint-decoding kernel: the
-    relay's received power c1 + c2 and ``_gqf_block(L, beta, charged)``."""
-    return L[2] + L[3], _gqf_block(L, beta, charged)
+def _index_block(L, beta, recover):
+    """Per-block part of the kernel of a scheme with a relay index rate,
+    which does not depend on the index rate: (c1 + c2, G, index_rate,
+    fallback).
+
+    The relay's received power c1 + c2 sets the fixed-index-rate quantizer
+    (receiver-side CSI).  Without ``recover`` (GQF) the destination decodes
+    jointly, so ``G = _gqf_block(L, beta)`` carries the index-charged terms
+    and ``index_rate`` and ``fallback`` are None: the index always counts as
+    recovered.  With ``recover`` (non-WZ CF) the destination first recovers
+    the index, treating the cooperate-slot source signals as interference,
+    at rates up to ``index_rate``; ``G`` has the plain terms only, and
+    ``fallback`` is the two-slot MAC region with the relay signal as
+    cooperate-slot interference.
+    """
+    received = L[2] + L[3]
+    if not recover:
+        return received, _gqf_block(L, beta), None, None
+    _, _, _, _, d1, d2, e, _ = L
+    index_rate = (1.0 - beta) * np.log2(1.0 + e / (1.0 + d1 + d2))
+    fallback = _direct_terms(L, beta, slot2_interference=e)
+    return received, _gqf_block(L, beta, charged=False), index_rate, fallback
 
 
-def _fixed_ru_terms(F, beta, ru, charged=True):
-    """Quantizer variance that spends exactly ``ru`` on the relay's
-    observation, chosen from the source-relay powers c1 + c2 alone
-    (receiver-side CSI), and the joint-decoding min-terms at it, from the
-    per-block part ``F = _fixed_ru_block(L, beta, charged)``."""
-    received, G = F
+def _index_terms(B, beta, ru):
+    """Min-terms at index rate ``ru`` from the per-block part
+    ``B = _index_block(L, beta, recover)``: (terms, recovered, sigma_q2).
+
+    ``sigma_q2`` is the quantizer variance that spends exactly ``ru`` on
+    the relay's observation and ``terms`` holds, per rate (r1, r2,
+    r1 + r2), the tuple of its min-terms (see :func:`_gqf_terms`).  With a
+    recovery rate, ``recovered`` marks the draws whose index is recovered
+    (the tie at the threshold goes to "recovered"), and the others carry
+    their fallback bound; else it is None.
+    """
+    received, G, index_rate, fallback = B
     sigma_q2 = _quantizer_variance(received, beta, ru)
-    return sigma_q2, _gqf_terms(G, beta, sigma_q2, charged)
+    terms = _gqf_terms(G, beta, sigma_q2)
+    if index_rate is None:
+        return terms, None, sigma_q2
+    recovered = index_rate >= ru
+    terms = tuple((np.where(recovered, t, f),) for (t,), f in zip(terms, fallback))
+    return terms, recovered, sigma_q2
 
 
 # At index rate ru the fixed-index-rate quantizer is
@@ -282,10 +308,10 @@ def _interference_terms(g, L, power, beta, sigma_q2, ru):
         q1 = [np.where(lim, v_yd1 / (1.0 + a2), q) for q in q1]
         q2 = [np.where(lim, v_yd1 / (1.0 + a1), q) for q in q2]
     mb = 1.0 - beta
-    w1a = beta * _lg(q1[0]) + mb * _lg((1.0 + d1 + d2) / (1.0 + d2))
-    w1b = beta * _lg(q1[1]) + mb * _lg((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
-    w2a = beta * _lg(q2[0]) + mb * _lg((1.0 + d1 + d2) / (1.0 + d1))
-    w2b = beta * _lg(q2[1]) + mb * _lg((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
+    w1a = beta * np.log2(q1[0]) + mb * np.log2((1.0 + d1 + d2) / (1.0 + d2))
+    w1b = beta * np.log2(q1[1]) + mb * np.log2((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
+    w2a = beta * np.log2(q2[0]) + mb * np.log2((1.0 + d1 + d2) / (1.0 + d1))
+    w2b = beta * np.log2(q2[1]) + mb * np.log2((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
     return w1a, w1b, w2a, w2b
 
 
@@ -296,8 +322,8 @@ def _no_index_interference_terms(L, beta):
     a1, a2, _, _, d1, d2, e, _ = L
     mb = 1.0 - beta
     v_yd1 = 1.0 + a1 + a2
-    return (beta * _lg(v_yd1 / (1.0 + a2)) + mb * _lg(1.0 + d1 / (1.0 + d2 + e)),
-            beta * _lg(v_yd1 / (1.0 + a1)) + mb * _lg(1.0 + d2 / (1.0 + d1 + e)))
+    return (beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e)),
+            beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e)))
 
 
 def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
@@ -305,9 +331,9 @@ def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
     cooperate-slot powers d1, d2, with relay power ``e`` added to every
     cooperate-slot bound (0 for a silent relay)."""
     mb = 1.0 - beta
-    i1 = beta * _lg(1.0 + a1) + mb * _lg(1.0 + d1 + e)
-    i2 = beta * _lg(1.0 + a2) + mb * _lg(1.0 + d2 + e)
-    isum = beta * _lg(1.0 + a1 + a2) + mb * _lg(1.0 + d1 + d2 + e)
+    i1 = beta * np.log2(1.0 + a1) + mb * np.log2(1.0 + d1 + e)
+    i2 = beta * np.log2(1.0 + a2) + mb * np.log2(1.0 + d2 + e)
+    isum = beta * np.log2(1.0 + a1 + a2) + mb * np.log2(1.0 + d1 + d2 + e)
     return i1, i2, isum
 
 
@@ -353,38 +379,9 @@ def _csit_terms(L, beta):
     """Per-bound best quantizer: each bound evaluated at its own equalizer
     variance, the most a relay with full CSI can deliver per bound."""
     return tuple(
-        np.minimum(*_gqf_terms([part], beta, s))
+        np.minimum(*_gqf_terms([part], beta, s)[0])
         for part, s in zip(_gqf_block(L, beta), _opt_sigmas(L, beta))
     )
-
-
-def _nonwz_block(L, beta):
-    """Per-block part of the non-WZ CF bounds, which does not depend on the
-    index rate: the rate at which the destination can recover the index,
-    the fallback region with the relay signal as cooperate-slot
-    interference and the plain fixed-index-rate block."""
-    _, _, _, _, d1, d2, e, _ = L
-    index_rate = (1.0 - beta) * _lg(1.0 + e / (1.0 + d1 + d2))
-    fallback = _direct_terms(L, beta, slot2_interference=e)
-    return index_rate, fallback, _fixed_ru_block(L, beta, charged=False)
-
-
-def _nonwz_terms(N, beta, ru):
-    """Successive-decoding bounds without binning at index rate ``ru``, from
-    the per-block part ``N = _nonwz_block(L, beta)``.
-
-    The destination first tries to recover the index codeword, treating the
-    cooperate-slot source signals as interference; the tie at the recovery
-    threshold goes to "recovered".  Otherwise the relay signal is
-    interference and the region is the degraded two-slot MAC.
-
-    Returns (i1, i2, isum, recovered, sigma_q2).
-    """
-    index_rate, fallback, F = N
-    recovered = index_rate >= ru
-    sigma_q2, t = _fixed_ru_terms(F, beta, ru, charged=False)
-    i1, i2, isum = (np.where(recovered, ti, fi) for ti, fi in zip(t, fallback))
-    return i1, i2, isum, recovered, sigma_q2
 
 
 def _df_terms(L, beta, r1, r2):
@@ -393,9 +390,9 @@ def _df_terms(L, beta, r1, r2):
     CSI, so it cannot do better); otherwise it stays silent."""
     a1, a2, c1, c2, d1, d2, e, _ = L
     decodes = (
-        (r1 <= beta * _lg(1.0 + c1))
-        & (r2 <= beta * _lg(1.0 + c2))
-        & (r1 + r2 <= beta * _lg(1.0 + c1 + c2))
+        (r1 <= beta * np.log2(1.0 + c1))
+        & (r2 <= beta * np.log2(1.0 + c2))
+        & (r1 + r2 <= beta * np.log2(1.0 + c1 + c2))
     )
     return _mac_terms(a1, a2, d1, d2, beta, np.where(decodes, e, 0.0))
 
@@ -419,7 +416,7 @@ def _af_terms(g, L, power):
     v2 = n2 + d1 + d2 + q1 + q2
     cross = h1d * np.conj(w1) * power.p11 + h2d * np.conj(w2) * power.p21
     dets = v1 * v2 - np.abs(cross) ** 2
-    return 0.5 * _lg(det1 / n2), 0.5 * _lg(det2 / n2), 0.5 * _lg(dets / n2)
+    return 0.5 * np.log2(det1 / n2), 0.5 * np.log2(det2 / n2), 0.5 * np.log2(dets / n2)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ def gqf_min_terms_gaussian(
         raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
     k = info.prefactor(state.field_kind)
     G = _gqf_block(_links(state.gains(), power), beta)
-    return tuple(k * float(v) for v in _gqf_terms(G, beta, sigma_q2))
+    return tuple(k * float(v) for t in _gqf_terms(G, beta, sigma_q2) for v in t)
 
 
 def quantizer_index_rate(
@@ -600,8 +597,8 @@ def nonwz_cf_region_fading(
     if not ru > 0.0:
         raise ValueError(f"relay index rate must be > 0, got {ru!r}")
     k = info.prefactor(state.field_kind)
-    t = _nonwz_terms(_nonwz_block(_links(state.gains(), power), beta), beta, ru / k)
-    return _scalar_region(t[:3], k)
+    B = _index_block(_links(state.gains(), power), beta, recover=True)
+    return _scalar_region([i for (i,) in _index_terms(B, beta, ru / k)[0]], k)
 
 
 def df_region(
@@ -647,7 +644,7 @@ def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, 
     sigma_q2 = sigma_opt if sigma_q2 is None else np.asarray(sigma_q2, dtype=float)
     if not sigma_q2.min() > 0.0:
         raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2.min()}")
-    _, _, _, _, tsa, tsb = _gqf_terms(_gqf_block(L, beta), beta, sigma_q2)
+    tsa, tsb = _gqf_terms(_gqf_block(L, beta), beta, sigma_q2)[2]
     norelay = np.maximum(k * _direct_terms(L, beta, boost)[2], 0.0)
     if not np.all(np.isfinite(norelay)):
         raise ValueError(f"rate bound isum must be finite and >= 0, got {norelay.max()}")

@@ -80,8 +80,8 @@ def test_c2_sum_rate_quantizer_optimizer():
     # the cores are in complex-signalling units; the static state's real
     # signalling halves them
     G = _gqf_block(_links(FIG3_STATE.gains(), UNIT_POWER), 0.5)
-    terms = _gqf_terms(G, 0.5, grid)
-    vals = 0.5 * np.minimum(terms[4], terms[5])
+    tsa, tsb = _gqf_terms(G, 0.5, grid)[2]  # the sum-rate min-terms
+    vals = 0.5 * np.minimum(tsa, tsb)
     i = int(np.argmax(vals))
     assert abs(grid[i] - s_opt) <= 1e-3 + 1e-12
     assert vals[i] == pytest.approx(1.1495, abs=1e-3)

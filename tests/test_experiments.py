@@ -106,6 +106,28 @@ def test_cli_list_fields_take_numbers_only(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, shown",
+    [
+        ("r1=1.0e300", "r1 must be a number, got '1.0e300' (str)"),
+        ("snr_db=1e-3", "snr_db must be a number, got '1e-3' (str)"),
+        ("snr_db_grid=[1.0e+1, 1e1]",
+         "each value of snr_db_grid must be a number, got '1e1' (str)"),
+        ("snr_db_grid=1.0e+1", "snr_db_grid must be a list of numbers, got 10.0 (float)"),
+        ("schemes=gqf", "schemes must be a list of strings, got 'gqf' (str)"),
+        ("seed=1.5", "seed must be an integer, got 1.5 (float)"),
+    ],
+)
+def test_cli_type_errors_show_the_value(tmp_path, capsys, override, shown):
+    # YAML 1.1 reads exponent notation without a dot or without a signed
+    # exponent as a string, so the error shows what was read and its type
+    out = tmp_path / "out.csv"
+    argv = ["preset", "fig5", "--samples", "100", "--out", str(out), "--override", override]
+    assert main(argv) == 2
+    assert shown in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_building_a_config_does_not_import_yaml():
     # only reading or writing YAML text needs yaml, not the library path
     code = (

@@ -1,6 +1,7 @@
 """Tests of the Monte Carlo outage layer: indicators, region
 classification, determinism, and the estimator contracts."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -31,6 +32,7 @@ from marcsim import (
 )
 from marcsim import outage, rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
+from marcsim.config import SCHEME_TOKENS
 from marcsim.outage import SCHEMES, block_terms, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
@@ -439,13 +441,47 @@ def test_scheme_table_rules():
     with pytest.raises(ValueError, match="needs beta = 0.5"):
         outage_flags("af", h, pw, 0.4, TARGET)
     for name, scheme in SCHEMES.items():
-        if scheme.regions is None:
+        if scheme.recover is None:
             outage_flags(name, h, pw, 0.5, RateTarget(1.0, 1.0))  # no index rate needed
             with pytest.raises(ValueError):
                 classify_region_batch(h, pw, 0.5, TARGET, name)
+            with pytest.raises(ValueError, match="no relay index rate"):
+                optimize_ru_grid(PROFILE, pw, 0.5, TARGET, (1.0, 2.0), 10, 1, scheme=name)
         else:
             with pytest.raises(ValueError):
                 outage_flags(name, h, pw, 0.5, RateTarget(1.0, 1.0))
+    # an "<name>_opt" series exists exactly for the schemes with an index rate
+    optimized = {SCHEME_TOKENS[t][0] for t in SCHEME_TOKENS if t.endswith("_opt")}
+    assert optimized == {name for name, s in SCHEMES.items() if s.recover is not None}
+    assert optimized == {"gqf", "nonwz_cf"}
+    assert all(SCHEME_TOKENS[f"{name}_opt"] == (name, True) for name in optimized)
+
+
+@pytest.mark.parametrize("name", ["gqf", "nonwz_cf"])
+def test_scheme_behaviour_comes_from_its_entry_not_its_name(monkeypatch, name):
+    # a copy of a table entry under a new name must give the original's
+    # flags, curve flags, region codes and grid choice, bit for bit
+    copy = "renamed_" + name
+    monkeypatch.setitem(SCHEMES, copy, dataclasses.replace(SCHEMES[name]))
+    pw = snr_power(10.0)
+    grid = (0.25, 1.0, 3.0, 6.0)
+    for sigma_rd2 in (0.01, 10.0):
+        prof = FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2)
+        h = sample_fading_block(prof, 12345, 0)[:1024]
+        for r1, r2 in ((1.0, 1.0), (1.5, 0.75)):
+            curves = [block_terms(s, h, pw, 0.5, (r1, r2)) for s in (name, copy)]
+            for ru in grid:
+                t = RateTarget(r1, r2, ru)
+                flags = [outage_flags(s, h, pw, 0.5, t) for s in (name, copy)]
+                assert np.array_equal(*flags)
+                assert 0 < flags[0].sum() < len(h)
+                assert np.array_equal(*(outage_flags(s, h, pw, 0.5, t, shared=b)
+                                        for s, b in zip((name, copy), curves)))
+                assert np.array_equal(*(classify_region_batch(h, pw, 0.5, t, s)
+                                        for s in (name, copy)))
+            assert optimize_ru_grid(prof, pw, 0.5, RateTarget(r1, r2, 3.0), grid, 1500, 7,
+                                    scheme=name) == optimize_ru_grid(
+                prof, pw, 0.5, RateTarget(r1, r2, 3.0), grid, 1500, 7, scheme=copy)
 
 
 @pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
@@ -465,7 +501,7 @@ def test_shared_block_terms_give_the_unshared_flags_and_estimates(scheme, sigma_
             outage_flags(scheme, h, pw, 0.5, t, shared=shared), outage_flags(scheme, h, pw, 0.5, t)
         )
     if scheme == "nonwz_cf":
-        recovered = [rates._nonwz_terms(shared.terms, 0.5, ru)[3].mean() for ru in grid]
+        recovered = [rates._index_terms(shared.terms, 0.5, ru)[1].mean() for ru in grid]
         assert (max(recovered) < 0.01) if sigma_rd2 == 0.001 else (max(recovered) > 0.5)
     ru_star, est = optimize_ru_grid(prof, pw, 0.5, RateTarget(1.0, 1.0, 3.0), grid, n, seed,
                                     scheme=scheme)
@@ -538,16 +574,16 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
     ok = (i1 > 0.0) & (i1 < isum)
     if scheme == "nonwz_cf":
-        ok &= b.terms[0] >= ru
+        ok &= b.terms[2] >= ru  # the block's index-recovery rate
     draws = np.flatnonzero(ok)[:8]
     assert draws.size == 8
     for j in draws:
-        for r1, outage in ((float(i1[j]), False), (float(np.nextafter(i1[j], np.inf)), True)):
+        for r1, in_outage in ((float(i1[j]), False), (float(np.nextafter(i1[j], np.inf)), True)):
             t = RateTarget(r1, 0.0, ru)
             shared = block_terms(scheme, h, pw, 0.5, (r1, 0.0))
             assert shared.curve.split(ru)[1][j]
             flags = outage_flags(scheme, h, pw, 0.5, t, shared=shared)
-            assert flags[j] == outage
+            assert flags[j] == in_outage
             assert np.array_equal(flags, outage_flags(scheme, h, pw, 0.5, t))
     with pytest.raises(ValueError, match="other arguments"):
         outage_flags(scheme, h, pw, 0.5, RateTarget(1.0, 1.0, ru), shared=shared)
@@ -567,14 +603,16 @@ def _codes_on_every_draw(scheme, h, pw, beta, target):
     b = block_terms(scheme, h, pw, beta)
     r1, r2, ru = target.r1, target.r2, target.ru
     clamp = lambda x: np.maximum(x, 0.0)
+    terms, recovered, sq2 = rates._index_terms(b.terms, beta, ru)
     if scheme == "gqf":
-        sq2, t = rates._fixed_ru_terms(b.terms, beta, ru)
+        assert recovered is None
+        (t1a, t1b), (t2a, t2b), (tsa, tsb) = terms
         w1a, w1b, w2a, w2b = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru)
-        reg2 = (r1 <= clamp(w1a)) & (r1 <= clamp(w1b)) & (r2 > clamp(t[2])) & (r2 > clamp(t[3]))
-        reg1 = (r2 <= clamp(w2a)) & (r2 <= clamp(w2b)) & (r1 > clamp(t[0])) & (r1 > clamp(t[1]))
-        i1, i2, isum = np.minimum(t[0], t[1]), np.minimum(t[2], t[3]), np.minimum(t[4], t[5])
+        reg2 = (r1 <= clamp(w1a)) & (r1 <= clamp(w1b)) & (r2 > clamp(t2a)) & (r2 > clamp(t2b))
+        reg1 = (r2 <= clamp(w2a)) & (r2 <= clamp(w2b)) & (r1 > clamp(t1a)) & (r1 > clamp(t1b))
+        i1, i2, isum = np.minimum(t1a, t1b), np.minimum(t2a, t2b), np.minimum(tsa, tsb)
     else:
-        i1, i2, isum, recovered, sq2 = rates._nonwz_terms(b.terms, beta, ru)
+        (i1,), (i2,), (isum,) = terms
         w = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru)
         a1, a2, _, _, d1, d2, e, _ = b.L
         v_yd1 = 1.0 + a1 + a2

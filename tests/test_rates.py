@@ -32,10 +32,9 @@ from marcsim.channel import draw_states, FadingProfile
 from marcsim.rates import (
     _af_terms,
     _csit_terms,
-    _fixed_ru_block,
-    _fixed_ru_terms,
+    _index_block,
+    _index_terms,
     _links,
-    _nonwz_block,
 )
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
@@ -291,10 +290,10 @@ def test_csit_dominates_fixed_index_rate_per_draw():
     pw = PowerConfig.from_snr(10.0, 0.5)
     L = _links(tuple(h[:, i] for i in range(5)), pw)
     cs = _csit_terms(L, 0.5)
-    _, t = _fixed_ru_terms(_fixed_ru_block(L, 0.5), 0.5, 3.0)
-    assert np.all(np.minimum(t[0], t[1]) <= cs[0] + 1e-9)
-    assert np.all(np.minimum(t[2], t[3]) <= cs[1] + 1e-9)
-    assert np.all(np.minimum(t[4], t[5]) <= cs[2] + 1e-9)
+    terms, recovered, _ = _index_terms(_index_block(L, 0.5, recover=False), 0.5, 3.0)
+    assert recovered is None
+    for (ta, tb), c in zip(terms, cs, strict=True):
+        assert np.all(np.minimum(ta, tb) <= c + 1e-9)
 
 
 def test_direct_reference_line():
@@ -497,7 +496,7 @@ def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
     assert regions[0] != regions[2]  # the relay forwards, then stays silent
 
     # the static index-recovery threshold and one ulp above
-    x = float(_nonwz_block(L, beta)[0]) / 2.0
+    x = float(_index_block(L, beta, recover=True)[2]) / 2.0
     regions = []
     for ru in (x, float(np.nextafter(x, math.inf)), 0.3, 3.0):
         got = nonwz_cf_region_fading(static, pw, beta, ru)
