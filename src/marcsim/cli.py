@@ -29,7 +29,7 @@ def _parse_overrides(pairs):
             raise ConfigError(f"override {pair!r} is not of the form key=value")
         try:
             out[key] = yaml.safe_load(raw)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int over the digit limit
             raise ConfigError(f"override value {raw!r} is not valid YAML: {exc}") from exc
     return out
 

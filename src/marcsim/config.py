@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelState, FadingProfile, PowerConfig
-from .outage import SCHEMES, RateTarget
+from .outage import SCHEMES, RateTarget, _scheme
 from .rates import _links, _static_model
 
 __all__ = [
@@ -147,9 +147,6 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"unknown scheme {token!r}; known: {tuple(SCHEME_TOKENS)}"
                     )
-                scheme = SCHEMES[SCHEME_TOKENS[token][0]]
-                if not scheme.allows(self.beta):
-                    raise ConfigError(f"scheme {token!r} needs beta = {scheme.beta}")
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat")
         # build what the run builds (and the static link powers for every
@@ -160,6 +157,8 @@ class ExperimentConfig:
             with np.errstate(all="raise", under="ignore"):
                 _links(state.gains(), power)
                 if sweep.fading:
+                    for token in self.schemes:  # each scheme's rules, e.g. its slot split
+                        _scheme(SCHEME_TOKENS[token][0], self.beta, None)
                     self.fading_points()
                     for ru in (self.ru, *self.ru_grid):
                         RateTarget(self.r1, self.r2, ru)
@@ -298,6 +297,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int over the digit limit
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return config_from_dict(data)

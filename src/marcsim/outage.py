@@ -43,8 +43,6 @@ __all__ = [
     "RateTarget",
     "OutageEstimate",
     "IndividualOutageEstimate",
-    "BlockTerms",
-    "block_terms",
     "outage_flags",
     "classify_region_batch",
     "common_outage_mc",
@@ -114,19 +112,14 @@ class IndividualOutageEstimate:
     seed: int
 
 
-class BlockTerms(NamedTuple):
-    """Terms of one scheme on one draw matrix that do not depend on the rate
-    target, built once by :func:`block_terms` and shared by every target
-    evaluated on those draws."""
+class _Block(NamedTuple):
+    """What a scheme's bounds read of one draw matrix (see :class:`Scheme`)."""
 
-    scheme: str
-    h: np.ndarray
     g: tuple            # gain columns (h1d, h2d, h1r, h2r, hrd)
     L: tuple            # link powers rates._links(g, power)
     power: PowerConfig
     beta: float
     terms: object       # rates._index_block(L, beta, Scheme.recover), or None
-    curve: object       # _IndexRateCurve(terms, beta, r1, r2), or None
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,8 @@ class Scheme:
     """One relaying scheme of the Monte Carlo layer.
 
     ``bounds(b, target)`` returns the per-draw (i1, i2, isum) from the
-    :class:`BlockTerms` ``b`` (gain columns ``b.g`` = (h1d, h2d, h1r, h2r,
-    hrd), link powers ``b.L = rates._links(g, power)``, ``b.power``,
+    block ``b`` of one draw matrix (gain columns ``b.g`` = (h1d, h2d, h1r,
+    h2r, hrd), link powers ``b.L = rates._links(g, power)``, ``b.power``,
     ``b.beta`` and ``b.terms``), in the complex-signalling units of the
     ``rates`` cores.  ``beta``, if set, is the only slot split the scheme
     is defined for.
@@ -146,18 +139,14 @@ class Scheme:
     scheme has the per-block terms ``rates._index_block(L, beta,
     recover)``, its bounds and region classification come from
     ``rates._index_terms``, and it gets an outage curve over the index
-    rate (:class:`_IndexRateCurve`).  It needs ``target.ru > 0``, gets an
-    ``<name>_opt`` series that optimizes ``ru`` and supports individual
-    outage.
+    rate (:class:`_IndexRateCurve`, passed as ``outage_flags(...,
+    curve=)``).  It needs ``target.ru > 0``, gets an ``<name>_opt`` series
+    that optimizes ``ru`` and supports individual outage.
     """
 
     bounds: Callable
     beta: float | None = None
     recover: bool | None = None
-
-    def allows(self, beta: float) -> bool:
-        """Whether the scheme is defined at slot split ``beta``."""
-        return self.beta is None or abs(beta - self.beta) <= 1e-12
 
 
 def _clamp(x):
@@ -247,7 +236,11 @@ _GUARD = 1e-9
 
 
 class _IndexRateCurve:
-    """Outage of one block's draws for one rate pair at any index rate.
+    """Outage of ``scheme`` on the draw matrix ``h`` for the rate pair
+    (r1, r2) at any index rate.  It builds the block's
+    ``rates._index_block`` once and records what it was built for (``h``
+    itself, scheme, power, beta and rate pair), which
+    ``outage_flags(..., curve=)`` checks.
 
     In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) every
     fixed-index-rate bound is monotone (see rates._plain_thresholds): the
@@ -261,15 +254,18 @@ class _IndexRateCurve:
     whose inputs are not finite and where 2^(ru/beta) - 1 is 0 or inf, so
     its flags are bit-identical to the kernel's.
 
-    ``terms`` is a ``rates._index_block``.  Without a recovery rate (GQF)
-    every draw counts as recovering the index.  With one (non-WZ CF)
-    recovery is tested exactly (``index_rate >= ru``), and a draw that does
-    not recover takes the fallback verdict, which does not depend on ``ru``
-    and is found once per block.
+    Without a recovery rate (GQF) every draw counts as recovering the
+    index.  With one (non-WZ CF) recovery is tested exactly (``index_rate
+    >= ru``), and a draw that does not recover takes the fallback verdict,
+    which does not depend on ``ru`` and is found once per block.
     """
 
-    def __init__(self, terms, beta, r1, r2):
-        self.terms, self.beta, self.rates = terms, beta, (r1, r2)
+    def __init__(self, scheme, h, power, beta, r1, r2):
+        spec = _scheme(scheme, beta, None, index_rate=True)
+        r1, r2 = float(r1), float(r2)
+        self.h, self.built_for = h, (scheme, power, beta, (r1, r2))
+        self.terms = terms = _block(spec, h, power, beta).terms
+        self.beta = beta
         received, G, self.index_rate, fallback = terms
         self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
         self.charged = charged = G[0][3] is not None
@@ -348,7 +344,7 @@ def _scheme(name: str, beta: float, target: RateTarget | None, *, index_rate=Fal
     if index_rate and spec.recover is None:
         raise ValueError(f"scheme {name!r} has no relay index rate to classify or optimize")
     _check_beta(beta)
-    if not spec.allows(beta):
+    if spec.beta is not None and abs(beta - spec.beta) > 1e-12:
         raise ValueError(f"scheme {name!r} needs beta = {spec.beta}")
     if target is not None and spec.recover is not None and target.ru <= 0.0:
         raise ValueError(f"scheme {name!r} needs a positive relay index rate")
@@ -370,31 +366,11 @@ def _violated(i1, i2, isum, target: RateTarget):
     )
 
 
-def block_terms(
-    scheme: str,
-    h: np.ndarray,
-    power: PowerConfig,
-    beta: float,
-    rates_pair: tuple[float, float] | None = None,
-) -> BlockTerms:
-    """Target-independent terms of ``scheme`` on the draw matrix ``h``.
-
-    Passing them as ``outage_flags(scheme, h, power, beta, target,
-    shared=...)`` evaluates each further target on the same draws without
-    recomputing them; the flags are bit-identical to those computed
-    without ``shared``.  With ``rates_pair = (r1, r2)`` a scheme with a
-    relay index rate also builds its outage curve over the index rate, and
-    every target must then have that rate pair.
-    """
-    spec = _scheme(scheme, beta, None)
+def _block(spec: Scheme, h: np.ndarray, power: PowerConfig, beta: float) -> _Block:
     g = _columns(h)
     L = rates._links(g, power)
-    terms = curve = None
-    if spec.recover is not None:
-        terms = rates._index_block(L, beta, spec.recover)
-        if rates_pair is not None:
-            curve = _IndexRateCurve(terms, beta, float(rates_pair[0]), float(rates_pair[1]))
-    return BlockTerms(scheme, h, g, L, power, beta, terms, curve)
+    terms = None if spec.recover is None else rates._index_block(L, beta, spec.recover)
+    return _Block(g, L, power, beta, terms)
 
 
 def outage_flags(
@@ -404,27 +380,22 @@ def outage_flags(
     beta: float,
     target: RateTarget,
     *,
-    shared: BlockTerms | None = None,
+    curve: _IndexRateCurve | None = None,
 ) -> np.ndarray:
     """Per-draw outage indicators of ``scheme`` on the draw matrix ``h``.
 
     Complex-signalling units, as in the ``rates`` cores.  Evaluating
-    several schemes on one ``h`` compares them on shared draws.  ``shared``, if given, must be
-    ``block_terms(scheme, h, power, beta[, (target.r1, target.r2)])`` for
-    this very ``h``; without it those terms are built here.
+    several schemes on one ``h`` compares them on shared draws.  ``curve``,
+    if given, must be ``_IndexRateCurve(scheme, h, power, beta, target.r1,
+    target.r2)`` for this very ``h``, else ValueError; its flags are
+    bit-identical to the exact bounds evaluated here without it.
     """
     spec = _scheme(scheme, beta, target)
-    if shared is None:
-        shared = block_terms(scheme, h, power, beta)
-    elif (
-        (shared.scheme, shared.power, shared.beta) != (scheme, power, beta)
-        or shared.h is not h
-        or (shared.curve is not None and shared.curve.rates != (target.r1, target.r2))
-    ):
-        raise ValueError("shared block terms were built for other arguments")
-    if shared.curve is not None:
-        return shared.curve.flags(target)
-    return _violated(*spec.bounds(shared, target), target)
+    if curve is None:
+        return _violated(*spec.bounds(_block(spec, h, power, beta), target), target)
+    if curve.h is not h or curve.built_for != (scheme, power, beta, (target.r1, target.r2)):
+        raise ValueError("index-rate curve was built for other arguments")
+    return curve.flags(target)
 
 
 def classify_region_batch(
@@ -442,8 +413,8 @@ def classify_region_batch(
     mirrors it.  Raises RuntimeError if the four regions fail to partition
     (internal invariant).
     """
-    _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = _index_regions(block_terms(scheme, h, power, beta), target)
+    spec = _scheme(scheme, beta, target, index_rate=True)
+    bounds, reg1, reg2 = _index_regions(_block(spec, h, power, beta), target)
     common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")
@@ -544,12 +515,11 @@ def optimize_ru_grid(
         raise ValueError("index-rate grid must be positive and strictly increasing")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
     _scheme(scheme, beta, targets[0], index_rate=True)
-    # the ru-independent terms and the outage curve over ru are built once
-    # per block, not per grid entry
+    # the outage curve over ru is built once per block, not per grid entry
 
     def fn(h):
-        shared = block_terms(scheme, h, power, beta, (target.r1, target.r2))
-        return [int(outage_flags(scheme, h, power, beta, t, shared=shared).sum()) for t in targets]
+        curve = _IndexRateCurve(scheme, h, power, beta, target.r1, target.r2)
+        return [int(outage_flags(scheme, h, power, beta, t, curve=curve).sum()) for t in targets]
 
     counts = _accumulate(profile, n, seed, fn)
     best = int(np.argmin(counts))  # first minimum = smallest rate on ties

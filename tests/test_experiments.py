@@ -62,7 +62,7 @@ def test_config_rejects_bad_input():
         config_from_dict({"kind": "fading_snr_sweep", "schemes": ["gqf", "warp"]})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "fading_snr_sweep", "snr_db_grid": [10.0, 5.0]})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="scheme 'af' needs beta = 0.5"):
         config_from_dict({"kind": "fading_snr_sweep", "beta": 0.4, "schemes": ["af"]})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "fading_snr_sweep", "n_samples": 0})
@@ -346,11 +346,31 @@ def test_validate_checks_sweep_grids_through_the_model(tmp_path, kind, field, gr
     assert main(["validate", str(cfg)]) == code
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_oversized_yaml_integer_is_a_config_error(tmp_path, capsys):
+    # PyYAML raises a plain ValueError for an integer literal over Python's
+    # int-string digit limit, in a config file and in an override alike
+    digits = "9" * 5000
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(f"kind: fading_snr_sweep\nr1: {digits}\n")
+    out = tmp_path / "out.csv"
+    for argv in (["validate", str(cfg)],
+                 ["preset", "fig5", "--out", str(out), "--override", f"r1={digits}"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not out.exists()
+
+
+def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: fading_snr_sweep\nn_samples: -3\n")
     assert main(["validate", str(bad)]) == 2
     assert main(["run", str(bad)]) == 2
+    af = tmp_path / "af.yaml"
+    af.write_text("kind: fading_snr_sweep\nbeta: 0.4\nschemes: [af]\n")
+    capsys.readouterr()
+    assert main(["validate", str(af)]) == 2
+    assert capsys.readouterr().err == "config error: scheme 'af' needs beta = 0.5\n"
     assert main(["validate", str(tmp_path / "missing.yaml")]) == 2
     assert main(["preset", "fig3", "--override", "nonsense"]) == 2
     with pytest.raises(SystemExit):

@@ -33,7 +33,7 @@ from marcsim import (
 from marcsim import outage, rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
 from marcsim.config import SCHEME_TOKENS
-from marcsim.outage import SCHEMES, block_terms, classify_region_batch
+from marcsim.outage import SCHEMES, _IndexRateCurve, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -469,14 +469,14 @@ def test_scheme_behaviour_comes_from_its_entry_not_its_name(monkeypatch, name):
         prof = FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2)
         h = sample_fading_block(prof, 12345, 0)[:1024]
         for r1, r2 in ((1.0, 1.0), (1.5, 0.75)):
-            curves = [block_terms(s, h, pw, 0.5, (r1, r2)) for s in (name, copy)]
+            curves = [_IndexRateCurve(s, h, pw, 0.5, r1, r2) for s in (name, copy)]
             for ru in grid:
                 t = RateTarget(r1, r2, ru)
                 flags = [outage_flags(s, h, pw, 0.5, t) for s in (name, copy)]
                 assert np.array_equal(*flags)
                 assert 0 < flags[0].sum() < len(h)
-                assert np.array_equal(*(outage_flags(s, h, pw, 0.5, t, shared=b)
-                                        for s, b in zip((name, copy), curves)))
+                assert np.array_equal(*(outage_flags(s, h, pw, 0.5, t, curve=c)
+                                        for s, c in zip((name, copy), curves)))
                 assert np.array_equal(*(classify_region_batch(h, pw, 0.5, t, s)
                                         for s in (name, copy)))
             assert optimize_ru_grid(prof, pw, 0.5, RateTarget(r1, r2, 3.0), grid, 1500, 7,
@@ -486,7 +486,7 @@ def test_scheme_behaviour_comes_from_its_entry_not_its_name(monkeypatch, name):
 
 @pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
 @pytest.mark.parametrize("sigma_rd2", [0.001, 1.0, 100.0])
-def test_shared_block_terms_give_the_unshared_flags_and_estimates(scheme, sigma_rd2):
+def test_curve_gives_the_exact_flags_and_estimates(scheme, sigma_rd2):
     # fig8 sweep points: 10 dB, unit source links, relay-destination
     # variance sigma_rd2 (index recovered almost never at 0.001, often at 100)
     grid = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
@@ -494,14 +494,14 @@ def test_shared_block_terms_give_the_unshared_flags_and_estimates(scheme, sigma_
     pw = PowerConfig.from_snr_db(10.0, 0.5)
     n, seed = BLOCK_SIZE + 5, 12345
     h = sample_fading_block(prof, seed, 0)
-    shared = block_terms(scheme, h, pw, 0.5)
+    curve = _IndexRateCurve(scheme, h, pw, 0.5, 1.0, 1.0)
     for ru in grid:
         t = RateTarget(1.0, 1.0, ru)
         assert np.array_equal(
-            outage_flags(scheme, h, pw, 0.5, t, shared=shared), outage_flags(scheme, h, pw, 0.5, t)
+            outage_flags(scheme, h, pw, 0.5, t, curve=curve), outage_flags(scheme, h, pw, 0.5, t)
         )
     if scheme == "nonwz_cf":
-        recovered = [rates._index_terms(shared.terms, 0.5, ru)[1].mean() for ru in grid]
+        recovered = [rates._index_terms(curve.terms, 0.5, ru)[1].mean() for ru in grid]
         assert (max(recovered) < 0.01) if sigma_rd2 == 0.001 else (max(recovered) > 0.5)
     ru_star, est = optimize_ru_grid(prof, pw, 0.5, RateTarget(1.0, 1.0, 3.0), grid, n, seed,
                                     scheme=scheme)
@@ -511,14 +511,21 @@ def test_shared_block_terms_give_the_unshared_flags_and_estimates(scheme, sigma_
     assert all(e.p_hat >= est.p_hat for e in per_ru)
 
 
-def test_shared_block_terms_must_match_the_call():
+def test_curve_must_match_the_call():
     pw = snr_power(10.0)
     h = draw_states(PROFILE, 50, 3)
-    shared = block_terms("gqf", h, pw, 0.5)
-    for args in (("nonwz_cf", h, pw, 0.5), ("gqf", h.copy(), pw, 0.5),
-                 ("gqf", h, snr_power(20.0), 0.5), ("gqf", h, pw, 0.4)):
+    curve = _IndexRateCurve("gqf", h, pw, 0.5, TARGET.r1, TARGET.r2)
+    assert np.array_equal(outage_flags("gqf", h, pw, 0.5, TARGET, curve=curve),
+                          outage_flags("gqf", h, pw, 0.5, TARGET))
+    for args in (
+        ("nonwz_cf", h, pw, 0.5, TARGET),
+        ("gqf", h.copy(), pw, 0.5, TARGET),
+        ("gqf", h, snr_power(20.0), 0.5, TARGET),
+        ("gqf", h, pw, 0.4, TARGET),
+        ("gqf", h, pw, 0.5, RateTarget(TARGET.r1, 0.5, TARGET.ru)),  # another (r1, r2)
+    ):
         with pytest.raises(ValueError, match="other arguments"):
-            outage_flags(*args, TARGET, shared=shared)
+            outage_flags(*args, curve=curve)
 
 
 CURVE_RU = (1e-300, 1e-6, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 20.0, 40.0, 60.0,
@@ -528,7 +535,7 @@ CURVE_RU = (1e-300, 1e-6, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0
 @pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
 @pytest.mark.parametrize("beta", [0.2, 0.5, 0.8, 1e-13, 1e-300])
 def test_curve_flags_equal_exact_flags(scheme, beta):
-    # the outage curve of a block (rate pair given to block_terms) must give
+    # the outage curve of a block for one rate pair must give
     # the exact per-target flags at every index rate: the fig8 ru_grid, the
     # subnormal-like and huge rates whose quantizer variance over- or
     # underflows, and 20, 40 and 60, where the quantizer variance is far
@@ -547,11 +554,10 @@ def test_curve_flags_equal_exact_flags(scheme, beta):
             if sigma_rd2 == 1.0:
                 h[::7, 4] = np.nan
             for r1, r2 in ((1.0, 1.0), (0.0, 1.5), (2.0, 0.5)):
-                shared = block_terms(scheme, h, pw, beta, (r1, r2))
-                assert shared.curve is not None
+                curve = _IndexRateCurve(scheme, h, pw, beta, r1, r2)
                 for ru in CURVE_RU:
                     t = RateTarget(r1, r2, ru)
-                    assert np.array_equal(outage_flags(scheme, h, pw, beta, t, shared=shared),
+                    assert np.array_equal(outage_flags(scheme, h, pw, beta, t, curve=curve),
                                           outage_flags(scheme, h, pw, beta, t)), (snr_db, sigma_rd2, t)
 
 
@@ -570,7 +576,7 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     pw = snr_power(snr_db)
     h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
     h[-1] = np.nan
-    b = block_terms(scheme, h, pw, 0.5)
+    b = outage._block(SCHEMES[scheme], h, pw, 0.5)
     i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
     ok = (i1 > 0.0) & (i1 < isum)
     if scheme == "nonwz_cf":
@@ -580,13 +586,13 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     for j in draws:
         for r1, in_outage in ((float(i1[j]), False), (float(np.nextafter(i1[j], np.inf)), True)):
             t = RateTarget(r1, 0.0, ru)
-            shared = block_terms(scheme, h, pw, 0.5, (r1, 0.0))
-            assert shared.curve.split(ru)[1][j]
-            flags = outage_flags(scheme, h, pw, 0.5, t, shared=shared)
+            curve = _IndexRateCurve(scheme, h, pw, 0.5, r1, 0.0)
+            assert curve.split(ru)[1][j]
+            flags = outage_flags(scheme, h, pw, 0.5, t, curve=curve)
             assert flags[j] == in_outage
             assert np.array_equal(flags, outage_flags(scheme, h, pw, 0.5, t))
     with pytest.raises(ValueError, match="other arguments"):
-        outage_flags(scheme, h, pw, 0.5, RateTarget(1.0, 1.0, ru), shared=shared)
+        outage_flags(scheme, h, pw, 0.5, RateTarget(1.0, 1.0, ru), curve=curve)
 
 
 def test_outage_module_computes_no_rate():
@@ -600,7 +606,7 @@ def _codes_on_every_draw(scheme, h, pw, beta, target):
     """Region codes with the single-user bounds evaluated on every draw,
     as classify_region_batch did before it restricted them to the draws
     where a user fails its own bounds."""
-    b = block_terms(scheme, h, pw, beta)
+    b = outage._block(SCHEMES[scheme], h, pw, beta)
     r1, r2, ru = target.r1, target.r2, target.ru
     clamp = lambda x: np.maximum(x, 0.0)
     terms, recovered, sq2 = rates._index_terms(b.terms, beta, ru)
