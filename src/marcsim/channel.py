@@ -18,6 +18,7 @@ and do not depend on the order in which they are drawn.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,7 @@ class PowerConfig:
     def from_snr(cls, snr: float, beta: float) -> "PowerConfig":
         """Source powers equal to snr in both slots; relay spends the same
         average block energy by transmitting snr/(1-beta) in its slot."""
+        _check_beta(beta)
         return cls(snr, snr, snr, snr, snr / (1.0 - beta))
 
     @classmethod
@@ -143,10 +145,56 @@ class FadingProfile:
         )
 
 
-def _check_beta(beta: float) -> float:
+# Input rules.  Each is raised here only, so the scalar API, the Monte Carlo
+# layer and config validation accept the same values; every comparison fails on
+# NaN, and ``name`` is the field or argument the message names.
+
+
+def _check_beta(beta: float, name: str = "slot ratio beta") -> None:
     if not (0.0 < beta < 1.0):
-        raise ValueError(f"slot ratio beta must lie in (0, 1), got {beta!r}")
-    return beta
+        raise ValueError(f"{name} must lie in (0, 1), got {beta!r}")
+
+
+def _check_slot(beta: float, required: float | None, who: str) -> None:
+    """``beta`` in (0, 1), and equal to ``required`` if a scheme needs one split."""
+    _check_beta(beta)
+    if required is not None and abs(beta - required) > 1e-12:
+        raise ValueError(f"{who} needs beta = {required}")
+
+
+def _check_rate(rate: float, name: str) -> None:
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {rate!r}")
+
+
+def _check_index_rate(ru: float, name: str = "relay index rate ru") -> None:
+    if not (math.isfinite(ru) and ru > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {ru!r}")
+
+
+def _check_sigma_q2(sigma_q2: float) -> None:
+    if not sigma_q2 > 0.0:  # inf (observation discarded) passes
+        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
+
+
+def _check_boost(boost: float, name: str = "power boost") -> None:
+    if not (math.isfinite(boost) and boost >= 1.0):
+        raise ValueError(f"{name} must be finite and >= 1, got {boost!r}")
+
+
+def _check_samples(n: int, name: str = "n") -> None:
+    if not n >= 1:
+        raise ValueError(f"{name} must be >= 1 (at least one sample), got {n!r}")
+
+
+def _check_u64(value: int, name: str = "seed") -> None:
+    if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
+
+
+def _check_grid(grid, name: str) -> None:
+    if not (len(grid) and all(b > a for a, b in zip(grid, grid[1:]))):
+        raise ValueError(f"{name} must be non-empty and strictly increasing, got {list(grid)!r}")
 
 
 def substream(seed: int, index: int) -> Generator:
@@ -155,10 +203,8 @@ def substream(seed: int, index: int) -> Generator:
     Philox is counter based: keying by (seed, index) makes substreams
     reproducible in any order.
     """
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if not (0 <= int(index) < 2**64):
-        raise ValueError("substream index must fit in an unsigned 64-bit integer")
+    _check_u64(seed)
+    _check_u64(index, "substream index")
     key = np.array([seed, index], dtype=np.uint64)
     return Generator(Philox(key=key))
 
@@ -183,8 +229,7 @@ def sample_fading_block(
 
 def draw_states(profile: FadingProfile, n: int, seed: int) -> np.ndarray:
     """Materialize the first ``n`` fading states of a run as an (n, 5) matrix."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_samples(n)
     blocks = []
     for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
         blocks.append(sample_fading_block(profile, seed, b))
@@ -209,8 +254,7 @@ def slot1_system(state: ChannelState, power: PowerConfig, sigma_q2: float):
     YhR row is dropped from the system rather than materializing an
     infinite variance.
     """
-    if not sigma_q2 > 0.0:
-        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
+    _check_sigma_q2(sigma_q2)
     h1d, h2d, h1r, h2r, _ = state.gains()
     if math.isinf(sigma_q2):
         mixing = [
@@ -264,8 +308,7 @@ def sigma_q2_for_fixed_ru(
     the choice a relay with receiver-side CSI alone can actually make.
     """
     _check_beta(beta)
-    if not ru > 0.0:
-        raise ValueError(f"relay index rate must be > 0, got {ru!r}")
+    _check_index_rate(ru)
     received = abs(state.h1r) ** 2 * power.p11 + abs(state.h2r) ** 2 * power.p21
     return _quantizer_variance(received, beta, ru / prefactor(state.field_kind))
 
@@ -296,8 +339,7 @@ def ru_for_sigma_q2(
     """Index rate implied by a quantizer variance; inverse of
     :func:`sigma_q2_for_fixed_ru` (same bit convention)."""
     _check_beta(beta)
-    if not sigma_q2 > 0.0:
-        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
+    _check_sigma_q2(sigma_q2)
     if math.isinf(sigma_q2):
         return 0.0
     k = prefactor(state.field_kind)

@@ -9,13 +9,23 @@ equals ``cfg``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelState, FadingProfile, PowerConfig
+from .channel import (
+    ChannelState,
+    FadingProfile,
+    PowerConfig,
+    _check_boost,
+    _check_grid,
+    _check_index_rate,
+    _check_samples,
+    _check_u64,
+)
 from .outage import SCHEMES, RateTarget, _scheme
 from .rates import _links, _static_model
 
@@ -118,27 +128,6 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; known: {tuple(KINDS)}")
         sweep = KINDS[self.kind]
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError("beta must lie in (0, 1)")
-        if self.r1 < 0.0 or self.r2 < 0.0 or self.ru <= 0.0:
-            raise ConfigError("need r1, r2 >= 0 and ru > 0")
-        for name in ("var_1d", "var_2d", "var_1r", "var_2r", "var_rd"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
-        if not (math.isfinite(self.norelay_boost) and self.norelay_boost >= 1.0):
-            raise ConfigError("norelay_boost must be finite and >= 1")
-        for name in (f"{sweep.name}_grid", "ru_grid"):
-            grid = getattr(self, name)
-            if not grid:
-                raise ConfigError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name} must be strictly increasing")
-        if self.ru_grid[0] <= 0.0:
-            raise ConfigError("ru_grid values must be > 0")
         if sweep.fading:
             if not self.schemes:
                 raise ConfigError("schemes must be non-empty")
@@ -149,10 +138,21 @@ class ExperimentConfig:
                     )
             if len(set(self.schemes)) != len(self.schemes):
                 raise ConfigError("schemes must not repeat")
-        # build what the run builds (and the static link powers for every
-        # kind): a value the model rejects, such as a grid value out of its
-        # domain, or a kernel input beyond the float range is a config error
+        # every other rule is the model's: build the model from every scalar
+        # field, used by this kind or not, and what the run builds, so a value
+        # it rejects or a kernel input beyond the float range is a config error
         try:
+            _check_samples(self.n_samples, "n_samples")
+            _check_u64(self.seed, "seed")
+            _check_boost(self.norelay_boost, "norelay_boost")
+            for name in (f"{sweep.name}_grid", "ru_grid"):
+                _check_grid(getattr(self, name), name)
+            _check_index_rate(self.ru, "ru")
+            for ru in self.ru_grid:
+                _check_index_rate(ru, "each value of ru_grid")
+            RateTarget(self.r1, self.r2, self.ru)  # r1, r2; each ru passed the stricter rule
+            FadingProfile(self.var_1d, self.var_2d, self.var_1r, self.var_2r, self.var_rd)
+            PowerConfig.from_snr_db(self.snr_db, self.beta)
             state, power = self.static_channel()
             with np.errstate(all="raise", under="ignore"):
                 _links(state.gains(), power)
@@ -160,8 +160,6 @@ class ExperimentConfig:
                     for token in self.schemes:  # each scheme's rules, e.g. its slot split
                         _scheme(SCHEME_TOKENS[token][0], self.beta, None)
                     self.fading_points()
-                    for ru in (self.ru, *self.ru_grid):
-                        RateTarget(self.r1, self.r2, ru)
                 else:
                     _static_model(state, power, self._swept("beta") or self.beta,
                                   self._swept("sigma_q2") or None, self.norelay_boost)
@@ -225,22 +223,15 @@ def _float(name, value):
     return value
 
 
-def _float_tuple(name, values):
-    if isinstance(values, str):
-        raise ConfigError(f"{name} must be a list of numbers{_got(values)}")
-    try:
-        return tuple(_float(f"each value of {name}", v) for v in values)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be a list of numbers{_got(values)}") from exc
+def _tuple(item, what):
+    """Rule taking a list (not a string) of values, each by ``item``."""
 
+    def rule(name, values):
+        if isinstance(values, str) or not isinstance(values, Iterable):
+            raise ConfigError(f"{name} must be a list of {what}{_got(values)}")
+        return tuple(item(f"each value of {name}", v) for v in values)
 
-def _str_tuple(name, values):
-    if isinstance(values, str):
-        raise ConfigError(f"{name} must be a list of strings{_got(values)}")
-    try:
-        return tuple(str(v) for v in values)
-    except TypeError as exc:
-        raise ConfigError(f"{name} must be a list of strings{_got(values)}") from exc
+    return rule
 
 
 #: the coercion and type check of each field, by its annotation
@@ -249,8 +240,8 @@ _COERCE = {
     "float": _float,
     "bool": _typed(bool, "a boolean"),
     "str": _typed(str, "a string"),
-    "tuple[float, ...]": _float_tuple,
-    "tuple[str, ...]": _str_tuple,
+    "tuple[float, ...]": _tuple(_float, "numbers"),
+    "tuple[str, ...]": _tuple(lambda name, v: str(v), "strings"),
 }
 
 

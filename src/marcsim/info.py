@@ -59,6 +59,16 @@ class LabelError(KeyError):
     """A queried variable name is not part of the system."""
 
 
+def _positions(labels: tuple[str, ...], subset: Iterable[str]) -> list[int]:
+    """Position of each name of ``subset`` in ``labels``; LabelError for a
+    name that is not there."""
+    idx = {name: i for i, name in enumerate(labels)}
+    try:
+        return [idx[name] for name in subset]
+    except KeyError as exc:
+        raise LabelError(exc.args[0]) from None
+
+
 class DegenerateCovarianceError(ValueError):
     """A required sub-covariance is singular beyond tolerance."""
 
@@ -100,13 +110,7 @@ class JointPMF:
             raise ValueError(f"pmf mass {mass!r} is not 1 within {_MASS_TOL:g}")
 
     def axes_of(self, subset: Iterable[str]) -> list[int]:
-        idx = {name: i for i, name in enumerate(self.labels)}
-        out = []
-        for name in subset:
-            if name not in idx:
-                raise LabelError(name)
-            out.append(idx[name])
-        return out
+        return _positions(self.labels, subset)
 
     def marginal(self, subset: Sequence[str]) -> np.ndarray:
         """Marginal table over ``subset``, axes in the given order."""
@@ -137,8 +141,7 @@ class GaussianSystem:
     def __post_init__(self):
         labels = tuple(self.labels)
         cov = np.asarray(self.covariance)
-        if self.field_kind not in _PREFACTOR:
-            raise ValueError(f"unknown field_kind {self.field_kind!r}")
+        prefactor(self.field_kind)  # rejects an unknown field_kind
         cov = cov.astype(complex if self.field_kind == "complex" else float)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "covariance", cov)
@@ -162,13 +165,7 @@ class GaussianSystem:
         return _PREFACTOR[self.field_kind]
 
     def indices_of(self, subset: Iterable[str]) -> list[int]:
-        idx = {name: i for i, name in enumerate(self.labels)}
-        out = []
-        for name in subset:
-            if name not in idx:
-                raise LabelError(name)
-            out.append(idx[name])
-        return out
+        return _positions(self.labels, subset)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -190,6 +187,12 @@ def _check_disjoint(a, b, c):
     return a, b, c
 
 
+def _conditional_mi(h, a, b, c) -> float:
+    """I(A;B|C) = H(A,C) + H(B,C) - H(C) - H(A,B,C) from a joint entropy
+    (or log-determinant) ``h`` of a tuple of names."""
+    return h(a + c) + h(b + c) - h(c) - h(a + b + c)
+
+
 def mutual_info_discrete(
     pmf: JointPMF, a: Sequence[str], b: Sequence[str], c: Sequence[str] = ()
 ) -> float:
@@ -200,13 +203,7 @@ def mutual_info_discrete(
     a, b, c = _check_disjoint(a, b, c)
     if not a or not b:
         return 0.0
-    val = (
-        entropy_discrete(pmf, a + c)
-        + entropy_discrete(pmf, b + c)
-        - entropy_discrete(pmf, c)
-        - entropy_discrete(pmf, a + b + c)
-    )
-    return max(val, 0.0)
+    return max(_conditional_mi(lambda s: entropy_discrete(pmf, s), a, b, c), 0.0)
 
 
 def _strip_deterministic(system: GaussianSystem, subset: tuple[str, ...]) -> tuple[str, ...]:
@@ -254,10 +251,5 @@ def mutual_info_gaussian(
     c = _strip_deterministic(system, c)
     if not a or not b:
         return 0.0
-    val = (
-        _logdet(system, a + c)
-        + _logdet(system, b + c)
-        - _logdet(system, c)
-        - _logdet(system, a + b + c)
-    )
+    val = _conditional_mi(lambda s: _logdet(system, s), a, b, c)
     return max(system.prefactor * val / _LOG2, 0.0)

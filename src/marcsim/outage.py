@@ -32,7 +32,11 @@ from .channel import (
     BLOCK_SIZE,
     FadingProfile,
     PowerConfig,
-    _check_beta,
+    _check_grid,
+    _check_index_rate,
+    _check_rate,
+    _check_samples,
+    _check_slot,
     _index_denom,
     sample_fading_block,
 )
@@ -64,9 +68,7 @@ class RateTarget:
 
     def __post_init__(self):
         for name in ("r1", "r2", "ru"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"rate {name} must be finite and >= 0, got {v!r}")
+            _check_rate(getattr(self, name), f"rate {name}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,7 @@ class OutageEstimate:
     def __post_init__(self):
         if not 0.0 <= self.p_hat <= 1.0:
             raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
+        _check_samples(self.n_samples, "n_samples")
 
     @classmethod
     def from_count(cls, count: int, n: int, seed: int) -> "OutageEstimate":
@@ -177,26 +178,13 @@ def _take(parts, idx):
     return parts
 
 
-def _region_masks(fail1, fail2, alone):
-    """Region-1 and region-2 masks from each user's failure of its own
-    bounds and ``alone(idx)``, which gives (user 1 decodable alone, user 2
-    decodable alone) on the draws ``idx``.  Only a draw where one user
-    fails can land in region 1 or 2, so ``alone`` sees those draws only."""
-    reg1 = np.zeros_like(fail1)
-    reg2 = np.zeros_like(fail2)
-    idx = np.flatnonzero(fail1 | fail2)
-    if idx.size:
-        alone1, alone2 = alone(idx)
-        reg1[idx] = alone2 & fail1[idx]
-        reg2[idx] = alone1 & fail2[idx]
-    return reg1, reg2
-
-
 def _index_regions(b, target):
     """(i1, i2, isum) and the region-1 and region-2 masks of a scheme with a
     relay index rate.  A user fails where it violates all of its own
     min-terms; it is decodable alone where it meets the single-user bounds,
-    with the other source as noise, of its draw's index outcome."""
+    with the other source as noise, of its draw's index outcome.  Only a
+    draw where a user fails can land in region 1 or 2, so those bounds are
+    evaluated on such draws only."""
     terms, recovered, sq2 = rates._index_terms(b.terms, b.beta, target.ru)
     r1, r2 = target.r1, target.r2
     n = len(terms[0])  # min-terms per rate: 2 where the index is charged
@@ -208,21 +196,25 @@ def _index_regions(b, target):
         return (_all(r1 <= _clamp(w) for w in (w1a, w1b)[:n]),
                 _all(r2 <= _clamp(w) for w in (w2a, w2b)[:n]))
 
-    def alone(idx):
-        if recovered is None:
-            return decodable(idx)
-        ok1, ok2 = np.empty(idx.size, bool), np.empty(idx.size, bool)
-        rec = recovered[idx]
-        if rec.any():
-            ok1[rec], ok2[rec] = decodable(idx[rec])
-        if not rec.all():
-            u1, u2 = rates._no_index_interference_terms(_take(b.L, idx[~rec]), b.beta)
-            ok1[~rec], ok2[~rec] = r1 <= _clamp(u1), r2 <= _clamp(u2)
-        return ok1, ok2
-
     fail1 = _all(r1 > _clamp(t) for t in terms[0])
     fail2 = _all(r2 > _clamp(t) for t in terms[1])
-    return (_mins(terms), *_region_masks(fail1, fail2, alone))
+    reg1, reg2 = np.zeros_like(fail1), np.zeros_like(fail2)
+    idx = np.flatnonzero(fail1 | fail2)
+    if idx.size:
+        # ok1, ok2: user 1, user 2 decodable alone on the draws idx
+        if recovered is None:
+            ok1, ok2 = decodable(idx)
+        else:
+            ok1, ok2 = np.empty(idx.size, bool), np.empty(idx.size, bool)
+            rec = recovered[idx]
+            if rec.any():
+                ok1[rec], ok2[rec] = decodable(idx[rec])
+            if not rec.all():
+                u1, u2 = rates._no_index_interference_terms(_take(b.L, idx[~rec]), b.beta)
+                ok1[~rec], ok2[~rec] = r1 <= _clamp(u1), r2 <= _clamp(u2)
+        reg1[idx] = ok2 & fail1[idx]
+        reg2[idx] = ok1 & fail2[idx]
+    return _mins(terms), reg1, reg2
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +320,7 @@ SCHEMES = {
     "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta)),
     "nonwz_cf": Scheme(_index_bounds, recover=True),
     "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2)),
-    "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power), beta=0.5),
+    "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power), beta=rates._AF_BETA),
     "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta)),
     "direct15": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, boost=1.5)),
 }
@@ -343,11 +335,9 @@ def _scheme(name: str, beta: float, target: RateTarget | None, *, index_rate=Fal
         raise ValueError(f"unknown scheme {name!r}; known: {tuple(SCHEMES)}")
     if index_rate and spec.recover is None:
         raise ValueError(f"scheme {name!r} has no relay index rate to classify or optimize")
-    _check_beta(beta)
-    if spec.beta is not None and abs(beta - spec.beta) > 1e-12:
-        raise ValueError(f"scheme {name!r} needs beta = {spec.beta}")
-    if target is not None and spec.recover is not None and target.ru <= 0.0:
-        raise ValueError(f"scheme {name!r} needs a positive relay index rate")
+    _check_slot(beta, spec.beta, f"scheme {name!r}")
+    if target is not None and spec.recover is not None:
+        _check_index_rate(target.ru)
     return spec
 
 
@@ -437,8 +427,7 @@ def _accumulate(profile, n, seed, fn):
     kernels ignore, in their own ``np.errstate`` blocks, the ones whose
     limits they handle, and any other makes the estimate meaningless.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_samples(n)
     total = 0
     with np.errstate(over="raise", invalid="raise"):
         for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
@@ -509,12 +498,9 @@ def optimize_ru_grid(
     """Relay index rate from ``grid`` minimizing common outage on shared
     draws; ties resolve to the smallest rate.  ``target.ru`` is ignored."""
     grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("index-rate grid must be non-empty")
-    if any(g <= 0.0 for g in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("index-rate grid must be positive and strictly increasing")
+    _check_grid(grid, "index-rate grid")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
-    _scheme(scheme, beta, targets[0], index_rate=True)
+    _scheme(scheme, beta, targets[0], index_rate=True)  # grid[0] > 0: every entry is
     # the outage curve over ru is built once per block, not per grid entry
 
     def fn(h):

@@ -37,6 +37,11 @@ from .channel import (
     ChannelState,
     PowerConfig,
     _check_beta,
+    _check_boost,
+    _check_index_rate,
+    _check_rate,
+    _check_sigma_q2,
+    _check_slot,
     _quantizer_variance,
     slot1_system,
     slot2_system,
@@ -70,6 +75,8 @@ __all__ = [
 # equality choice (index rate spent exactly) is accepted
 _FEAS_TOL = 1e-9
 
+_AF_BETA = 0.5  # amplify-forward's one slot split: a sample forwarded per use
+
 
 class FeasibilityError(ValueError):
     """The requested operating point is outside the scheme's feasible set."""
@@ -85,9 +92,7 @@ class RateRegion:
 
     def __post_init__(self):
         for name in ("i1", "i2", "isum"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"rate bound {name} must be finite and >= 0, got {v!r}")
+            _check_rate(getattr(self, name), f"rate bound {name}")
 
     @classmethod
     def from_bounds(cls, i1: float, i2: float, isum: float) -> "RateRegion":
@@ -435,8 +440,7 @@ def gqf_min_terms_gaussian(
     """Closed-form six min-terms (t1a, t1b, t2a, t2b, tsa, tsb) with the
     index rate spent exactly on the quantizer."""
     _check_beta(beta)
-    if not sigma_q2 > 0.0:
-        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
+    _check_sigma_q2(sigma_q2)
     k = info.prefactor(state.field_kind)
     G = _gqf_block(_links(state.gains(), power), beta)
     return tuple(k * float(v) for t in _gqf_terms(G, beta, sigma_q2) for v in t)
@@ -448,6 +452,7 @@ def quantizer_index_rate(
     """Minimum index rate beta*I(YR;YhR) supporting quantizer ``sigma_q2``,
     evaluated through the covariance engine (field-aware)."""
     _check_beta(beta)
+    _check_sigma_q2(sigma_q2)
     if math.isinf(sigma_q2):
         return 0.0
     sys1 = slot1_system(state, power, sigma_q2)
@@ -516,14 +521,25 @@ def gqf_region(
     quantizer needs; negative index-charged bounds clamp to an empty
     region (legitimate outage states under fading).
     """
-    if ru < 0.0:
-        raise ValueError(f"relay index rate must be >= 0, got {ru!r}")
-    needed = quantizer_index_rate(state, power, beta, sigma_q2)
+    return _joint_region(ru, quantizer_index_rate, gqf_bounds_gaussian,
+                         state, power, beta, sigma_q2)
+
+
+def _joint_region(ru, index_rate, bounds, *args) -> RateRegion:
+    """``bounds(*args).region(ru)`` once ``ru`` is a finite rate >= 0 that
+    covers the quantizer's ``index_rate(*args)``, else FeasibilityError."""
+    _check_rate(ru, "relay index rate ru")
+    needed = index_rate(*args)
     if ru < needed - _FEAS_TOL:
         raise FeasibilityError(
             f"index rate {ru!r} cannot describe the quantizer (needs >= {needed!r})"
         )
-    return gqf_bounds_gaussian(state, power, beta, sigma_q2).region(ru)
+    return bounds(*args).region(ru)
+
+
+def _plain_region(b: GqfBounds) -> RateRegion:
+    """Region of the plain (not index-charged) bounds: compress-forward's."""
+    return RateRegion.from_bounds(b.b_r1, b.b_r2, b.b_r12)
 
 
 def sigma_q2_opt_sum(state: ChannelState, power: PowerConfig, beta: float) -> float:
@@ -562,13 +578,10 @@ def cf_region_gaussian(
     joint-decoding bounds at the same quantizer.
     """
     _check_beta(beta)
-    if not sigma_q2 > 0.0:
-        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
-    threshold = sigma_q2_opt_sum(state, power, beta)
-    if not sigma_q2 > threshold:
+    _check_sigma_q2(sigma_q2)
+    if not sigma_q2 > sigma_q2_opt_sum(state, power, beta):
         return None
-    b = gqf_bounds_gaussian(state, power, beta, sigma_q2)
-    return RateRegion.from_bounds(b.b_r1, b.b_r2, b.b_r12)
+    return _plain_region(gqf_bounds_gaussian(state, power, beta, sigma_q2))
 
 
 def direct_mac_region(
@@ -577,8 +590,7 @@ def direct_mac_region(
     """Two-slot MAC region with a silent relay; ``boost`` scales the source
     powers (e.g. 1.5 to model sources spending the idle relay's budget)."""
     _check_beta(beta)
-    if boost < 1.0:
-        raise ValueError(f"power boost must be >= 1, got {boost!r}")
+    _check_boost(boost)
     k = info.prefactor(state.field_kind)
     return _scalar_region(_direct_terms(_links(state.gains(), power), beta, boost), k)
 
@@ -594,8 +606,7 @@ def nonwz_cf_region_fading(
     cooperate slot.
     """
     _check_beta(beta)
-    if not ru > 0.0:
-        raise ValueError(f"relay index rate must be > 0, got {ru!r}")
+    _check_index_rate(ru)
     k = info.prefactor(state.field_kind)
     B = _index_block(_links(state.gains(), power), beta, recover=True)
     return _scalar_region([i for (i,) in _index_terms(B, beta, ru / k)[0]], k)
@@ -610,8 +621,8 @@ def df_region(
     depends on whether (r1, r2) fits its listen-slot MAC region.
     """
     _check_beta(beta)
-    if r1 < 0.0 or r2 < 0.0:
-        raise ValueError("target rates must be >= 0")
+    _check_rate(r1, "rate r1")
+    _check_rate(r2, "rate r2")
     k = info.prefactor(state.field_kind)
     return _scalar_region(_df_terms(_links(state.gains(), power), beta, r1 / k, r2 / k), k)
 
@@ -619,8 +630,7 @@ def df_region(
 def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
     """Amplify-forward region; defined for beta = 1/2 only (the relay
     forwards one received sample per cooperate-slot use)."""
-    if abs(beta - 0.5) > 1e-12:
-        raise ValueError("amplify-forward needs beta = 0.5 (sample-wise forwarding)")
+    _check_slot(beta, _AF_BETA, "amplify-forward")
     k = info.prefactor(state.field_kind)
     return _scalar_region(_af_terms(state.gains(), _links(state.gains(), power), power), k)
 
@@ -636,18 +646,15 @@ def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, 
     beta = np.asarray(beta, dtype=float)
     _check_beta(float(beta.min()))
     _check_beta(float(beta.max()))
-    if boost < 1.0:
-        raise ValueError(f"power boost must be >= 1, got {boost!r}")
+    _check_boost(boost)
     k = info.prefactor(state.field_kind)
     L = _links(state.gains(), power)
     sigma_opt = _opt_sigmas(L, beta)[2]
     sigma_q2 = sigma_opt if sigma_q2 is None else np.asarray(sigma_q2, dtype=float)
-    if not sigma_q2.min() > 0.0:
-        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2.min()}")
+    _check_sigma_q2(float(sigma_q2.min()))
     tsa, tsb = _gqf_terms(_gqf_block(L, beta), beta, sigma_q2)[2]
     norelay = np.maximum(k * _direct_terms(L, beta, boost)[2], 0.0)
-    if not np.all(np.isfinite(norelay)):
-        raise ValueError(f"rate bound isum must be finite and >= 0, got {norelay.max()}")
+    _check_rate(float(norelay.max()), "rate bound isum")  # the rule of RateRegion
     return sigma_opt, (k * tsa, k * tsb), norelay
 
 
@@ -673,21 +680,14 @@ def optimize_sigma_beta_grid(
 # ---------------------------------------------------------------------------
 
 
-def _check_pmf_vector(name, p):
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError(f"{name} must be a 1-D pmf")
-    if np.any(p < -1e-15) or abs(float(p.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"{name} is not a pmf")
-    return p
-
-
 def _check_conditional(name, p, cond_axes):
+    """``p`` as a float array whose entries over the axes from ``cond_axes``
+    on form a pmf for each index of the axes before them."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-15):
+    if not np.all(p >= -1e-15):
         raise ValueError(f"{name} has negative entries")
     sums = p.sum(axis=tuple(range(cond_axes, p.ndim)))
-    if np.any(np.abs(sums - 1.0) > 1e-12):
+    if not np.all(np.abs(sums - 1.0) <= 1e-12):
         raise ValueError(f"{name} rows must each sum to 1")
     return p
 
@@ -713,17 +713,13 @@ class MarcPmfFamily:
     slot2_channel: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "px11", _check_pmf_vector("px11", self.px11))
-        object.__setattr__(self, "px21", _check_pmf_vector("px21", self.px21))
-        object.__setattr__(self, "px12", _check_pmf_vector("px12", self.px12))
-        object.__setattr__(self, "px22", _check_pmf_vector("px22", self.px22))
-        object.__setattr__(self, "pxr", _check_pmf_vector("pxr", self.pxr))
-        q = _check_conditional("quantizer", self.quantizer, 1)
-        c1 = _check_conditional("slot1_channel", self.slot1_channel, 2)
-        c2 = _check_conditional("slot2_channel", self.slot2_channel, 3)
-        object.__setattr__(self, "quantizer", q)
-        object.__setattr__(self, "slot1_channel", c1)
-        object.__setattr__(self, "slot2_channel", c2)
+        for name, cond_axes in (("px11", 0), ("px21", 0), ("px12", 0), ("px22", 0), ("pxr", 0),
+                                ("quantizer", 1), ("slot1_channel", 2), ("slot2_channel", 3)):
+            p = _check_conditional(name, getattr(self, name), cond_axes)
+            if cond_axes == 0 and (p.ndim != 1 or p.size < 1):
+                raise ValueError(f"{name} must be a 1-D pmf")
+            object.__setattr__(self, name, p)
+        q, c1, c2 = self.quantizer, self.slot1_channel, self.slot2_channel
         if c1.ndim != 4:
             raise ValueError("slot1_channel must have axes (x11, x21, yr, yd1)")
         if c2.ndim != 4:
@@ -768,14 +764,7 @@ def gqf_bounds_discrete(family: MarcPmfFamily, beta: float) -> GqfBounds:
 
 def gqf_region_discrete(family: MarcPmfFamily, beta: float, ru: float) -> RateRegion:
     """Joint-decoding region of the discrete network at index rate ``ru``."""
-    if ru < 0.0:
-        raise ValueError(f"relay index rate must be >= 0, got {ru!r}")
-    needed = quantizer_index_rate_discrete(family, beta)
-    if ru < needed - _FEAS_TOL:
-        raise FeasibilityError(
-            f"index rate {ru!r} cannot describe the quantizer (needs >= {needed!r})"
-        )
-    return gqf_bounds_discrete(family, beta).region(ru)
+    return _joint_region(ru, quantizer_index_rate_discrete, gqf_bounds_discrete, family, beta)
 
 
 def cf_region_discrete(family: MarcPmfFamily, beta: float) -> RateRegion | None:
@@ -790,7 +779,4 @@ def cf_region_discrete(family: MarcPmfFamily, beta: float) -> RateRegion | None:
         - info.mutual_info_discrete(p1, ("YD1",), ("YhR",))
     )
     rhs = (1.0 - beta) * info.mutual_info_discrete(p2, ("XR",), ("YD2",))
-    if not lhs < rhs:
-        return None
-    b = gqf_bounds_discrete(family, beta)
-    return RateRegion.from_bounds(b.b_r1, b.b_r2, b.b_r12)
+    return _plain_region(gqf_bounds_discrete(family, beta)) if lhs < rhs else None

@@ -189,8 +189,9 @@ def test_sigma_for_fixed_ru_limits_and_monotonicity():
     assert sigma_q2_for_fixed_ru(stronger, UNIT_POWER, 0.5, 3.0) > sigma_q2_for_fixed_ru(
         st, UNIT_POWER, 0.5, 3.0
     )
-    with pytest.raises(ValueError):
-        sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, 0.0)
+    for ru in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="relay index rate ru must be finite and > 0"):
+            sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, ru)
 
 
 def test_sigma_for_fixed_ru_reads_relay_side_only():
@@ -205,3 +206,9 @@ def test_substream_validation():
         substream(-1, 0)
     with pytest.raises(ValueError):
         substream(0, 2**64)
+    # a seed is an integer: a float is not truncated into another stream
+    for seed in (12345.7, 12345.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            substream(seed, 0)
+    assert np.array_equal(substream(np.uint64(7), np.int64(2)).standard_normal(3),
+                          substream(7, 2).standard_normal(3))

@@ -404,13 +404,24 @@ def test_cli_error_paths(tmp_path, capsys):
         ("fig5", "snr_db_grid=[-.inf, 0]", 0),
         ("fig5", "snr_db_grid=[3000]", 1),
         ("fig5", "var_1d=1.0e+200", 1),
+        # a value the model rejects is a config error whether or not the
+        # kind uses the field
+        ("fig3", "var_1d=.inf", 2),
+        ("fig3", "r1=.inf", 2),
+        ("fig3", "ru=.inf", 2),
+        ("fig4", "ru_grid=[1.0, .inf]", 2),
+        ("fig7", "var_rd=.inf", 2),
+        *((name, "snr_db=.inf", 2) for name in PRESETS),
     ],
 )
 def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, override, code):
     out = tmp_path / "out.csv"
     argv = ["preset", preset, "--samples", "100", "--out", str(out), "--override", override]
     assert main(argv) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
 
 
 _STATIC_FLOATS = (

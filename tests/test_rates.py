@@ -182,6 +182,10 @@ def test_gqf_region_infeasible_index_rate():
     needed = quantizer_index_rate(FIG3_STATE, UNIT_POWER, 0.5, s)
     with pytest.raises(FeasibilityError):
         gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s, needed - 1e-3)
+    for ru in (math.nan, math.inf, -1.0):  # not a rate: a plain ValueError
+        with pytest.raises(ValueError, match="relay index rate ru must be finite") as exc:
+            gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s, ru)
+        assert exc.type is ValueError
 
 
 def test_gqf_silent_relay_reduces_to_direct():
@@ -323,6 +327,12 @@ def test_nonwz_branch_boundary_pinned_to_recovered():
     assert reg2.isum < reg.isum
 
 
+def test_nonwz_index_rate_must_be_finite_and_positive():
+    for ru in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="relay index rate ru must be finite and > 0"):
+            nonwz_cf_region_fading(FIG3_STATE, UNIT_POWER, 0.5, ru)
+
+
 def test_nonwz_dead_relay_link_is_plain_direct():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0, mode="fading")
     reg = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 3.0)
@@ -359,6 +369,9 @@ def test_df_branches():
     assert df_region(st3, UNIT_POWER, 0.5, 1.0, 1.0) == direct_mac_region(
         st3, UNIT_POWER, 0.5
     )
+    for r1 in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="rate r1 must be finite and >= 0"):
+            df_region(st, UNIT_POWER, 0.5, r1, 1.0)
 
 
 def test_af_reduces_to_direct_without_relay_link():
@@ -367,8 +380,11 @@ def test_af_reduces_to_direct_without_relay_link():
     direct = direct_mac_region(st, UNIT_POWER, 0.5)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-12)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="amplify-forward needs beta = 0.5"):
         af_region(st, UNIT_POWER, 0.4)
+    for beta in (math.nan, 1.5):  # the slot ratio rule comes before the slot rule
+        with pytest.raises(ValueError, match="slot ratio beta must lie in"):
+            af_region(st, UNIT_POWER, beta)
 
 
 def test_af_below_csit_on_random_draws():

@@ -1,5 +1,7 @@
 """Tests of the discrete-alphabet region evaluators on binary toy networks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,10 @@ def test_region_feasibility_guard():
         gqf_region_discrete(fam, 0.5, needed - 0.01)
     reg = gqf_region_discrete(fam, 0.5, needed)
     assert reg.i1 >= 0.0 and reg.isum >= 0.0
+    for ru in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="relay index rate ru must be finite") as exc:
+            gqf_region_discrete(fam, 0.5, ru)
+        assert exc.type is ValueError  # not a FeasibilityError
 
 
 def test_cf_infeasible_when_relay_cannot_deliver():
