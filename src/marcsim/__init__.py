@@ -10,9 +10,7 @@ from .channel import (
     FadingProfile,
     PowerConfig,
     draw_states,
-    ru_for_sigma_q2,
     sample_fading_block,
-    sigma_q2_for_fixed_ru,
     slot1_system,
     slot2_system,
     substream,
@@ -29,7 +27,6 @@ from .info import (
 from .outage import (
     IndividualOutageEstimate,
     OutageEstimate,
-    RateTarget,
     common_outage_mc,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
@@ -42,6 +39,7 @@ from .rates import (
     GqfBounds,
     MarcPmfFamily,
     RateRegion,
+    RateTarget,
     af_region,
     cf_region_discrete,
     cf_region_gaussian,
@@ -57,6 +55,8 @@ from .rates import (
     optimize_sigma_beta_grid,
     quantizer_index_rate,
     quantizer_index_rate_discrete,
+    ru_for_sigma_q2,
+    sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .info import GaussianSystem, prefactor
-
-_LN2 = math.log(2.0)
+from .info import GaussianSystem
 
 __all__ = [
     "STATIC",
@@ -40,8 +38,6 @@ __all__ = [
     "draw_states",
     "slot1_system",
     "slot2_system",
-    "sigma_q2_for_fixed_ru",
-    "ru_for_sigma_q2",
 ]
 
 STATIC = "static"
@@ -110,13 +106,8 @@ class PowerConfig:
 
     @classmethod
     def from_snr_db(cls, snr_db: float, beta: float) -> "PowerConfig":
-        """:meth:`from_snr` at ``snr_db`` decibels.  Raises ValueError when a
-        linear power is not finite."""
-        try:
-            snr = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            snr = math.inf
-        return cls.from_snr(snr, beta)
+        """:meth:`from_snr` at ``snr_db`` decibels."""
+        return cls.from_snr(_linear_snr(snr_db), beta)
 
 
 @dataclass(frozen=True)
@@ -131,9 +122,7 @@ class FadingProfile:
 
     def __post_init__(self):
         for name in ("var_1d", "var_2d", "var_1r", "var_2r", "var_rd"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"variance {name} must be finite and > 0, got {v!r}")
+            _check_variance(getattr(self, name), f"variance {name}")
 
     @classmethod
     def uniform(cls, var: float = 1.0) -> "FadingProfile":
@@ -172,9 +161,26 @@ def _check_index_rate(ru: float, name: str = "relay index rate ru") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {ru!r}")
 
 
-def _check_sigma_q2(sigma_q2: float) -> None:
+def _check_sigma_q2(sigma_q2: float, name: str = "quantization noise variance") -> None:
     if not sigma_q2 > 0.0:  # inf (observation discarded) passes
-        raise ValueError(f"quantization noise variance must be > 0, got {sigma_q2!r}")
+        raise ValueError(f"{name} must be > 0, got {sigma_q2!r}")
+
+
+def _check_variance(var: float, name: str) -> None:
+    """A Rayleigh variance E|h|^2."""
+    if not (math.isfinite(var) and var > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {var!r}")
+
+
+def _linear_snr(snr_db: float, name: str = "snr_db") -> float:
+    """10^(snr_db/10), which must be finite."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not math.isfinite(snr):
+        raise ValueError(f"{name} must give a finite linear SNR, got {snr_db!r}")
+    return snr
 
 
 def _check_boost(boost: float, name: str = "power boost") -> None:
@@ -290,58 +296,3 @@ def slot2_system(state: ChannelState, power: PowerConfig):
     ]
     source_vars = [power.p12, power.p22, power.pr, 1.0]
     return _system(SLOT2_LABELS, mixing, source_vars, state.field_kind)
-
-
-def sigma_q2_for_fixed_ru(
-    state: ChannelState, power: PowerConfig, beta: float, ru: float
-) -> float:
-    """Quantization noise variance that spends exactly ``ru`` bits of index
-    rate on describing the relay observation.
-
-    In fading mode this inverts
-    ru = beta * log2(1 + (1 + |h1r|^2 p11 + |h2r|^2 p21) / s):
-
-        s = (1 + |h1r|^2 p11 + |h2r|^2 p21) / (2^(ru/beta) - 1);
-
-    static (real) mode halves the information per use, so the inversion
-    uses 2^(2 ru / beta).  Only the source-to-relay gains enter: this is
-    the choice a relay with receiver-side CSI alone can actually make.
-    """
-    _check_beta(beta)
-    _check_index_rate(ru)
-    received = abs(state.h1r) ** 2 * power.p11 + abs(state.h2r) ** 2 * power.p21
-    return _quantizer_variance(received, beta, ru / prefactor(state.field_kind))
-
-
-def _index_denom(beta: float, ru: float) -> float:
-    """2^(ru/beta) - 1, or inf where it exceeds the float range."""
-    try:
-        return math.expm1(ru / beta * _LN2)
-    except OverflowError:
-        return math.inf
-
-
-def _quantizer_variance(received, beta: float, ru: float):
-    """(1 + received) / (2^(ru/beta) - 1) for ``ru`` in complex units,
-    broadcasting over ``received``.
-
-    An index rate whose 2^(ru/beta) exceeds the float range gives the
-    limit 0 (an exact description of the relay observation); one so small
-    that the quotient exceeds it gives the limit inf (no description).
-    """
-    with np.errstate(over="ignore"):
-        return (1.0 + received) / _index_denom(beta, ru)
-
-
-def ru_for_sigma_q2(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
-) -> float:
-    """Index rate implied by a quantizer variance; inverse of
-    :func:`sigma_q2_for_fixed_ru` (same bit convention)."""
-    _check_beta(beta)
-    _check_sigma_q2(sigma_q2)
-    if math.isinf(sigma_q2):
-        return 0.0
-    k = prefactor(state.field_kind)
-    received = abs(state.h1r) ** 2 * power.p11 + abs(state.h2r) ** 2 * power.p21
-    return beta * k * math.log2(1.0 + (1.0 + received) / sigma_q2)

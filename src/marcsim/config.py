@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,14 +20,17 @@ from .channel import (
     ChannelState,
     FadingProfile,
     PowerConfig,
+    _check_beta,
     _check_boost,
     _check_grid,
     _check_index_rate,
     _check_samples,
+    _check_sigma_q2,
     _check_u64,
+    _check_variance,
+    _linear_snr,
 )
-from .outage import SCHEMES, RateTarget, _scheme
-from .rates import _links, _static_model
+from .rates import SCHEMES, RateTarget, _links, _scheme, _static_model
 
 __all__ = [
     "ConfigError",
@@ -45,14 +48,15 @@ __all__ = [
 class Sweep(NamedTuple):
     name: str  # the swept quantity; its grid is the field <name>_grid
     fading: bool  # Monte Carlo over fading draws, else a static channel
+    check: Callable  # the model's rule for one grid value: check(value, name)
 
 
 #: every sweep kind; a new kind takes an entry here and a runner in experiments
 KINDS = {
-    "static_sigma_sweep": Sweep("sigma_q2", fading=False),
-    "static_beta_sweep": Sweep("beta", fading=False),
-    "fading_snr_sweep": Sweep("snr_db", fading=True),
-    "fading_sigmard_sweep": Sweep("sigma_rd2", fading=True),
+    "static_sigma_sweep": Sweep("sigma_q2", fading=False, check=_check_sigma_q2),
+    "static_beta_sweep": Sweep("beta", fading=False, check=_check_beta),
+    "fading_snr_sweep": Sweep("snr_db", fading=True, check=_linear_snr),
+    "fading_sigmard_sweep": Sweep("sigma_rd2", fading=True, check=_check_variance),
 }
 
 #: per-sweep-point series the fading sweeps can emit, mapped to (scheme,
@@ -145,11 +149,15 @@ class ExperimentConfig:
             _check_samples(self.n_samples, "n_samples")
             _check_u64(self.seed, "seed")
             _check_boost(self.norelay_boost, "norelay_boost")
-            for name in (f"{sweep.name}_grid", "ru_grid"):
-                _check_grid(getattr(self, name), name)
+            # each grid value by the model's own rule, called with the grid's
+            # name: the model built below names only the argument it fills
+            grids = ((f"{sweep.name}_grid", sweep.check), ("ru_grid", _check_index_rate))
+            for name, check in grids:
+                grid = getattr(self, name)
+                _check_grid(grid, name)
+                for value in grid:
+                    check(value, f"each value of {name}")
             _check_index_rate(self.ru, "ru")
-            for ru in self.ru_grid:
-                _check_index_rate(ru, "each value of ru_grid")
             RateTarget(self.r1, self.r2, self.ru)  # r1, r2; each ru passed the stricter rule
             FadingProfile(self.var_1d, self.var_2d, self.var_1r, self.var_2r, self.var_rd)
             PowerConfig.from_snr_db(self.snr_db, self.beta)

@@ -28,15 +28,13 @@ from . import __version__
 from .config import KINDS, SCHEME_TOKENS, ConfigError, ExperimentConfig, config_from_dict
 from .config import config_to_dict
 from .outage import (
-    SCHEMES,
-    RateTarget,
     common_outage_mc,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
     individual_outage_mc,
     optimize_ru_grid,
 )
-from .rates import _static_model
+from .rates import SCHEMES, RateTarget, _static_model
 
 __all__ = [
     "SweepResult",

@@ -23,7 +23,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,18 +32,12 @@ from .channel import (
     FadingProfile,
     PowerConfig,
     _check_grid,
-    _check_index_rate,
-    _check_rate,
     _check_samples,
-    _check_slot,
-    _index_denom,
     sample_fading_block,
 )
+from .rates import RateTarget, _block, _mins, _scheme
 
 __all__ = [
-    "SCHEMES",
-    "Scheme",
-    "RateTarget",
     "OutageEstimate",
     "IndividualOutageEstimate",
     "outage_flags",
@@ -55,20 +48,6 @@ __all__ = [
     "expected_sum_rate_common",
     "expected_sum_rate_indiv",
 ]
-
-
-@dataclass(frozen=True)
-class RateTarget:
-    """Fixed transmission rates: per-user targets and, for fixed-index-rate
-    schemes, the relay index rate (bits/channel use)."""
-
-    r1: float
-    r2: float
-    ru: float = 0.0
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "ru"):
-            _check_rate(getattr(self, name), f"rate {name}")
 
 
 @dataclass(frozen=True)
@@ -113,55 +92,8 @@ class IndividualOutageEstimate:
     seed: int
 
 
-class _Block(NamedTuple):
-    """What a scheme's bounds read of one draw matrix (see :class:`Scheme`)."""
-
-    g: tuple            # gain columns (h1d, h2d, h1r, h2r, hrd)
-    L: tuple            # link powers rates._links(g, power)
-    power: PowerConfig
-    beta: float
-    terms: object       # rates._index_block(L, beta, Scheme.recover), or None
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """One relaying scheme of the Monte Carlo layer.
-
-    ``bounds(b, target)`` returns the per-draw (i1, i2, isum) from the
-    block ``b`` of one draw matrix (gain columns ``b.g`` = (h1d, h2d, h1r,
-    h2r, hrd), link powers ``b.L = rates._links(g, power)``, ``b.power``,
-    ``b.beta`` and ``b.terms``), in the complex-signalling units of the
-    ``rates`` cores.  ``beta``, if set, is the only slot split the scheme
-    is defined for.
-    ``recover`` is set only for a scheme with a relay index rate and says
-    how the destination treats the index: False, it decodes jointly and is
-    charged the index rate (GQF); True, it first recovers the index and
-    falls back to the two-slot MAC when it cannot (non-WZ CF).  Such a
-    scheme has the per-block terms ``rates._index_block(L, beta,
-    recover)``, its bounds and region classification come from
-    ``rates._index_terms``, and it gets an outage curve over the index
-    rate (:class:`_IndexRateCurve`, passed as ``outage_flags(...,
-    curve=)``).  It needs ``target.ru > 0``, gets an ``<name>_opt`` series
-    that optimizes ``ru`` and supports individual outage.
-    """
-
-    bounds: Callable
-    beta: float | None = None
-    recover: bool | None = None
-
-
 def _clamp(x):
     return np.maximum(x, 0.0)
-
-
-def _mins(terms):
-    """(i1, i2, isum): the least of each rate's min-terms."""
-    return tuple(reduce(np.minimum, t) for t in terms)
-
-
-def _index_bounds(b, target):
-    """(i1, i2, isum) of a scheme with a relay index rate at ``target.ru``."""
-    return _mins(rates._index_terms(b.terms, b.beta, target.ru)[0])
 
 
 def _all(masks):
@@ -187,7 +119,7 @@ def _index_regions(b, target):
     evaluated on such draws only."""
     terms, recovered, sq2 = rates._index_terms(b.terms, b.beta, target.ru)
     r1, r2 = target.r1, target.r2
-    n = len(terms[0])  # min-terms per rate: 2 where the index is charged
+    n = len(terms[0])  # min-terms per rate; each user meets its first n single-user bounds
 
     def decodable(j):  # draws that recover the index
         w1a, w1b, w2a, w2b = rates._interference_terms(
@@ -234,67 +166,41 @@ class _IndexRateCurve:
     itself, scheme, power, beta and rate pair), which
     ``outage_flags(..., curve=)`` checks.
 
-    In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) every
-    fixed-index-rate bound is monotone (see rates._plain_thresholds): the
-    plain bounds hold above a threshold of z and the index-charged ones,
-    if the block has them, below one, so a draw that recovers the index is
-    out of outage on one interval of z.  It is built twice per draw, with
-    every positive target rate lowered by the guard band (outer: outside
-    it outage is certain) and raised by it (inner: inside it no outage is
-    certain).  ``flags`` compares z with both and runs the exact per-target
-    kernel ``rates._index_terms`` only on the draws in between, on draws
-    whose inputs are not finite and where 2^(ru/beta) - 1 is 0 or inf, so
-    its flags are bit-identical to the kernel's.
-
-    Without a recovery rate (GQF) every draw counts as recovering the
-    index.  With one (non-WZ CF) recovery is tested exactly (``index_rate
-    >= ru``), and a draw that does not recover takes the fallback verdict,
-    which does not depend on ``ru`` and is found once per block.
+    In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) a draw that
+    recovers the index is out of outage on one interval of z
+    (``rates._index_intervals``), built with every positive target rate
+    lowered by the guard band (outer: outside it outage is certain) and
+    raised by it (inner: inside it no outage is certain).  ``flags``
+    compares z with both and runs the exact per-target kernel only on the
+    draws in between, on draws whose inputs are not finite and where
+    2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
+    kernel's.  With a recovery rate (non-WZ CF) recovery is tested exactly
+    (``index_rate >= ru``), and a draw that does not recover takes the
+    fallback verdict, which does not depend on ``ru`` and is found once per
+    block; without one (GQF) every draw recovers the index.
     """
 
     def __init__(self, scheme, h, power, beta, r1, r2):
         spec = _scheme(scheme, beta, None, index_rate=True)
         r1, r2 = float(r1), float(r2)
         self.h, self.built_for = h, (scheme, power, beta, (r1, r2))
-        self.terms = terms = _block(spec, h, power, beta).terms
+        self.terms = terms = _block(spec, _columns(h), power, beta).terms
         self.beta = beta
-        received, G, self.index_rate, fallback = terms
+        received, _, self.index_rate, fallback = terms
         self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
-        self.charged = charged = G[0][3] is not None
-        shifts = (-_GUARD, _GUARD)
-        lo = [np.zeros_like(received) for _ in shifts]
-        hi = [np.full_like(received, np.inf) for _ in shifts] if charged else [None, None]
-        with np.errstate(all="ignore"):
-            self.inv_one_c = 1.0 / (1.0 + received)
-            for part, rate in zip(G, (r1, r2, r1 + r2)):
-                if rate > 0.0:  # a zero rate is met by every clamped bound
-                    for a, t in zip(lo, rates._plain_thresholds(part, beta, rate, shifts)):
-                        np.maximum(a, t, out=a)
-                    if charged:
-                        for a, t in zip(hi, rates._charged_thresholds(part, beta, rate, shifts)):
-                            np.minimum(a, t, out=a)
-            # link powers are non-negative, so the sum-rate part's inputs
-            # bound the other parts' and c1 + c2: their sum is finite
-            # exactly where every input is
-            finite = np.isfinite(sum(G[2][: 4 if charged else 3]))
-        if not finite.all():
-            for a in (*lo, *hi) if charged else lo:
-                a[~finite] = np.nan  # compares false, so these draws go exact
-        (self.lo_out, self.lo_in), (self.hi_out, self.hi_in) = lo, hi
+        self.inv_one_c = 1.0 / (1.0 + received)
+        (self.lo_out, self.hi_out), (self.lo_in, self.hi_in) = rates._index_intervals(
+            terms, beta, r1, r2, (-_GUARD, _GUARD))
 
     def split(self, ru):
         """(certain-outage flags, undecided band) at index rate ``ru``, or
         None where every draw needs the exact kernel."""
-        x = _index_denom(self.beta, ru)
+        x = rates._index_denom(self.beta, ru)
         if not 0.0 < x < math.inf:
             return None
         z = x * self.inv_one_c
-        out = z < self.lo_out
-        inside = z >= self.lo_in
-        if self.charged:
-            out |= z > self.hi_out
-            inside &= z <= self.hi_in
-        band = ~(out | inside)
+        out = (z < self.lo_out) | (z > self.hi_out)
+        band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
         if self.fallback is None:  # gqf: the index is always recovered
             return out, band
         recovered = self.index_rate >= ru
@@ -313,34 +219,6 @@ class _IndexRateCurve:
         return flags
 
 
-#: every scheme the Monte Carlo layer evaluates per draw; adding a scheme
-#: here makes it available to the estimators, configs and sweeps
-SCHEMES = {
-    "gqf": Scheme(_index_bounds, recover=False),
-    "csit": Scheme(lambda b, t: rates._csit_terms(b.L, b.beta)),
-    "nonwz_cf": Scheme(_index_bounds, recover=True),
-    "df": Scheme(lambda b, t: rates._df_terms(b.L, b.beta, t.r1, t.r2)),
-    "af": Scheme(lambda b, t: rates._af_terms(b.g, b.L, b.power), beta=rates._AF_BETA),
-    "direct": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta)),
-    "direct15": Scheme(lambda b, t: rates._direct_terms(b.L, b.beta, boost=1.5)),
-}
-
-
-def _scheme(name: str, beta: float, target: RateTarget | None, *, index_rate=False) -> Scheme:
-    """Table entry of ``name`` after checking that it can run at ``beta``
-    and ``target`` (and, with ``index_rate``, that it has a relay index
-    rate); ``target=None`` skips the target check."""
-    spec = SCHEMES.get(name)
-    if spec is None:
-        raise ValueError(f"unknown scheme {name!r}; known: {tuple(SCHEMES)}")
-    if index_rate and spec.recover is None:
-        raise ValueError(f"scheme {name!r} has no relay index rate to classify or optimize")
-    _check_slot(beta, spec.beta, f"scheme {name!r}")
-    if target is not None and spec.recover is not None:
-        _check_index_rate(target.ru)
-    return spec
-
-
 def _columns(h: np.ndarray):
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[1] != 5:
@@ -354,13 +232,6 @@ def _violated(i1, i2, isum, target: RateTarget):
         | (target.r2 > np.maximum(i2, 0.0))
         | (target.r1 + target.r2 > np.maximum(isum, 0.0))
     )
-
-
-def _block(spec: Scheme, h: np.ndarray, power: PowerConfig, beta: float) -> _Block:
-    g = _columns(h)
-    L = rates._links(g, power)
-    terms = None if spec.recover is None else rates._index_block(L, beta, spec.recover)
-    return _Block(g, L, power, beta, terms)
 
 
 def outage_flags(
@@ -382,7 +253,7 @@ def outage_flags(
     """
     spec = _scheme(scheme, beta, target)
     if curve is None:
-        return _violated(*spec.bounds(_block(spec, h, power, beta), target), target)
+        return _violated(*spec.bounds(_block(spec, _columns(h), power, beta), target), target)
     if curve.h is not h or curve.built_for != (scheme, power, beta, (target.r1, target.r2)):
         raise ValueError("index-rate curve was built for other arguments")
     return curve.flags(target)
@@ -404,7 +275,7 @@ def classify_region_batch(
     (internal invariant).
     """
     spec = _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = _index_regions(_block(spec, h, power, beta), target)
+    bounds, reg1, reg2 = _index_regions(_block(spec, _columns(h), power, beta), target)
     common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .channel import (
     _check_rate,
     _check_sigma_q2,
     _check_slot,
-    _quantizer_variance,
     slot1_system,
     slot2_system,
 )
@@ -50,9 +51,14 @@ from .channel import (
 __all__ = [
     "FeasibilityError",
     "RateRegion",
+    "RateTarget",
+    "Scheme",
+    "SCHEMES",
     "GqfBounds",
     "gqf_bounds_gaussian",
     "quantizer_index_rate",
+    "sigma_q2_for_fixed_ru",
+    "ru_for_sigma_q2",
     "gqf_region",
     "gqf_min_terms_gaussian",
     "cf_region_gaussian",
@@ -76,6 +82,8 @@ __all__ = [
 _FEAS_TOL = 1e-9
 
 _AF_BETA = 0.5  # amplify-forward's one slot split: a sample forwarded per use
+
+_LN2 = math.log(2.0)
 
 
 class FeasibilityError(ValueError):
@@ -107,6 +115,20 @@ class RateRegion:
     def contains(self, r1: float, r2: float) -> bool:
         """Boundary points count as inside (outage uses strict violation)."""
         return r1 <= self.i1 and r2 <= self.i2 and r1 + r2 <= self.isum
+
+
+@dataclass(frozen=True)
+class RateTarget:
+    """Fixed transmission rates: per-user targets and, for fixed-index-rate
+    schemes, the relay index rate (bits/channel use)."""
+
+    r1: float
+    r2: float
+    ru: float = 0.0
+
+    def __post_init__(self):
+        for name in ("r1", "r2", "ru"):
+            _check_rate(getattr(self, name), f"rate {name}")
 
 
 @dataclass(frozen=True)
@@ -211,6 +233,27 @@ def _gqf_terms(G, beta, sigma_q2):
     return tuple(t)
 
 
+def _index_denom(beta: float, ru: float) -> float:
+    """2^(ru/beta) - 1, or inf where it exceeds the float range."""
+    try:
+        return math.expm1(ru / beta * _LN2)
+    except OverflowError:
+        return math.inf
+
+
+def _quantizer_variance(received, beta: float, ru: float):
+    """Fixed-index-rate quantizer (1 + received) / (2^(ru/beta) - 1) for
+    ``ru`` in complex units, broadcasting over the relay's received power
+    ``received`` = c1 + c2.
+
+    An index rate whose 2^(ru/beta) exceeds the float range gives the
+    limit 0 (an exact description of the relay observation); one so small
+    that the quotient exceeds it gives the limit inf (no description).
+    """
+    with np.errstate(over="ignore"):
+        return (1.0 + received) / _index_denom(beta, ru)
+
+
 def _index_block(L, beta, recover):
     """Per-block part of the kernel of a scheme with a relay index rate,
     which does not depend on the index rate: (c1 + c2, G, index_rate,
@@ -256,35 +299,42 @@ def _index_terms(B, beta, ru):
     return terms, recovered, sigma_q2
 
 
-# At index rate ru the fixed-index-rate quantizer is
-# sigma_q2 = (1 + c1 + c2)/(2^(ru/beta) - 1).  In z = 1/sigma_q2, for a part
-# (s, c, coop, coop_u) of _gqf_block the plain min-term
-# beta*log2(s + c*z/(1 + z)) + coop rises and the index-charged one
-# beta*log2(s/(1 + z)) + coop_u falls, so each reaches a rate on one side
-# of a closed-form threshold of z.  Each shift in ``shifts`` moves the rate
-# and gives one threshold.
+def _index_intervals(B, beta, r1, r2, shifts):
+    """Per shift, the interval (lo, hi) of z = 1/sigma_q2 on which a draw of
+    the block ``B = _index_block(L, beta, recover)`` that recovers the index
+    meets every positive rate of (r1, r2, r1 + r2) moved by the shift.
 
-
-def _plain_thresholds(part, beta, rate, shifts):
-    """Least z at which the plain min-term of ``part`` reaches ``rate +
-    shift``, per shift: at most 0 where it always does, inf where it never
-    does (and where c = 0 meets the shifted rate exactly, which a guard
-    band around the unshifted rate absorbs)."""
-    s, c, coop, _ = part
-    e = np.exp2((rate - coop) / beta)
-    out = []
-    for shift in shifts:
-        d = e * np.exp2(shift / beta) - s  # what c*z/(1 + z) must reach
-        out.append(np.where(c > d, d / (c - d), np.inf))
-    return out
-
-
-def _charged_thresholds(part, beta, rate, shifts):
-    """Greatest z at which the index-charged min-term of ``part`` reaches
-    ``rate + shift``, per shift (negative where it never does)."""
-    s, _, _, coop_u = part
-    q = s / np.exp2((rate - coop_u) / beta)
-    return [q * np.exp2(-shift / beta) - 1.0 for shift in shifts]
+    In z, for a part (s, c, coop, coop_u) of ``_gqf_block``, the plain
+    min-term beta*log2(s + c*z/(1 + z)) + coop rises and the index-charged
+    one beta*log2(s/(1 + z)) + coop_u falls, so each bounds z on one side in
+    closed form.  ``lo`` is inf where a plain term never reaches its rate
+    (and where c = 0 meets the shifted rate exactly, which a guard band
+    around the unshifted rate absorbs); ``hi`` is inf where the block has
+    no index-charged terms.  Both ends are NaN, which compares false, on a
+    draw whose inputs are not finite.
+    """
+    received, G, _, _ = B
+    lo = [np.zeros_like(received) for _ in shifts]
+    hi = [np.full_like(received, np.inf) for _ in shifts]
+    with np.errstate(all="ignore"):
+        for (s, c, coop, coop_u), rate in zip(G, (r1, r2, r1 + r2)):
+            if rate > 0.0:  # a zero rate is met by every clamped bound
+                e = np.exp2((rate - coop) / beta)
+                for a, shift in zip(lo, shifts):
+                    d = e * np.exp2(shift / beta) - s  # what c*z/(1 + z) must reach
+                    np.maximum(a, np.where(c > d, d / (c - d), np.inf), out=a)
+                if coop_u is not None:
+                    q = s / np.exp2((rate - coop_u) / beta)
+                    for a, shift in zip(hi, shifts):
+                        np.minimum(a, q * np.exp2(-shift / beta) - 1.0, out=a)
+        # link powers are non-negative, so the sum-rate part's inputs
+        # bound the other parts' and c1 + c2: their sum is finite
+        # exactly where every input is
+        finite = np.isfinite(sum(x for x in G[2] if x is not None))
+    if not finite.all():
+        for a in (*lo, *hi):
+            a[~finite] = np.nan
+    return list(zip(lo, hi))
 
 
 def _interference_terms(g, L, power, beta, sigma_q2, ru):
@@ -425,13 +475,103 @@ def _af_terms(g, L, power):
 
 
 # ---------------------------------------------------------------------------
+# the scheme table: each scheme's bounds, read by the per-state regions
+# below and by the Monte Carlo layer
+# ---------------------------------------------------------------------------
+
+
+class _Block(NamedTuple):
+    """What a scheme's bounds read of one block of draws (see :class:`Scheme`)."""
+
+    g: tuple            # gain columns (h1d, h2d, h1r, h2r, hrd)
+    L: tuple            # link powers _links(g, power)
+    power: PowerConfig
+    beta: float
+    terms: object       # _index_block(L, beta, Scheme.recover), or None
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One relaying scheme.
+
+    ``bounds(b, target)`` returns the per-draw (i1, i2, isum), in
+    complex-signalling units, from the block ``b = _block(scheme, g,
+    power, beta)`` of the gain columns ``g``.  ``beta``, if set, is the
+    only slot split the scheme is defined for.  ``recover`` is set only for
+    a scheme with a relay index rate and says how the destination treats
+    the index (see :func:`_index_block`): its block carries
+    ``_index_block(L, beta, recover)``, its bounds are the least min-terms
+    of ``_index_terms``, it needs ``target.ru > 0``, gets an ``<name>_opt``
+    series that optimizes ``ru`` and supports individual outage.
+    """
+
+    bounds: Callable
+    beta: float | None = None
+    recover: bool | None = None
+
+
+def _mins(terms):
+    """(i1, i2, isum): the least of each rate's min-terms."""
+    return tuple(reduce(np.minimum, t) for t in terms)
+
+
+def _index_bounds(b, target):
+    """(i1, i2, isum) of a scheme with a relay index rate at ``target.ru``."""
+    return _mins(_index_terms(b.terms, b.beta, target.ru)[0])
+
+
+#: every relaying scheme with per-state bounds; adding a scheme here makes
+#: it available to the estimators, configs and sweeps
+SCHEMES = {
+    "gqf": Scheme(_index_bounds, recover=False),
+    "csit": Scheme(lambda b, t: _csit_terms(b.L, b.beta)),
+    "nonwz_cf": Scheme(_index_bounds, recover=True),
+    "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t.r1, t.r2)),
+    "af": Scheme(lambda b, t: _af_terms(b.g, b.L, b.power), beta=_AF_BETA),
+    "direct": Scheme(lambda b, t: _direct_terms(b.L, b.beta)),
+    "direct15": Scheme(lambda b, t: _direct_terms(b.L, b.beta, boost=1.5)),
+}
+
+
+def _scheme(name: str, beta: float, target: RateTarget | None, *, index_rate=False) -> Scheme:
+    """Table entry of ``name`` after checking that it can run at ``beta``
+    and ``target`` (and, with ``index_rate``, that it has a relay index
+    rate); ``target=None`` skips the target check."""
+    spec = SCHEMES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown scheme {name!r}; known: {tuple(SCHEMES)}")
+    if index_rate and spec.recover is None:
+        raise ValueError(f"scheme {name!r} has no relay index rate to classify or optimize")
+    _check_slot(beta, spec.beta, f"scheme {name!r}")
+    if target is not None and spec.recover is not None:
+        _check_index_rate(target.ru)
+    return spec
+
+
+def _block(spec: Scheme, g, power: PowerConfig, beta: float) -> _Block:
+    """Block of the gain columns ``g``: arrays over draws, or one state's
+    gains."""
+    L = _links(g, power)
+    terms = None if spec.recover is None else _index_block(L, beta, spec.recover)
+    return _Block(g, L, power, beta, terms)
+
+
+# ---------------------------------------------------------------------------
 # scalar API on channel states
 # ---------------------------------------------------------------------------
 
 
-def _scalar_region(terms, k) -> RateRegion:
-    """Region of a core's (i1, i2, isum) scaled by the prefactor ``k``."""
-    return RateRegion.from_bounds(*(k * float(t) for t in terms))
+def _state_region(name, state: ChannelState, power: PowerConfig, beta: float,
+                  target: RateTarget | None = None) -> RateRegion:
+    """Region of the ``SCHEMES`` entry ``name`` on one channel state, after
+    that entry's checks.  The prefactor ``k`` of the state's field divides
+    the rate inputs and multiplies the bounds (exact for k = 1 or 1/2)."""
+    spec = _scheme(name, beta, target)
+    k = info.prefactor(state.field_kind)
+    if target is not None:
+        target = RateTarget(target.r1 / k, target.r2 / k, target.ru / k)
+    bounds = spec.bounds(_block(spec, state.gains(), power, beta), target)
+    return RateRegion.from_bounds(*(k * float(t) for t in bounds))
 
 
 def gqf_min_terms_gaussian(
@@ -525,6 +665,46 @@ def gqf_region(
                          state, power, beta, sigma_q2)
 
 
+def sigma_q2_for_fixed_ru(
+    state: ChannelState, power: PowerConfig, beta: float, ru: float
+) -> float:
+    """Quantization noise variance that spends exactly ``ru`` bits of index
+    rate on describing the relay observation.
+
+    In fading mode this inverts
+    ru = beta * log2(1 + (1 + |h1r|^2 p11 + |h2r|^2 p21) / s):
+
+        s = (1 + |h1r|^2 p11 + |h2r|^2 p21) / (2^(ru/beta) - 1);
+
+    static (real) mode halves the information per use, so the inversion
+    uses 2^(2 ru / beta).  Only the source-to-relay gains enter: this is
+    the choice a relay with receiver-side CSI alone can actually make.
+    """
+    _check_beta(beta)
+    _check_index_rate(ru)
+    k = info.prefactor(state.field_kind)
+    return float(_quantizer_variance(_received(state, power), beta, ru / k))
+
+
+def ru_for_sigma_q2(
+    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
+) -> float:
+    """Index rate implied by a quantizer variance; inverse of
+    :func:`sigma_q2_for_fixed_ru` (same bit convention)."""
+    _check_beta(beta)
+    _check_sigma_q2(sigma_q2)
+    if math.isinf(sigma_q2):
+        return 0.0
+    k = info.prefactor(state.field_kind)
+    return beta * k * math.log2(1.0 + (1.0 + _received(state, power)) / sigma_q2)
+
+
+def _received(state: ChannelState, power: PowerConfig):
+    """The relay's listen-slot received power c1 + c2."""
+    _, _, c1, c2, _, _, _, _ = _links(state.gains(), power)
+    return c1 + c2
+
+
 def _joint_region(ru, index_rate, bounds, *args) -> RateRegion:
     """``bounds(*args).region(ru)`` once ``ru`` is a finite rate >= 0 that
     covers the quantizer's ``index_rate(*args)``, else FeasibilityError."""
@@ -563,9 +743,7 @@ def sigma_q2_opt_indiv(
 def csit_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
     """Region of a relay with complete CSI: every bound sits at its own
     optimal quantizer with the index rate adapted to the channel state."""
-    _check_beta(beta)
-    k = info.prefactor(state.field_kind)
-    return _scalar_region(_csit_terms(_links(state.gains(), power), beta), k)
+    return _state_region("csit", state, power, beta)
 
 
 def cf_region_gaussian(
@@ -592,7 +770,8 @@ def direct_mac_region(
     _check_beta(beta)
     _check_boost(boost)
     k = info.prefactor(state.field_kind)
-    return _scalar_region(_direct_terms(_links(state.gains(), power), beta, boost), k)
+    terms = _direct_terms(_links(state.gains(), power), beta, boost)
+    return RateRegion.from_bounds(*(k * float(t) for t in terms))
 
 
 def nonwz_cf_region_fading(
@@ -605,11 +784,8 @@ def nonwz_cf_region_fading(
     the fixed rate buys; otherwise the relay signal is interference on the
     cooperate slot.
     """
-    _check_beta(beta)
-    _check_index_rate(ru)
-    k = info.prefactor(state.field_kind)
-    B = _index_block(_links(state.gains(), power), beta, recover=True)
-    return _scalar_region([i for (i,) in _index_terms(B, beta, ru / k)[0]], k)
+    _check_index_rate(ru)  # its own message, before RateTarget's rate rule
+    return _state_region("nonwz_cf", state, power, beta, RateTarget(0.0, 0.0, ru))
 
 
 def df_region(
@@ -620,19 +796,13 @@ def df_region(
     The targets are needed because the relay's decode-or-stay-silent branch
     depends on whether (r1, r2) fits its listen-slot MAC region.
     """
-    _check_beta(beta)
-    _check_rate(r1, "rate r1")
-    _check_rate(r2, "rate r2")
-    k = info.prefactor(state.field_kind)
-    return _scalar_region(_df_terms(_links(state.gains(), power), beta, r1 / k, r2 / k), k)
+    return _state_region("df", state, power, beta, RateTarget(r1, r2))
 
 
 def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
     """Amplify-forward region; defined for beta = 1/2 only (the relay
     forwards one received sample per cooperate-slot use)."""
-    _check_slot(beta, _AF_BETA, "amplify-forward")
-    k = info.prefactor(state.field_kind)
-    return _scalar_region(_af_terms(state.gains(), _links(state.gains(), power), power), k)
+    return _state_region("af", state, power, beta)
 
 
 def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, boost=1.0):

@@ -339,8 +339,8 @@ def test_cli_preset_and_validate(tmp_path):
     ],
 )
 def test_validate_checks_sweep_grids_through_the_model(tmp_path, kind, field, grid, code):
-    # no grid has a domain check of its own: validate builds what the run
-    # builds, and the channel model rejects a grid value out of its domain
+    # no grid has a domain rule of its own: each value meets the model's
+    # rule for the quantity swept, and validate builds what the run builds
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"kind": kind, field: grid}))
     assert main(["validate", str(cfg)]) == code
@@ -412,6 +412,12 @@ def test_cli_error_paths(tmp_path, capsys):
         ("fig4", "ru_grid=[1.0, .inf]", 2),
         ("fig7", "var_rd=.inf", 2),
         *((name, "snr_db=.inf", 2) for name in PRESETS),
+        # a grid entry the model rejects
+        ("fig5", "snr_db_grid=[0.0, .inf]", 2),
+        ("fig3", "sigma_q2_grid=[0.0, 1.0]", 2),
+        ("fig4", "beta_grid=[0.5, 1.0]", 2),
+        ("fig7", "sigma_rd2_grid=[0.0, 1.0]", 2),
+        ("fig7", "sigma_rd2_grid=[0.1, .inf]", 2),
     ],
 )
 def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, override, code):
@@ -422,6 +428,14 @@ def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, overr
     assert "Traceback" not in err
     if code == 2:
         assert len(err.splitlines()) == 1 and err.startswith("config error: "), err
+        # an SNR or a grid entry the model rejects is named by its field or
+        # grid, not by the model argument it fills, and the value is shown
+        key, _, value = override.partition("=")
+        if key == "snr_db" or key.endswith("_grid"):
+            name = f"each value of {key}" if key.endswith("_grid") else key
+            assert err.startswith(f"config error: {name} "), err
+            if ".inf" in value:
+                assert err.endswith(", got inf\n"), err
 
 
 _STATIC_FLOATS = (

@@ -30,10 +30,11 @@ from marcsim import (
     optimize_ru_grid,
     outage_flags,
 )
-from marcsim import outage, rates
-from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block, sigma_q2_for_fixed_ru
+from marcsim import channel, cli, config, experiments, outage, rates
+from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block
+from marcsim.rates import SCHEMES, sigma_q2_for_fixed_ru
 from marcsim.config import SCHEME_TOKENS
-from marcsim.outage import SCHEMES, _IndexRateCurve, classify_region_batch
+from marcsim.outage import _IndexRateCurve, classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -576,7 +577,7 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     pw = snr_power(snr_db)
     h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
     h[-1] = np.nan
-    b = outage._block(SCHEMES[scheme], h, pw, 0.5)
+    b = rates._block(SCHEMES[scheme], outage._columns(h), pw, 0.5)
     i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
     ok = (i1 > 0.0) & (i1 < isum)
     if scheme == "nonwz_cf":
@@ -597,16 +598,18 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
 
 def test_outage_module_computes_no_rate():
     # every rate expression lives in marcsim.rates; the Monte Carlo layer
-    # only compares the kernels' values with the targets
-    source = Path(outage.__file__).read_text()
-    assert re.findall(r"\b(?:log2|exp2|log1p|expm1)\b", source) == []
+    # only compares the kernels' values with the targets, and the model,
+    # config, runner and CLI compute none
+    for module in (outage, channel, config, experiments, cli):
+        source = Path(module.__file__).read_text()
+        assert re.findall(r"\b(?:log2|exp2|log1p|expm1)\b", source) == [], module.__name__
 
 
 def _codes_on_every_draw(scheme, h, pw, beta, target):
     """Region codes with the single-user bounds evaluated on every draw,
     as classify_region_batch did before it restricted them to the draws
     where a user fails its own bounds."""
-    b = outage._block(SCHEMES[scheme], h, pw, beta)
+    b = rates._block(SCHEMES[scheme], outage._columns(h), pw, beta)
     r1, r2, ru = target.r1, target.r2, target.ru
     clamp = lambda x: np.maximum(x, 0.0)
     terms, recovered, sq2 = rates._index_terms(b.terms, beta, ru)

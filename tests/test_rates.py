@@ -316,8 +316,6 @@ def test_nonwz_branch_boundary_pinned_to_recovered():
     # (1-beta)*log2(1 + e/(1+d1+d2)) equals ru exactly: e = 9, d1 = d2 = 1
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0, mode="fading")
     reg = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 1.0)
-    from marcsim.channel import sigma_q2_for_fixed_ru
-
     s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, 1.0)
     t = gqf_min_terms_gaussian(st, UNIT_POWER, 0.5, s)
     assert reg.i1 == pytest.approx(max(t[0], 0.0), abs=1e-12)
@@ -344,8 +342,6 @@ def test_nonwz_dead_relay_link_is_plain_direct():
 def test_nonwz_strong_relay_link_equals_cf():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 100.0, mode="fading")
     reg = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 3.0)
-    from marcsim.channel import sigma_q2_for_fixed_ru
-
     s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, 3.0)
     cf = cf_region_gaussian(st, UNIT_POWER, 0.5, s)
     assert cf is not None
@@ -380,7 +376,7 @@ def test_af_reduces_to_direct_without_relay_link():
     direct = direct_mac_region(st, UNIT_POWER, 0.5)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-12)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-12)
-    with pytest.raises(ValueError, match="amplify-forward needs beta = 0.5"):
+    with pytest.raises(ValueError, match="scheme 'af' needs beta = 0.5"):
         af_region(st, UNIT_POWER, 0.4)
     for beta in (math.nan, 1.5):  # the slot ratio rule comes before the slot rule
         with pytest.raises(ValueError, match="slot ratio beta must lie in"):
@@ -412,8 +408,6 @@ def test_pentagon_shape_by_scheme():
     # need not (the index rate is charged once in the sum bound but twice
     # across the two per-user bounds), so it carries a flag instead of an
     # error
-    from marcsim.channel import sigma_q2_for_fixed_ru
-
     prof = FadingProfile.uniform(1.0)
     h = draw_states(prof, 2000, 59)
     pw = PowerConfig.from_snr(1.0, 0.5)
