@@ -35,7 +35,7 @@ from .channel import (
     _check_samples,
     sample_fading_block,
 )
-from .rates import RateTarget, _block, _mins, _scheme
+from .rates import RateTarget, _block, _mins, _scheme, _take
 
 __all__ = [
     "OutageEstimate",
@@ -78,10 +78,12 @@ class OutageEstimate:
 class IndividualOutageEstimate:
     """Individual and common outage from one classification pass.
 
-    With region_freqs = (f1..f4), p_indiv1 = f1 + f3 and p_indiv2 = f2 + f3
-    hold exactly.  p_common is the count of regions 1-3 over n_samples, so
-    it equals ``common_outage_mc(...).p_hat`` on the same draws; it equals
-    f1 + f2 + f3 up to the rounding of that float sum.
+    With region_freqs = (f1..f4), p_indiv1 and p_indiv2 are the float sums
+    f1 + f3 and f2 + f3, whose rounding reaches the CSV (0.10833000000000001
+    in fig8); count ratios would change the pinned fig8 outputs, so they
+    wait for a benchmark change.  p_common is the count of regions 1-3 over
+    n_samples, so it equals ``common_outage_mc(...).p_hat`` on the same
+    draws; it equals f1 + f2 + f3 up to the rounding of that float sum.
     """
 
     p_indiv1: float
@@ -101,51 +103,20 @@ def _all(masks):
     return reduce(operator.and_, masks)
 
 
-def _take(parts, idx):
-    """``parts`` (arrays, possibly nested in tuples and lists) at draws ``idx``."""
-    if isinstance(parts, np.ndarray):
-        return parts[idx]
-    if isinstance(parts, (tuple, list)):
-        return type(parts)(_take(p, idx) for p in parts)
-    return parts
-
-
-def _index_regions(b, target):
-    """(i1, i2, isum) and the region-1 and region-2 masks of a scheme with a
-    relay index rate.  A user fails where it violates all of its own
-    min-terms; it is decodable alone where it meets the single-user bounds,
-    with the other source as noise, of its draw's index outcome.  Only a
-    draw where a user fails can land in region 1 or 2, so those bounds are
-    evaluated on such draws only."""
-    terms, recovered, sq2 = rates._index_terms(b.terms, b.beta, target.ru)
+def _index_regions(spec, b, target):
+    """(i1, i2, isum) and the region-1 and region-2 masks of the index-rate
+    scheme ``spec``.  A user fails where it violates all of its own
+    min-terms and is decodable alone where it meets its ``spec.alone`` bound,
+    asked for only on draws where a user fails (regions 1 and 2 need one)."""
+    terms = rates._index_terms(b.terms, b.beta, target.ru)[0]
     r1, r2 = target.r1, target.r2
-    n = len(terms[0])  # min-terms per rate; each user meets its first n single-user bounds
-
-    def decodable(j):  # draws that recover the index
-        w1a, w1b, w2a, w2b = rates._interference_terms(
-            _take(b.g, j), _take(b.L, j), b.power, b.beta, sq2[j], target.ru
-        )
-        return (_all(r1 <= _clamp(w) for w in (w1a, w1b)[:n]),
-                _all(r2 <= _clamp(w) for w in (w2a, w2b)[:n]))
-
     fail1 = _all(r1 > _clamp(t) for t in terms[0])
     fail2 = _all(r2 > _clamp(t) for t in terms[1])
     reg1, reg2 = np.zeros_like(fail1), np.zeros_like(fail2)
     idx = np.flatnonzero(fail1 | fail2)
-    if idx.size:
-        # ok1, ok2: user 1, user 2 decodable alone on the draws idx
-        if recovered is None:
-            ok1, ok2 = decodable(idx)
-        else:
-            ok1, ok2 = np.empty(idx.size, bool), np.empty(idx.size, bool)
-            rec = recovered[idx]
-            if rec.any():
-                ok1[rec], ok2[rec] = decodable(idx[rec])
-            if not rec.all():
-                u1, u2 = rates._no_index_interference_terms(_take(b.L, idx[~rec]), b.beta)
-                ok1[~rec], ok2[~rec] = r1 <= _clamp(u1), r2 <= _clamp(u2)
-        reg1[idx] = ok2 & fail1[idx]
-        reg2[idx] = ok1 & fail2[idx]
+    v1, v2 = spec.alone(b, target, idx)
+    reg1[idx] = (r2 <= _clamp(v2)) & fail1[idx]
+    reg2[idx] = (r1 <= _clamp(v1)) & fail2[idx]
     return _mins(terms), reg1, reg2
 
 
@@ -175,7 +146,7 @@ class _IndexRateCurve:
     draws in between, on draws whose inputs are not finite and where
     2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
     kernel's.  With a recovery rate (non-WZ CF) recovery is tested exactly
-    (``index_rate >= ru``), and a draw that does not recover takes the
+    (``rates._recovered``), and a draw that does not recover takes the
     fallback verdict, which does not depend on ``ru`` and is found once per
     block; without one (GQF) every draw recovers the index.
     """
@@ -186,7 +157,7 @@ class _IndexRateCurve:
         self.h, self.built_for = h, (scheme, power, beta, (r1, r2))
         self.terms = terms = _block(spec, _columns(h), power, beta).terms
         self.beta = beta
-        received, _, self.index_rate, fallback = terms
+        received, _, _, fallback = terms
         self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
         self.inv_one_c = 1.0 / (1.0 + received)
         (self.lo_out, self.hi_out), (self.lo_in, self.hi_in) = rates._index_intervals(
@@ -203,7 +174,7 @@ class _IndexRateCurve:
         band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
         if self.fallback is None:  # gqf: the index is always recovered
             return out, band
-        recovered = self.index_rate >= ru
+        recovered = rates._recovered(self.terms, ru)
         return np.where(recovered, out, self.fallback), recovered & band
 
     def flags(self, target):
@@ -275,7 +246,7 @@ def classify_region_batch(
     (internal invariant).
     """
     spec = _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = _index_regions(_block(spec, _columns(h), power, beta), target)
+    bounds, reg1, reg2 = _index_regions(spec, _block(spec, _columns(h), power, beta), target)
     common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")

@@ -284,19 +284,25 @@ def _index_terms(B, beta, ru):
 
     ``sigma_q2`` is the quantizer variance that spends exactly ``ru`` on
     the relay's observation and ``terms`` holds, per rate (r1, r2,
-    r1 + r2), the tuple of its min-terms (see :func:`_gqf_terms`).  With a
-    recovery rate, ``recovered`` marks the draws whose index is recovered
-    (the tie at the threshold goes to "recovered"), and the others carry
-    their fallback bound; else it is None.
+    r1 + r2), the tuple of its min-terms (see :func:`_gqf_terms`), where the
+    draws that do not recover the index (``recovered``, see
+    :func:`_recovered`) carry their fallback bound.
     """
-    received, G, index_rate, fallback = B
+    received, G, _, fallback = B
     sigma_q2 = _quantizer_variance(received, beta, ru)
     terms = _gqf_terms(G, beta, sigma_q2)
-    if index_rate is None:
-        return terms, None, sigma_q2
-    recovered = index_rate >= ru
-    terms = tuple((np.where(recovered, t, f),) for (t,), f in zip(terms, fallback))
+    recovered = _recovered(B, ru)
+    if recovered is not None:
+        terms = tuple((np.where(recovered, t, f),) for (t,), f in zip(terms, fallback))
     return terms, recovered, sigma_q2
+
+
+def _recovered(B, ru):
+    """Draws of the block ``B = _index_block(L, beta, recover)`` whose index
+    the destination recovers at index rate ``ru`` (the tie at the threshold
+    goes to "recovered"), or None where the block has no recovery rate."""
+    index_rate = B[2]
+    return None if index_rate is None else index_rate >= ru
 
 
 def _index_intervals(B, beta, r1, r2, shifts):
@@ -341,9 +347,9 @@ def _interference_terms(g, L, power, beta, sigma_q2, ru):
     """Single-user bounds with the other source treated as noise.
 
     Returns (w1a, w1b, w2a, w2b): plain and index-charged bounds for
-    decoding one message alone, used by the outage-region classifier.
-    Where the determinants overflow (sigma_q2 = inf or near it), both
-    determinant ratios of user i take their limit v_yd1 / (1 + a_j).
+    decoding one message alone (see :func:`_index_alone`).  Where the
+    determinants overflow (sigma_q2 = inf or near it), both determinant
+    ratios of user i take their limit v_yd1 / (1 + a_j).
     """
     h1d, h2d, h1r, h2r, _ = g
     a1, a2, c1, c2, d1, d2, e, _ = L
@@ -370,15 +376,34 @@ def _interference_terms(g, L, power, beta, sigma_q2, ru):
     return w1a, w1b, w2a, w2b
 
 
-def _no_index_interference_terms(L, beta):
-    """Single-user bounds (user 1, user 2) with the other source treated as
-    noise when the destination does not recover the relay index (non-WZ
-    CF): the relay signal is cooperate-slot noise too."""
+def _take(parts, idx):
+    """``parts`` (arrays, possibly nested in tuples and lists) at draws ``idx``."""
+    if isinstance(parts, np.ndarray):
+        return parts[idx]
+    if isinstance(parts, (tuple, list)):
+        return type(parts)(_take(p, idx) for p in parts)
+    return parts
+
+
+def _index_alone(b, target, idx):
+    """(v1, v2): each user's single-user bound, with the other source as
+    noise, on the draws ``idx`` of the index-rate block ``b`` for each
+    draw's index outcome at ``target.ru``.  Under joint decoding (GQF) a
+    user meets both bounds of :func:`_interference_terms`, so v is their
+    least; under non-WZ CF the plain one where the index is recovered, else
+    the one with the relay signal as cooperate-slot noise too."""
+    ru, beta, received = target.ru, b.beta, b.terms[0]
+    L = _take(b.L, idx)
+    sigma_q2 = _quantizer_variance(received[idx], beta, ru)
+    w1a, w1b, w2a, w2b = _interference_terms(_take(b.g, idx), L, b.power, beta, sigma_q2, ru)
+    recovered = _recovered(b.terms, ru)
+    if recovered is None:
+        return np.minimum(w1a, w1b), np.minimum(w2a, w2b)
     a1, a2, _, _, d1, d2, e, _ = L
-    mb = 1.0 - beta
-    v_yd1 = 1.0 + a1 + a2
-    return (beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e)),
-            beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e)))
+    mb, v_yd1, rec = 1.0 - beta, 1.0 + a1 + a2, recovered[idx]
+    u1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
+    u2 = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
+    return np.where(rec, w1a, u1), np.where(rec, w2a, u2)
 
 
 def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
@@ -501,13 +526,17 @@ class Scheme:
     a scheme with a relay index rate and says how the destination treats
     the index (see :func:`_index_block`): its block carries
     ``_index_block(L, beta, recover)``, its bounds are the least min-terms
-    of ``_index_terms``, it needs ``target.ru > 0``, gets an ``<name>_opt``
-    series that optimizes ``ru`` and supports individual outage.
+    of ``_index_terms``, it needs ``target.ru > 0`` and gets an
+    ``<name>_opt`` series that optimizes ``ru``.  ``alone(b, target, idx)``,
+    set only for a scheme that supports individual outage, returns each
+    user's single-user bound, with the other source as noise, on the draws
+    ``idx`` of ``b`` (see :func:`_index_alone`).
     """
 
     bounds: Callable
     beta: float | None = None
     recover: bool | None = None
+    alone: Callable | None = None
 
 
 def _mins(terms):
@@ -523,9 +552,9 @@ def _index_bounds(b, target):
 #: every relaying scheme with per-state bounds; adding a scheme here makes
 #: it available to the estimators, configs and sweeps
 SCHEMES = {
-    "gqf": Scheme(_index_bounds, recover=False),
+    "gqf": Scheme(_index_bounds, recover=False, alone=_index_alone),
     "csit": Scheme(lambda b, t: _csit_terms(b.L, b.beta)),
-    "nonwz_cf": Scheme(_index_bounds, recover=True),
+    "nonwz_cf": Scheme(_index_bounds, recover=True, alone=_index_alone),
     "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t.r1, t.r2)),
     "af": Scheme(lambda b, t: _af_terms(b.g, b.L, b.power), beta=_AF_BETA),
     "direct": Scheme(lambda b, t: _direct_terms(b.L, b.beta)),

@@ -244,6 +244,20 @@ def test_fading_sigmard_sweep_individual_columns():
             assert ri >= rc - 1e-12
 
 
+def test_individual_columns_only_for_schemes_with_alone():
+    # fig7 runs every scheme; under individual: true only the tokens whose
+    # scheme has a single-user rule get individual columns, the others are
+    # skipped
+    res = run_experiment(preset_config("fig7", individual=True, n_samples=300,
+                                       sigma_rd2_grid=(1.0,)))
+    suffixes = ("_p_indiv1", "_p_indiv2", "_rbar_indiv")
+    for suffix in suffixes:
+        tokens = {c[: -len(suffix)] for c in res.columns if c.endswith(suffix)}
+        assert tokens == {"gqf_opt", "nonwz_cf_opt"}, suffix
+    plain = {c for c in res.columns if not c.endswith(suffixes)}
+    assert {c[: c.rindex("_")] for c in plain} == set(PRESETS["fig7"]["schemes"])
+
+
 def test_run_byte_identical(tmp_path):
     cfg = preset_config(
         "fig5", n_samples=2000, snr_db_grid=(10.0,), seed=11,

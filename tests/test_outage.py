@@ -2,6 +2,7 @@
 classification, determinism, and the estimator contracts."""
 
 import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -456,6 +457,8 @@ def test_scheme_table_rules():
     assert optimized == {name for name, s in SCHEMES.items() if s.recover is not None}
     assert optimized == {"gqf", "nonwz_cf"}
     assert all(SCHEME_TOKENS[f"{name}_opt"] == (name, True) for name in optimized)
+    # individual outage (a single-user rule) exists for exactly these schemes
+    assert {name for name, s in SCHEMES.items() if s.alone is not None} == {"gqf", "nonwz_cf"}
 
 
 @pytest.mark.parametrize("name", ["gqf", "nonwz_cf"])
@@ -603,6 +606,19 @@ def test_outage_module_computes_no_rate():
     for module in (outage, channel, config, experiments, cli):
         source = Path(module.__file__).read_text()
         assert re.findall(r"\b(?:log2|exp2|log1p|expm1)\b", source) == [], module.__name__
+
+
+def test_region_classifier_is_scheme_blind():
+    # the single-user rule and the index-recovery rule of each scheme live
+    # in rates (Scheme.alone, rates._recovered); the classifier and the
+    # curve read neither the number of min-terms nor the recovery rate
+    source = Path(outage.__file__).read_text()
+    for text in ("recovered is None", "len(terms", "_interference_terms", ".index_rate"):
+        assert text not in source, text
+    hits = [(path.name, line) for path in Path(rates.__file__).parent.glob("*.py")
+            for line in path.read_text().splitlines() if "index_rate >= ru" in line]
+    assert len(hits) == 1 and hits[0][0] == "rates.py", hits
+    assert "index_rate >= ru" in inspect.getsource(rates._recovered)
 
 
 def _codes_on_every_draw(scheme, h, pw, beta, target):
