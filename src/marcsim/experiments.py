@@ -160,7 +160,7 @@ def _run_fading_point(cfg, profile, power, columns):
         columns.setdefault(f"{token}_rbar", []).append(
             expected_sum_rate_common(base_target, est)
         )
-        if cfg.individual and SCHEMES[scheme].alone is not None:
+        if cfg.individual and SCHEMES[scheme].recover is not None:
             ind = individual_outage_mc(
                 profile, power, cfg.beta, RateTarget(cfg.r1, cfg.r2, used_ru),
                 cfg.n_samples, cfg.seed, scheme=scheme,

@@ -103,18 +103,19 @@ def _all(masks):
     return reduce(operator.and_, masks)
 
 
-def _index_regions(spec, b, target):
-    """(i1, i2, isum) and the region-1 and region-2 masks of the index-rate
-    scheme ``spec``.  A user fails where it violates all of its own
-    min-terms and is decodable alone where it meets its ``spec.alone`` bound,
-    asked for only on draws where a user fails (regions 1 and 2 need one)."""
-    terms = rates._index_terms(b.terms, b.beta, target.ru)[0]
+def _index_regions(b, target):
+    """(i1, i2, isum) and the region-1 and region-2 masks of a scheme with a
+    relay index rate.  A user fails where it violates all of its own
+    min-terms and is decodable alone where it meets its single-user bound
+    (``rates._index_alone``), asked for only on draws where a user fails
+    (regions 1 and 2 need one)."""
+    terms, _, sigma_q2 = rates._index_terms(b.terms, b.beta, target.ru)
     r1, r2 = target.r1, target.r2
     fail1 = _all(r1 > _clamp(t) for t in terms[0])
     fail2 = _all(r2 > _clamp(t) for t in terms[1])
     reg1, reg2 = np.zeros_like(fail1), np.zeros_like(fail2)
     idx = np.flatnonzero(fail1 | fail2)
-    v1, v2 = spec.alone(b, target, idx)
+    v1, v2 = rates._index_alone(b, target.ru, idx, sigma_q2)
     reg1[idx] = (r2 <= _clamp(v2)) & fail1[idx]
     reg2[idx] = (r1 <= _clamp(v1)) & fail2[idx]
     return _mins(terms), reg1, reg2
@@ -246,7 +247,7 @@ def classify_region_batch(
     (internal invariant).
     """
     spec = _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = _index_regions(spec, _block(spec, _columns(h), power, beta), target)
+    bounds, reg1, reg2 = _index_regions(_block(spec, _columns(h), power, beta), target)
     common = _violated(*bounds, target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")

@@ -385,25 +385,28 @@ def _take(parts, idx):
     return parts
 
 
-def _index_alone(b, target, idx):
+def _index_alone(b, ru, idx, sigma_q2):
     """(v1, v2): each user's single-user bound, with the other source as
-    noise, on the draws ``idx`` of the index-rate block ``b`` for each
-    draw's index outcome at ``target.ru``.  Under joint decoding (GQF) a
-    user meets both bounds of :func:`_interference_terms`, so v is their
-    least; under non-WZ CF the plain one where the index is recovered, else
-    the one with the relay signal as cooperate-slot noise too."""
-    ru, beta, received = target.ru, b.beta, b.terms[0]
-    L = _take(b.L, idx)
-    sigma_q2 = _quantizer_variance(received[idx], beta, ru)
-    w1a, w1b, w2a, w2b = _interference_terms(_take(b.g, idx), L, b.power, beta, sigma_q2, ru)
+    noise, on the draws ``idx`` of the index-rate block ``b`` (``sigma_q2``
+    per draw of ``b``), by each draw's index outcome at ``ru``: under GQF the
+    least of both :func:`_interference_terms` bounds; under non-WZ CF the
+    plain one if the index is recovered, else the one with the relay signal
+    as cooperate-slot noise too, each on its own draws only."""
     recovered = _recovered(b.terms, ru)
+    j = idx if recovered is None else idx[recovered[idx]]
+    w1a, w1b, w2a, w2b = _interference_terms(
+        _take(b.g, j), _take(b.L, j), b.power, b.beta, sigma_q2[j], ru
+    )
     if recovered is None:
         return np.minimum(w1a, w1b), np.minimum(w2a, w2b)
-    a1, a2, _, _, d1, d2, e, _ = L
-    mb, v_yd1, rec = 1.0 - beta, 1.0 + a1 + a2, recovered[idx]
-    u1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
-    u2 = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
-    return np.where(rec, w1a, u1), np.where(rec, w2a, u2)
+    rec = recovered[idx]
+    a1, a2, _, _, d1, d2, e, _ = _take(b.L, idx[~rec])
+    beta, mb, v_yd1 = b.beta, 1.0 - b.beta, 1.0 + a1 + a2
+    v1, v2 = np.empty(idx.size), np.empty(idx.size)
+    v1[rec], v2[rec] = w1a, w2a
+    v1[~rec] = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
+    v2[~rec] = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
+    return v1, v2
 
 
 def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
@@ -526,17 +529,13 @@ class Scheme:
     a scheme with a relay index rate and says how the destination treats
     the index (see :func:`_index_block`): its block carries
     ``_index_block(L, beta, recover)``, its bounds are the least min-terms
-    of ``_index_terms``, it needs ``target.ru > 0`` and gets an
-    ``<name>_opt`` series that optimizes ``ru``.  ``alone(b, target, idx)``,
-    set only for a scheme that supports individual outage, returns each
-    user's single-user bound, with the other source as noise, on the draws
-    ``idx`` of ``b`` (see :func:`_index_alone`).
+    of ``_index_terms``, it needs ``target.ru > 0``, gets an ``<name>_opt``
+    series that optimizes ``ru`` and supports individual outage.
     """
 
     bounds: Callable
     beta: float | None = None
     recover: bool | None = None
-    alone: Callable | None = None
 
 
 def _mins(terms):
@@ -552,9 +551,9 @@ def _index_bounds(b, target):
 #: every relaying scheme with per-state bounds; adding a scheme here makes
 #: it available to the estimators, configs and sweeps
 SCHEMES = {
-    "gqf": Scheme(_index_bounds, recover=False, alone=_index_alone),
+    "gqf": Scheme(_index_bounds, recover=False),
     "csit": Scheme(lambda b, t: _csit_terms(b.L, b.beta)),
-    "nonwz_cf": Scheme(_index_bounds, recover=True, alone=_index_alone),
+    "nonwz_cf": Scheme(_index_bounds, recover=True),
     "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t.r1, t.r2)),
     "af": Scheme(lambda b, t: _af_terms(b.g, b.L, b.power), beta=_AF_BETA),
     "direct": Scheme(lambda b, t: _direct_terms(b.L, b.beta)),

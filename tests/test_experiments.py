@@ -244,10 +244,10 @@ def test_fading_sigmard_sweep_individual_columns():
             assert ri >= rc - 1e-12
 
 
-def test_individual_columns_only_for_schemes_with_alone():
+def test_individual_columns_only_for_index_rate_schemes():
     # fig7 runs every scheme; under individual: true only the tokens whose
-    # scheme has a single-user rule get individual columns, the others are
-    # skipped
+    # scheme has a relay index rate (and so a single-user rule) get
+    # individual columns, the others are skipped
     res = run_experiment(preset_config("fig7", individual=True, n_samples=300,
                                        sigma_rd2_grid=(1.0,)))
     suffixes = ("_p_indiv1", "_p_indiv2", "_rbar_indiv")

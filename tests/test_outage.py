@@ -457,8 +457,6 @@ def test_scheme_table_rules():
     assert optimized == {name for name, s in SCHEMES.items() if s.recover is not None}
     assert optimized == {"gqf", "nonwz_cf"}
     assert all(SCHEME_TOKENS[f"{name}_opt"] == (name, True) for name in optimized)
-    # individual outage (a single-user rule) exists for exactly these schemes
-    assert {name for name, s in SCHEMES.items() if s.alone is not None} == {"gqf", "nonwz_cf"}
 
 
 @pytest.mark.parametrize("name", ["gqf", "nonwz_cf"])
@@ -610,8 +608,8 @@ def test_outage_module_computes_no_rate():
 
 def test_region_classifier_is_scheme_blind():
     # the single-user rule and the index-recovery rule of each scheme live
-    # in rates (Scheme.alone, rates._recovered); the classifier and the
-    # curve read neither the number of min-terms nor the recovery rate
+    # in rates (rates._index_alone, rates._recovered); the classifier and
+    # the curve read neither the number of min-terms nor the recovery rate
     source = Path(outage.__file__).read_text()
     for text in ("recovered is None", "len(terms", "_interference_terms", ".index_rate"):
         assert text not in source, text
