@@ -40,21 +40,18 @@ from .rates import (
     MarcPmfFamily,
     RateRegion,
     RateTarget,
-    af_region,
     cf_region_discrete,
     cf_region_gaussian,
-    csit_region,
-    df_region,
     direct_mac_region,
     gqf_bounds_discrete,
     gqf_bounds_gaussian,
     gqf_min_terms_gaussian,
     gqf_region,
     gqf_region_discrete,
-    nonwz_cf_region_fading,
     optimize_sigma_beta_grid,
     quantizer_index_rate,
     quantizer_index_rate_discrete,
+    region,
     ru_for_sigma_q2,
     sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,

@@ -28,6 +28,7 @@ closed form an independent in-package oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -64,11 +65,8 @@ __all__ = [
     "cf_region_gaussian",
     "sigma_q2_opt_sum",
     "sigma_q2_opt_indiv",
-    "csit_region",
+    "region",
     "direct_mac_region",
-    "nonwz_cf_region_fading",
-    "df_region",
-    "af_region",
     "MarcPmfFamily",
     "gqf_bounds_discrete",
     "quantizer_index_rate_discrete",
@@ -503,8 +501,8 @@ def _af_terms(g, L, power):
 
 
 # ---------------------------------------------------------------------------
-# the scheme table: each scheme's bounds, read by the per-state regions
-# below and by the Monte Carlo layer
+# the scheme table: each scheme's bounds, read per channel state by
+# :func:`region` and per block of draws by the Monte Carlo layer
 # ---------------------------------------------------------------------------
 
 
@@ -524,13 +522,15 @@ class Scheme:
 
     ``bounds(b, target)`` returns the per-draw (i1, i2, isum), in
     complex-signalling units, from the block ``b = _block(scheme, g,
-    power, beta)`` of the gain columns ``g``.  ``beta``, if set, is the
-    only slot split the scheme is defined for.  ``recover`` is set only for
-    a scheme with a relay index rate and says how the destination treats
-    the index (see :func:`_index_block`): its block carries
-    ``_index_block(L, beta, recover)``, its bounds are the least min-terms
-    of ``_index_terms``, it needs ``target.ru > 0``, gets an ``<name>_opt``
-    series that optimizes ``ru`` and supports individual outage.
+    power, beta)`` of the gain columns ``g``: one channel state's gains
+    for :func:`region`, arrays over draws for the Monte Carlo layer.
+    ``beta``, if set, is the only slot split the scheme is defined for.
+    ``recover`` is set only for a scheme with a relay index rate and says
+    how the destination treats the index (see :func:`_index_block`): its
+    block carries ``_index_block(L, beta, recover)``, its bounds are the
+    least min-terms of ``_index_terms``, it needs ``target.ru > 0``, gets
+    an ``<name>_opt`` series that optimizes ``ru`` and supports individual
+    outage.
     """
 
     bounds: Callable
@@ -589,15 +589,19 @@ def _block(spec: Scheme, g, power: PowerConfig, beta: float) -> _Block:
 # ---------------------------------------------------------------------------
 
 
-def _state_region(name, state: ChannelState, power: PowerConfig, beta: float,
-                  target: RateTarget | None = None) -> RateRegion:
+def region(name: str, state: ChannelState, power: PowerConfig, beta: float,
+           target: RateTarget) -> RateRegion:
     """Region of the ``SCHEMES`` entry ``name`` on one channel state, after
-    that entry's checks.  The prefactor ``k`` of the state's field divides
-    the rate inputs and multiplies the bounds (exact for k = 1 or 1/2)."""
+    that entry's checks; the arguments are those of
+    :func:`marcsim.outage.outage_flags` on one state.
+
+    ``target`` gives ``df`` the rates its relay must decode and the schemes
+    with a relay index rate their ``ru``; the other schemes ignore it.  The
+    prefactor ``k`` of the state's field divides the rate inputs and
+    multiplies the bounds (exact for k = 1 or 1/2)."""
     spec = _scheme(name, beta, target)
     k = info.prefactor(state.field_kind)
-    if target is not None:
-        target = RateTarget(target.r1 / k, target.r2 / k, target.ru / k)
+    target = RateTarget(target.r1 / k, target.r2 / k, target.ru / k)
     bounds = spec.bounds(_block(spec, state.gains(), power, beta), target)
     return RateRegion.from_bounds(*(k * float(t) for t in bounds))
 
@@ -763,15 +767,9 @@ def sigma_q2_opt_indiv(
 ) -> float:
     """Quantizer variance maximizing one user's individual-rate min."""
     _check_beta(beta)
-    if user not in (1, 2):
+    if not isinstance(user, numbers.Integral) or isinstance(user, bool) or user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user!r}")
     return float(_opt_sigmas(_links(state.gains(), power), beta)[user - 1])
-
-
-def csit_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
-    """Region of a relay with complete CSI: every bound sits at its own
-    optimal quantizer with the index rate adapted to the channel state."""
-    return _state_region("csit", state, power, beta)
 
 
 def cf_region_gaussian(
@@ -800,37 +798,6 @@ def direct_mac_region(
     k = info.prefactor(state.field_kind)
     terms = _direct_terms(_links(state.gains(), power), beta, boost)
     return RateRegion.from_bounds(*(k * float(t) for t in terms))
-
-
-def nonwz_cf_region_fading(
-    state: ChannelState, power: PowerConfig, beta: float, ru: float
-) -> RateRegion:
-    """Non-binned compress-forward with a fixed index rate.
-
-    If the destination can recover the index codeword (tie goes to
-    recovered), the region is the compress-forward region at the quantizer
-    the fixed rate buys; otherwise the relay signal is interference on the
-    cooperate slot.
-    """
-    _check_index_rate(ru)  # its own message, before RateTarget's rate rule
-    return _state_region("nonwz_cf", state, power, beta, RateTarget(0.0, 0.0, ru))
-
-
-def df_region(
-    state: ChannelState, power: PowerConfig, beta: float, r1: float, r2: float
-) -> RateRegion:
-    """Decode-forward region for target rates (r1, r2).
-
-    The targets are needed because the relay's decode-or-stay-silent branch
-    depends on whether (r1, r2) fits its listen-slot MAC region.
-    """
-    return _state_region("df", state, power, beta, RateTarget(r1, r2))
-
-
-def af_region(state: ChannelState, power: PowerConfig, beta: float) -> RateRegion:
-    """Amplify-forward region; defined for beta = 1/2 only (the relay
-    forwards one received sample per cooperate-slot use)."""
-    return _state_region("af", state, power, beta)
 
 
 def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, boost=1.0):

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +18,16 @@ from marcsim import (
     OutageEstimate,
     PowerConfig,
     RateTarget,
-    af_region,
     common_outage_mc,
-    csit_region,
-    df_region,
     direct_mac_region,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
     gqf_bounds_gaussian,
     gqf_region,
     individual_outage_mc,
-    nonwz_cf_region_fading,
     optimize_ru_grid,
     outage_flags,
+    region,
 )
 from marcsim import channel, cli, config, experiments, outage, rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block
@@ -405,28 +403,26 @@ def test_individual_outage_bit_identical_across_runs():
     assert a == b
 
 
-# per-state outage of every table scheme through the scalar API; gqf goes
-# through the covariance engine at the relay's fixed-ru quantizer
-SCALAR_OUTAGE = {
-    "gqf": lambda st, pw, b, t: not gqf_region(
+# per-state region of every table scheme through the scalar API; gqf goes
+# through the covariance engine at the relay's fixed-ru quantizer, and
+# direct and direct15 through direct_mac_region's own body, so those three
+# stay independent of the table
+SCALAR_REGION = {
+    "gqf": lambda st, pw, b, t: gqf_region(
         st, pw, b, sigma_q2_for_fixed_ru(st, pw, b, t.ru), t.ru
-    ).contains(t.r1, t.r2),
-    "csit": lambda st, pw, b, t: not csit_region(st, pw, b).contains(t.r1, t.r2),
-    "nonwz_cf": lambda st, pw, b, t: not nonwz_cf_region_fading(st, pw, b, t.ru).contains(
-        t.r1, t.r2
     ),
-    "df": lambda st, pw, b, t: not df_region(st, pw, b, t.r1, t.r2).contains(t.r1, t.r2),
-    "af": lambda st, pw, b, t: not af_region(st, pw, b).contains(t.r1, t.r2),
-    "direct": lambda st, pw, b, t: not direct_mac_region(st, pw, b).contains(t.r1, t.r2),
-    "direct15": lambda st, pw, b, t: not direct_mac_region(st, pw, b, boost=1.5).contains(
-        t.r1, t.r2
-    ),
+    "csit": partial(region, "csit"),
+    "nonwz_cf": partial(region, "nonwz_cf"),
+    "df": partial(region, "df"),
+    "af": partial(region, "af"),
+    "direct": lambda st, pw, b, t: direct_mac_region(st, pw, b),
+    "direct15": lambda st, pw, b, t: direct_mac_region(st, pw, b, boost=1.5),
 }
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_scheme_table_matches_scalar_api(scheme):
-    assert set(SCALAR_OUTAGE) == set(SCHEMES)
+    assert set(SCALAR_REGION) == set(SCHEMES)
     pw = snr_power(10.0)
     target = RateTarget(1.25, 0.75, 2.0)  # asymmetric, so swapped users show
     h = draw_states(PROFILE, 300, 8)
@@ -434,7 +430,8 @@ def test_scheme_table_matches_scalar_api(scheme):
     assert 0 < flags.sum() < len(h)
     for row, flag in zip(h, flags):
         state = ChannelState(*row, mode=FADING)
-        assert bool(flag) == SCALAR_OUTAGE[scheme](state, pw, 0.5, target)
+        reg = SCALAR_REGION[scheme](state, pw, 0.5, target)
+        assert bool(flag) == (not reg.contains(target.r1, target.r2))
 
 
 def test_scheme_table_rules():

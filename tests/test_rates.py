@@ -2,6 +2,7 @@
 covariance engine, quantizer optimizers, and the baseline schemes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,23 +14,22 @@ from marcsim import (
     FeasibilityError,
     PowerConfig,
     RateRegion,
-    af_region,
+    RateTarget,
     cf_region_gaussian,
-    csit_region,
-    df_region,
     direct_mac_region,
     gqf_bounds_gaussian,
     gqf_min_terms_gaussian,
     gqf_region,
-    nonwz_cf_region_fading,
     optimize_sigma_beta_grid,
     quantizer_index_rate,
+    region,
     sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )
 from marcsim.channel import draw_states, FadingProfile
 from marcsim.rates import (
+    SCHEMES,
     _af_terms,
     _csit_terms,
     _index_block,
@@ -38,6 +38,7 @@ from marcsim.rates import (
 )
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
+NO_RATES = RateTarget(0.0, 0.0)  # for the schemes whose region ignores the target
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
@@ -106,8 +107,12 @@ def test_opt_indiv_specializations():
     assert sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, 1) == pytest.approx(
         sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, 2), rel=1e-12
     )
-    with pytest.raises(ValueError):
-        sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, 3)
+    assert sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, np.int64(2)) == sigma_q2_opt_indiv(
+        sym, UNIT_POWER, 0.5, 2
+    )
+    for user in (3, True, 1.0, 2.0):  # only the integers 1 and 2, not a bool
+        with pytest.raises(ValueError, match="user must be 1 or 2"):
+            sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, user)
 
 
 def test_opt_sum_limits():
@@ -272,8 +277,8 @@ def test_cf_matches_gqf_when_feasible():
         done += 1
 
 
-def test_csit_region_reference_values():
-    reg = csit_region(FIG3_STATE, UNIT_POWER, 0.5)
+def test_csit_reference_values():
+    reg = region("csit", FIG3_STATE, UNIT_POWER, 0.5, NO_RATES)
     assert reg.isum == pytest.approx(1.1495, abs=1e-3)
     # per-bound consistency with the region at each bound's own optimizer
     s_sum = sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.5)
@@ -315,25 +320,29 @@ def test_direct_reference_line():
 def test_nonwz_branch_boundary_pinned_to_recovered():
     # (1-beta)*log2(1 + e/(1+d1+d2)) equals ru exactly: e = 9, d1 = d2 = 1
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0, mode="fading")
-    reg = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 1.0)
+    reg = region("nonwz_cf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 1.0))
     s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, 1.0)
     t = gqf_min_terms_gaussian(st, UNIT_POWER, 0.5, s)
     assert reg.i1 == pytest.approx(max(t[0], 0.0), abs=1e-12)
     assert reg.isum == pytest.approx(max(t[4], 0.0), abs=1e-12)
     # just past the boundary the relay signal becomes interference
-    reg2 = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 1.0 + 1e-9)
+    reg2 = region("nonwz_cf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 1.0 + 1e-9))
     assert reg2.isum < reg.isum
 
 
 def test_nonwz_index_rate_must_be_finite_and_positive():
-    for ru in (math.inf, math.nan, 0.0):
-        with pytest.raises(ValueError, match="relay index rate ru must be finite and > 0"):
-            nonwz_cf_region_fading(FIG3_STATE, UNIT_POWER, 0.5, ru)
+    # a non-finite ru is no rate at all (RateTarget's rule); a zero one is a
+    # rate, but no index rate
+    for ru in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rate ru must be finite and >= 0"):
+            region("nonwz_cf", FIG3_STATE, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, ru))
+    with pytest.raises(ValueError, match="relay index rate ru must be finite and > 0"):
+        region("nonwz_cf", FIG3_STATE, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 0.0))
 
 
 def test_nonwz_dead_relay_link_is_plain_direct():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0, mode="fading")
-    reg = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 3.0)
+    reg = region("nonwz_cf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 3.0))
     direct = direct_mac_region(st, UNIT_POWER, 0.5)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-12)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-12)
@@ -341,7 +350,7 @@ def test_nonwz_dead_relay_link_is_plain_direct():
 
 def test_nonwz_strong_relay_link_equals_cf():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 100.0, mode="fading")
-    reg = nonwz_cf_region_fading(st, UNIT_POWER, 0.5, 3.0)
+    reg = region("nonwz_cf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 3.0))
     s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, 3.0)
     cf = cf_region_gaussian(st, UNIT_POWER, 0.5, s)
     assert cf is not None
@@ -351,36 +360,65 @@ def test_nonwz_strong_relay_link_equals_cf():
 def test_df_branches():
     # dead source-relay links: the relay never decodes, so direct transmission
     st = ChannelState(1.0, 1.0, 0.0, 0.0, 3.0)
-    reg = df_region(st, UNIT_POWER, 0.5, 1.0, 1.0)
+    reg = region("df", st, UNIT_POWER, 0.5, RateTarget(1.0, 1.0))
     direct = direct_mac_region(st, UNIT_POWER, 0.5)
     assert reg == direct
     # strong relay links: the cooperate slot gains the relay power
     st2 = ChannelState(1.0, 1.0, 30.0, 30.0, 3.0)
-    reg2 = df_region(st2, UNIT_POWER, 0.5, 1.0, 1.0)
+    reg2 = region("df", st2, UNIT_POWER, 0.5, RateTarget(1.0, 1.0))
     assert reg2.isum == pytest.approx(
         0.25 * math.log2(3.0) + 0.25 * math.log2(12.0), abs=1e-12
     )
     # dead relay-destination link: forwarding adds nothing either way
     st3 = ChannelState(1.0, 1.0, 3.0, 3.0, 0.0)
-    assert df_region(st3, UNIT_POWER, 0.5, 1.0, 1.0) == direct_mac_region(
+    assert region("df", st3, UNIT_POWER, 0.5, RateTarget(1.0, 1.0)) == direct_mac_region(
         st3, UNIT_POWER, 0.5
     )
     for r1 in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="rate r1 must be finite and >= 0"):
-            df_region(st, UNIT_POWER, 0.5, r1, 1.0)
+            region("df", st, UNIT_POWER, 0.5, RateTarget(r1, 1.0))
 
 
 def test_af_reduces_to_direct_without_relay_link():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0)
-    reg = af_region(st, UNIT_POWER, 0.5)
+    reg = region("af", st, UNIT_POWER, 0.5, NO_RATES)
     direct = direct_mac_region(st, UNIT_POWER, 0.5)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-12)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-12)
     with pytest.raises(ValueError, match="scheme 'af' needs beta = 0.5"):
-        af_region(st, UNIT_POWER, 0.4)
+        region("af", st, UNIT_POWER, 0.4, NO_RATES)
     for beta in (math.nan, 1.5):  # the slot ratio rule comes before the slot rule
         with pytest.raises(ValueError, match="slot ratio beta must lie in"):
-            af_region(st, UNIT_POWER, beta)
+            region("af", st, UNIT_POWER, beta, NO_RATES)
+
+
+def test_region_of_gqf_and_the_direct_baselines():
+    # gqf at the relay's fixed-ru quantizer against the covariance engine,
+    # on a static and a fading state
+    fading = ChannelState(0.8 + 0.3j, -0.5 + 0.9j, 1.2 - 0.4j, 0.6 + 0.2j, 1.1 + 0.7j,
+                          mode=FADING)
+    for st in (FIG3_STATE, fading):
+        for ru in (0.5, 1.0, 3.0):
+            got = region("gqf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, ru))
+            s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, ru)
+            ref = gqf_region(st, UNIT_POWER, 0.5, s, ru)
+            for a, b in ((got.i1, ref.i1), (got.i2, ref.i2), (got.isum, ref.isum)):
+                assert a == pytest.approx(b, abs=1e-9)
+    # the direct baselines equal direct_mac_region's own body at their boost
+    for st in (FIG3_STATE, fading):
+        for name, boost in (("direct", 1.0), ("direct15", 1.5)):
+            got = region(name, st, UNIT_POWER, 0.4, RateTarget(1.0, 1.0))
+            assert got == direct_mac_region(st, UNIT_POWER, 0.4, boost=boost)
+
+
+def test_region_runs_its_table_entry_checks():
+    with pytest.raises(ValueError, match=re.escape(f"known: {tuple(SCHEMES)}")):
+        region("nope", FIG3_STATE, UNIT_POWER, 0.5, NO_RATES)
+    for name in ("gqf", "nonwz_cf"):
+        with pytest.raises(ValueError, match="relay index rate ru must be finite and > 0"):
+            region(name, FIG3_STATE, UNIT_POWER, 0.5, RateTarget(1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="scheme 'af' needs beta = 0.5"):
+        region("af", FIG3_STATE, UNIT_POWER, 0.3, NO_RATES)
 
 
 def test_af_below_csit_on_random_draws():
@@ -414,10 +452,8 @@ def test_pentagon_shape_by_scheme():
     gqf_flat = 0
     for row in h[:200]:
         st = ChannelState(*(complex(v) for v in row), mode="fading")
-        assert csit_region(st, pw, 0.5).is_proper_pentagon
-        assert nonwz_cf_region_fading(st, pw, 0.5, 3.0).is_proper_pentagon
-        assert df_region(st, pw, 0.5, 1.0, 1.0).is_proper_pentagon
-        assert af_region(st, pw, 0.5).is_proper_pentagon
+        for name in ("csit", "nonwz_cf", "df", "af"):
+            assert region(name, st, pw, 0.5, RateTarget(1.0, 1.0, 3.0)).is_proper_pentagon
         assert direct_mac_region(st, pw, 0.5).is_proper_pentagon
         s = sigma_q2_for_fixed_ru(st, pw, 0.5, 3.0)
         reg = gqf_bounds_gaussian(st, pw, 0.5, s).region(3.0)
@@ -484,12 +520,14 @@ def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
     for s in (1e-9, 0.7, 5.0, math.inf):
         got = gqf_min_terms_gaussian(static, pw, beta, s)
         assert got == tuple(0.5 * v for v in gqf_min_terms_gaussian(fading, pw, beta, s))
-    assert csit_region(static, pw, beta) == half(csit_region(fading, pw, beta))
+    for name, spec in SCHEMES.items():
+        b = spec.beta or beta
+        got = region(name, static, pw, b, RateTarget(0.5, 0.25, 1.5))
+        assert got == half(region(name, fading, pw, b, RateTarget(1.0, 0.5, 3.0)))
     for boost in (1.0, 1.5):
         assert direct_mac_region(static, pw, beta, boost) == half(
             direct_mac_region(fading, pw, beta, boost)
         )
-    assert af_region(static, pw, 0.5) == half(af_region(fading, pw, 0.5))
     sigmas, betas = np.arange(0.2, 6.0, 0.2), np.arange(0.1, 1.0, 0.1)
     s_f, b_f, v_f = optimize_sigma_beta_grid(fading, pw, sigmas, betas)
     assert optimize_sigma_beta_grid(static, pw, sigmas, betas) == (s_f, b_f, 0.5 * v_f)
@@ -500,8 +538,8 @@ def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
     regions = []
     for r1 in (x1, float(np.nextafter(x1, math.inf))):
         for r2 in (0.0, 0.25):
-            got = df_region(static, pw, beta, r1, r2)
-            assert got == half(df_region(fading, pw, beta, 2.0 * r1, 2.0 * r2))
+            got = region("df", static, pw, beta, RateTarget(r1, r2))
+            assert got == half(region("df", fading, pw, beta, RateTarget(2.0 * r1, 2.0 * r2)))
             regions.append(got)
     assert regions[0] != regions[2]  # the relay forwards, then stays silent
 
@@ -509,8 +547,8 @@ def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
     x = float(_index_block(L, beta, recover=True)[2]) / 2.0
     regions = []
     for ru in (x, float(np.nextafter(x, math.inf)), 0.3, 3.0):
-        got = nonwz_cf_region_fading(static, pw, beta, ru)
-        assert got == half(nonwz_cf_region_fading(fading, pw, beta, 2.0 * ru))
+        got = region("nonwz_cf", static, pw, beta, RateTarget(0.0, 0.0, ru))
+        assert got == half(region("nonwz_cf", fading, pw, beta, RateTarget(0.0, 0.0, 2.0 * ru)))
         regions.append(got)
         assert sigma_q2_for_fixed_ru(static, pw, beta, ru) == sigma_q2_for_fixed_ru(
             fading, pw, beta, 2.0 * ru
