@@ -36,21 +36,18 @@ from .outage import (
 )
 from .rates import (
     FeasibilityError,
+    GaussianFamily,
     GqfBounds,
     MarcPmfFamily,
     RateRegion,
     RateTarget,
-    cf_region_discrete,
-    cf_region_gaussian,
+    cf_region,
     direct_mac_region,
-    gqf_bounds_discrete,
-    gqf_bounds_gaussian,
+    gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
-    gqf_region_discrete,
     optimize_sigma_beta_grid,
     quantizer_index_rate,
-    quantizer_index_rate_discrete,
     region,
     ru_for_sigma_q2,
     sigma_q2_for_fixed_ru,

@@ -256,32 +256,21 @@ def slot1_system(state: ChannelState, power: PowerConfig, sigma_q2: float):
 
     YD1 = h1d*X11 + h2d*X21 + Z, YR = h1r*X11 + h2r*X21 + Z', and the
     relay's quantized observation YhR = YR + Zq with Var(Zq) = sigma_q2.
-    ``sigma_q2 = math.inf`` means the relay observation is discarded: the
-    YhR row is dropped from the system rather than materializing an
-    infinite variance.
+    ``sigma_q2 = math.inf`` means the relay observation is discarded: YhR
+    is then the constant 0, which every mutual-information query drops.
     """
     _check_sigma_q2(sigma_q2)
     h1d, h2d, h1r, h2r, _ = state.gains()
-    if math.isinf(sigma_q2):
-        mixing = [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [h1r, h2r, 0, 1],
-            [h1d, h2d, 1, 0],
-        ]
-        labels = ("X11", "X21", "YR", "YD1")
-        source_vars = [power.p11, power.p21, 1.0, 1.0]
-    else:
-        mixing = [
-            [1, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [h1r, h2r, 0, 1, 0],
-            [h1r, h2r, 0, 1, 1],
-            [h1d, h2d, 1, 0, 0],
-        ]
-        labels = SLOT1_LABELS
-        source_vars = [power.p11, power.p21, 1.0, 1.0, sigma_q2]
-    return _system(labels, mixing, source_vars, state.field_kind)
+    keep, noise = (1.0, sigma_q2) if sigma_q2 < math.inf else (0.0, 0.0)
+    mixing = [
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [h1r, h2r, 0, 1, 0],
+        [keep * h1r, keep * h2r, 0, keep, 1],
+        [h1d, h2d, 1, 0, 0],
+    ]
+    source_vars = [power.p11, power.p21, 1.0, 1.0, noise]
+    return _system(SLOT1_LABELS, mixing, source_vars, state.field_kind)
 
 
 def slot2_system(state: ChannelState, power: PowerConfig):

@@ -1,7 +1,8 @@
 """Exact mutual-information engines.
 
 Two engines share one interface: a discrete engine over dense joint pmfs
-and a Gaussian engine over labeled covariance matrices.  Every rate
+and a Gaussian engine over labeled covariance matrices, each queried as
+``source.mutual_info(a, b, c)``.  Every rate
 expression elsewhere in the package is either evaluated through these
 engines or cross-checked against them, so closed forms never go untested.
 
@@ -123,6 +124,10 @@ class JointPMF:
         order = np.argsort(np.argsort(keep))
         return np.moveaxis(m, range(m.ndim), order) if m.ndim > 1 else m
 
+    def mutual_info(self, a: Sequence[str], b: Sequence[str], c: Sequence[str] = ()) -> float:
+        """I(A;B|C) in bits by :func:`mutual_info_discrete`."""
+        return mutual_info_discrete(self, a, b, c)
+
 
 @dataclass(frozen=True)
 class GaussianSystem:
@@ -166,6 +171,10 @@ class GaussianSystem:
 
     def indices_of(self, subset: Iterable[str]) -> list[int]:
         return _positions(self.labels, subset)
+
+    def mutual_info(self, a: Sequence[str], b: Sequence[str], c: Sequence[str] = ()) -> float:
+        """I(A;B|C) in bits by :func:`mutual_info_gaussian`."""
+        return mutual_info_gaussian(self, a, b, c)
 
 
 def _entropy_bits(p: np.ndarray) -> float:

@@ -19,10 +19,11 @@ Schemes covered:
 The numeric cores broadcast over numpy arrays, so the Monte Carlo layer
 evaluates exactly the expressions the scalar API exposes.  They work in
 complex-signalling units (prefactor 1), rate inputs too; the scalar API
-applies the 1/2 of real signalling.  The engine-path
-evaluators (`gqf_bounds_gaussian`) instead go through
-:func:`marcsim.info.mutual_info_gaussian` on the slot systems, giving every
-closed form an independent in-package oracle.
+applies the 1/2 of real signalling.  The engine-path evaluators
+(`quantizer_index_rate`, `gqf_bounds`, `gqf_region`, `cf_region`) instead
+query the mutual-information engine of a network family's slot sources: the
+covariance engine for a `GaussianFamily`, giving every closed form an
+independent in-package oracle, or the pmf engine for a `MarcPmfFamily`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,23 +57,20 @@ __all__ = [
     "Scheme",
     "SCHEMES",
     "GqfBounds",
-    "gqf_bounds_gaussian",
-    "quantizer_index_rate",
     "sigma_q2_for_fixed_ru",
     "ru_for_sigma_q2",
-    "gqf_region",
     "gqf_min_terms_gaussian",
-    "cf_region_gaussian",
     "sigma_q2_opt_sum",
     "sigma_q2_opt_indiv",
     "region",
     "direct_mac_region",
-    "MarcPmfFamily",
-    "gqf_bounds_discrete",
-    "quantizer_index_rate_discrete",
-    "gqf_region_discrete",
-    "cf_region_discrete",
     "optimize_sigma_beta_grid",
+    "GaussianFamily",
+    "MarcPmfFamily",
+    "quantizer_index_rate",
+    "gqf_bounds",
+    "gqf_region",
+    "cf_region",
 ]
 
 # slack allowed when checking ru against the quantizer index rate, so the
@@ -436,10 +434,13 @@ def _equalizer_sigma(num_frac, e, dsum, beta):
         (1 + num_frac) / ((1 + e/(1+dsum))^((1-beta)/beta) - 1)
 
     Returns inf when the relay-destination link cannot trade rate
-    (e = 0 or beta -> 1).
+    (e = 0 or beta -> 1), and 0 where the power overflows (beta -> 0): the
+    variance is then under (1 + num_frac) / DBL_MAX, and both bounds equal
+    the plain bound's sigma_q2 -> 0 limit to within rounding.
     """
     expo = (1.0 - beta) / beta
-    denom = np.expm1(expo * np.log1p(e / (1.0 + dsum)))
+    with np.errstate(over="ignore"):
+        denom = np.expm1(expo * np.log1p(e / (1.0 + dsum)))
     num = 1.0 + num_frac
     with np.errstate(divide="ignore"):
         return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), np.inf)
@@ -459,10 +460,13 @@ def _opt_sigmas(L, beta):
 def _csit_terms(L, beta):
     """Per-bound best quantizer: each bound evaluated at its own equalizer
     variance, the most a relay with full CSI can deliver per bound."""
-    return tuple(
-        np.minimum(*_gqf_terms([part], beta, s)[0])
-        for part, s in zip(_gqf_block(L, beta), _opt_sigmas(L, beta))
-    )
+    terms = []
+    for part, s in zip(_gqf_block(L, beta), _opt_sigmas(L, beta)):
+        plain, charged = _gqf_terms([part], beta, s)[0]
+        # at an equalizer of 0 the plain term is the value of both (see
+        # _equalizer_sigma)
+        terms.append(np.minimum(plain, np.where(s > 0.0, charged, plain)))
+    return tuple(terms)
 
 
 def _df_terms(L, beta, r1, r2):
@@ -470,11 +474,8 @@ def _df_terms(L, beta, r1, r2):
     messages from its listen-slot reception (it has no destination-side
     CSI, so it cannot do better); otherwise it stays silent."""
     a1, a2, c1, c2, d1, d2, e, _ = L
-    decodes = (
-        (r1 <= beta * np.log2(1.0 + c1))
-        & (r2 <= beta * np.log2(1.0 + c2))
-        & (r1 + r2 <= beta * np.log2(1.0 + c1 + c2))
-    )
+    i1, i2, isum = _mac_terms(c1, c2, 0.0, 0.0, beta)  # the relay's listen-slot MAC
+    decodes = (r1 <= i1) & (r2 <= i2) & (r1 + r2 <= isum)
     return _mac_terms(a1, a2, d1, d2, beta, np.where(decodes, e, 0.0))
 
 
@@ -618,85 +619,6 @@ def gqf_min_terms_gaussian(
     return tuple(k * float(v) for t in _gqf_terms(G, beta, sigma_q2) for v in t)
 
 
-def quantizer_index_rate(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
-) -> float:
-    """Minimum index rate beta*I(YR;YhR) supporting quantizer ``sigma_q2``,
-    evaluated through the covariance engine (field-aware)."""
-    _check_beta(beta)
-    _check_sigma_q2(sigma_q2)
-    if math.isinf(sigma_q2):
-        return 0.0
-    sys1 = slot1_system(state, power, sigma_q2)
-    return beta * info.mutual_info_gaussian(sys1, ("YR",), ("YhR",))
-
-
-def _six_bounds(m1, m2, beta) -> GqfBounds:
-    """Six joint-decoding bounds from mutual-information callables
-    ``m(a, b, c=()) = I(A; B | C)`` on the listen slot (m1) and the
-    cooperate slot (m2)."""
-    mb = 1.0 - beta
-    # the index-augmented bounds carry the full-input quantizer term
-    # I(X11,X21; YhR): both listen-slot codewords shape the quantized
-    # observation the joint decoder searches over
-    i_inputs_yhr = m1(("X11", "X21"), ("YhR",))
-    b_r1 = beta * m1(("X11",), ("YD1", "YhR"), ("X21",)) + mb * m2(
-        ("X12",), ("YD2",), ("X22", "XR")
-    )
-    b_r1u = beta * (m1(("X11", "YhR"), ("YD1",), ("X21",)) + i_inputs_yhr) + mb * m2(
-        ("X12", "XR"), ("YD2",), ("X22",)
-    )
-    b_r2 = beta * m1(("X21",), ("YD1", "YhR"), ("X11",)) + mb * m2(
-        ("X22",), ("YD2",), ("X12", "XR")
-    )
-    b_r2u = beta * (m1(("X21", "YhR"), ("YD1",), ("X11",)) + i_inputs_yhr) + mb * m2(
-        ("X22", "XR"), ("YD2",), ("X12",)
-    )
-    b_r12 = beta * m1(("X11", "X21"), ("YD1", "YhR")) + mb * m2(
-        ("X12", "X22"), ("YD2",), ("XR",)
-    )
-    b_r12u = beta * (m1(("X11", "X21", "YhR"), ("YD1",)) + i_inputs_yhr) + mb * m2(
-        ("X12", "X22", "XR"), ("YD2",)
-    )
-    return GqfBounds(b_r1, b_r1u, b_r2, b_r2u, b_r12, b_r12u)
-
-
-def gqf_bounds_gaussian(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
-) -> GqfBounds:
-    """Six joint-decoding bounds evaluated through the covariance engine.
-
-    Index-augmented bounds are returned before the index rate is
-    subtracted.  With ``sigma_q2 = inf`` the relay observation is dropped
-    and the bounds collapse to their silent-relay forms.
-    """
-    _check_beta(beta)
-    sys1 = slot1_system(state, power, sigma_q2)
-    sys2 = slot2_system(state, power)
-    discarded = math.isinf(sigma_q2)
-
-    def m1(a, b, c=()):
-        if discarded:  # no relay observation: YhR drops out of every set
-            a, b, c = (tuple(l for l in s if l != "YhR") for s in (a, b, c))
-        return info.mutual_info_gaussian(sys1, a, b, c)
-
-    m2 = lambda a, b, c=(): info.mutual_info_gaussian(sys2, a, b, c)
-    return _six_bounds(m1, m2, beta)
-
-
-def gqf_region(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float, ru: float
-) -> RateRegion:
-    """Joint-decoding region at quantizer ``sigma_q2`` and index rate ``ru``.
-
-    Raises FeasibilityError when ``ru`` is below the index rate the
-    quantizer needs; negative index-charged bounds clamp to an empty
-    region (legitimate outage states under fading).
-    """
-    return _joint_region(ru, quantizer_index_rate, gqf_bounds_gaussian,
-                         state, power, beta, sigma_q2)
-
-
 def sigma_q2_for_fixed_ru(
     state: ChannelState, power: PowerConfig, beta: float, ru: float
 ) -> float:
@@ -725,8 +647,6 @@ def ru_for_sigma_q2(
     :func:`sigma_q2_for_fixed_ru` (same bit convention)."""
     _check_beta(beta)
     _check_sigma_q2(sigma_q2)
-    if math.isinf(sigma_q2):
-        return 0.0
     k = info.prefactor(state.field_kind)
     return beta * k * math.log2(1.0 + (1.0 + _received(state, power)) / sigma_q2)
 
@@ -735,23 +655,6 @@ def _received(state: ChannelState, power: PowerConfig):
     """The relay's listen-slot received power c1 + c2."""
     _, _, c1, c2, _, _, _, _ = _links(state.gains(), power)
     return c1 + c2
-
-
-def _joint_region(ru, index_rate, bounds, *args) -> RateRegion:
-    """``bounds(*args).region(ru)`` once ``ru`` is a finite rate >= 0 that
-    covers the quantizer's ``index_rate(*args)``, else FeasibilityError."""
-    _check_rate(ru, "relay index rate ru")
-    needed = index_rate(*args)
-    if ru < needed - _FEAS_TOL:
-        raise FeasibilityError(
-            f"index rate {ru!r} cannot describe the quantizer (needs >= {needed!r})"
-        )
-    return bounds(*args).region(ru)
-
-
-def _plain_region(b: GqfBounds) -> RateRegion:
-    """Region of the plain (not index-charged) bounds: compress-forward's."""
-    return RateRegion.from_bounds(b.b_r1, b.b_r2, b.b_r12)
 
 
 def sigma_q2_opt_sum(state: ChannelState, power: PowerConfig, beta: float) -> float:
@@ -770,22 +673,6 @@ def sigma_q2_opt_indiv(
     if not isinstance(user, numbers.Integral) or isinstance(user, bool) or user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user!r}")
     return float(_opt_sigmas(_links(state.gains(), power), beta)[user - 1])
-
-
-def cf_region_gaussian(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
-) -> RateRegion | None:
-    """Compress-forward region, or None when the quantizer is too fine for
-    the relay-destination link to deliver (strict threshold).
-
-    When feasible the bounds coincide with the plain (non index-charged)
-    joint-decoding bounds at the same quantizer.
-    """
-    _check_beta(beta)
-    _check_sigma_q2(sigma_q2)
-    if not sigma_q2 > sigma_q2_opt_sum(state, power, beta):
-        return None
-    return _plain_region(gqf_bounds_gaussian(state, power, beta, sigma_q2))
 
 
 def direct_mac_region(
@@ -807,7 +694,8 @@ def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, 
     min-terms (tsa, tsb) and the no-relay sum rate, prefactor applied, as
     ``sigma_q2_opt_sum``, ``gqf_min_terms_gaussian`` and
     ``direct_mac_region(..., boost).isum`` give them one point at a time,
-    with the checks those calls make."""
+    with the checks those calls make; tsb is tsa where an equalizer
+    variance is 0."""
     beta = np.asarray(beta, dtype=float)
     _check_beta(float(beta.min()))
     _check_beta(float(beta.max()))
@@ -815,9 +703,15 @@ def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, 
     k = info.prefactor(state.field_kind)
     L = _links(state.gains(), power)
     sigma_opt = _opt_sigmas(L, beta)[2]
-    sigma_q2 = sigma_opt if sigma_q2 is None else np.asarray(sigma_q2, dtype=float)
-    _check_sigma_q2(float(sigma_q2.min()))
+    if sigma_q2 is None:
+        sigma_q2 = sigma_opt
+    else:
+        sigma_q2 = np.asarray(sigma_q2, dtype=float)
+        _check_sigma_q2(float(sigma_q2.min()))
     tsa, tsb = _gqf_terms(_gqf_block(L, beta), beta, sigma_q2)[2]
+    # at an equalizer of 0 the plain term is the value of both (see
+    # _equalizer_sigma)
+    tsb = np.where(sigma_q2 > 0.0, tsb, tsa)
     norelay = np.maximum(k * _direct_terms(L, beta, boost)[2], 0.0)
     _check_rate(float(norelay.max()), "rate bound isum")  # the rule of RateRegion
     return sigma_opt, (k * tsa, k * tsb), norelay
@@ -841,8 +735,40 @@ def optimize_sigma_beta_grid(
 
 
 # ---------------------------------------------------------------------------
-# discrete-alphabet evaluators
+# engine path: the joint-decoding region through the mutual-information
+# engines, on a Gaussian or a discrete network family
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GaussianFamily:
+    """The Gaussian network on channel state ``state`` with Gaussian inputs
+    of powers ``power`` and the relay quantizer YhR = YR + Zq,
+    Var(Zq) = ``sigma_q2`` (``inf``: the observation is discarded).
+
+    ``slot1`` and ``slot2`` are its listen-slot and cooperate-slot systems,
+    each built once.
+    """
+
+    state: ChannelState
+    power: PowerConfig
+    sigma_q2: float
+
+    def __post_init__(self):
+        _check_sigma_q2(self.sigma_q2)
+
+    @cached_property
+    def slot1(self) -> info.GaussianSystem:
+        return slot1_system(self.state, self.power, self.sigma_q2)
+
+    @cached_property
+    def slot2(self) -> info.GaussianSystem:
+        return slot2_system(self.state, self.power)
+
+    def cf_feasible(self, beta: float) -> bool:
+        """Compress-forward's binning condition in closed form: the
+        quantizer is coarser than the sum-rate equalizer variance (strict)."""
+        return self.sigma_q2 > sigma_q2_opt_sum(self.state, self.power, beta)
 
 
 def _check_conditional(name, p, cond_axes):
@@ -866,6 +792,7 @@ class MarcPmfFamily:
     quantizer p(yhr | yr); the listen slot transition is
     p(yr, yd1 | x11, x21) (axes x11, x21, yr, yd1) and the cooperate slot
     transition is p(yd2 | x12, x22, xr) (axes x12, x22, xr, yd2).
+    ``slot1`` and ``slot2`` are the composed slot pmfs, each built once.
     """
 
     px11: np.ndarray
@@ -900,48 +827,90 @@ class MarcPmfFamily:
         ):
             raise ValueError("slot2_channel input axes do not match input pmfs")
 
-    def slot1_pmf(self) -> info.JointPMF:
+    @cached_property
+    def slot1(self) -> info.JointPMF:
         table = np.einsum(
             "i,j,ijyd,yq->ijyqd", self.px11, self.px21, self.slot1_channel, self.quantizer
         )
         return info.JointPMF(labels=("X11", "X21", "YR", "YhR", "YD1"), table=table)
 
-    def slot2_pmf(self) -> info.JointPMF:
+    @cached_property
+    def slot2(self) -> info.JointPMF:
         table = np.einsum("i,j,r,ijrd->ijrd", self.px12, self.px22, self.pxr, self.slot2_channel)
         return info.JointPMF(labels=("X12", "X22", "XR", "YD2"), table=table)
 
+    def cf_feasible(self, beta: float) -> bool:
+        """Compress-forward's binning condition: the quantizer rate net of
+        the destination's side information fits in the relay-destination
+        link (strict)."""
+        p1, p2 = self.slot1, self.slot2
+        lhs = beta * (p1.mutual_info(("YR",), ("YhR",)) - p1.mutual_info(("YD1",), ("YhR",)))
+        return lhs < (1.0 - beta) * p2.mutual_info(("XR",), ("YD2",))
 
-def quantizer_index_rate_discrete(family: MarcPmfFamily, beta: float) -> float:
-    """Minimum index rate beta*I(YR;YhR) of the discrete quantizer."""
+
+def quantizer_index_rate(family: GaussianFamily | MarcPmfFamily, beta: float) -> float:
+    """Minimum index rate beta*I(YR;YhR) that describes the family's
+    quantizer (0 for a discarded observation)."""
     _check_beta(beta)
-    return beta * info.mutual_info_discrete(family.slot1_pmf(), ("YR",), ("YhR",))
+    return beta * family.slot1.mutual_info(("YR",), ("YhR",))
 
 
-def gqf_bounds_discrete(family: MarcPmfFamily, beta: float) -> GqfBounds:
-    """Six joint-decoding bounds on the composed slot pmfs."""
+def gqf_bounds(family: GaussianFamily | MarcPmfFamily, beta: float) -> GqfBounds:
+    """Six joint-decoding bounds of ``family`` through its engine.
+
+    Index-augmented bounds are returned before the index rate is
+    subtracted.  A discarded relay observation leaves their silent-relay
+    forms.
+    """
     _check_beta(beta)
-    p1 = family.slot1_pmf()
-    p2 = family.slot2_pmf()
-    m1 = lambda a, b, c=(): info.mutual_info_discrete(p1, a, b, c)
-    m2 = lambda a, b, c=(): info.mutual_info_discrete(p2, a, b, c)
-    return _six_bounds(m1, m2, beta)
-
-
-def gqf_region_discrete(family: MarcPmfFamily, beta: float, ru: float) -> RateRegion:
-    """Joint-decoding region of the discrete network at index rate ``ru``."""
-    return _joint_region(ru, quantizer_index_rate_discrete, gqf_bounds_discrete, family, beta)
-
-
-def cf_region_discrete(family: MarcPmfFamily, beta: float) -> RateRegion | None:
-    """Compress-forward region of the discrete network, or None when the
-    binning condition fails: the quantizer rate net of the destination's
-    side information must fit in the relay-destination link (strict)."""
-    _check_beta(beta)
-    p1 = family.slot1_pmf()
-    p2 = family.slot2_pmf()
-    lhs = beta * (
-        info.mutual_info_discrete(p1, ("YR",), ("YhR",))
-        - info.mutual_info_discrete(p1, ("YD1",), ("YhR",))
+    m1, m2, mb = family.slot1.mutual_info, family.slot2.mutual_info, 1.0 - beta
+    # the index-augmented bounds carry the full-input quantizer term
+    # I(X11,X21; YhR): both listen-slot codewords shape the quantized
+    # observation the joint decoder searches over
+    i_inputs_yhr = m1(("X11", "X21"), ("YhR",))
+    b_r1 = beta * m1(("X11",), ("YD1", "YhR"), ("X21",)) + mb * m2(
+        ("X12",), ("YD2",), ("X22", "XR")
     )
-    rhs = (1.0 - beta) * info.mutual_info_discrete(p2, ("XR",), ("YD2",))
-    return _plain_region(gqf_bounds_discrete(family, beta)) if lhs < rhs else None
+    b_r1u = beta * (m1(("X11", "YhR"), ("YD1",), ("X21",)) + i_inputs_yhr) + mb * m2(
+        ("X12", "XR"), ("YD2",), ("X22",)
+    )
+    b_r2 = beta * m1(("X21",), ("YD1", "YhR"), ("X11",)) + mb * m2(
+        ("X22",), ("YD2",), ("X12", "XR")
+    )
+    b_r2u = beta * (m1(("X21", "YhR"), ("YD1",), ("X11",)) + i_inputs_yhr) + mb * m2(
+        ("X22", "XR"), ("YD2",), ("X12",)
+    )
+    b_r12 = beta * m1(("X11", "X21"), ("YD1", "YhR")) + mb * m2(
+        ("X12", "X22"), ("YD2",), ("XR",)
+    )
+    b_r12u = beta * (m1(("X11", "X21", "YhR"), ("YD1",)) + i_inputs_yhr) + mb * m2(
+        ("X12", "X22", "XR"), ("YD2",)
+    )
+    return GqfBounds(b_r1, b_r1u, b_r2, b_r2u, b_r12, b_r12u)
+
+
+def gqf_region(family: GaussianFamily | MarcPmfFamily, beta: float, ru: float) -> RateRegion:
+    """Joint-decoding region of ``family`` at index rate ``ru``.
+
+    Raises FeasibilityError when ``ru`` is below the index rate the
+    quantizer needs; negative index-charged bounds clamp to an empty
+    region (legitimate outage states under fading).
+    """
+    _check_rate(ru, "relay index rate ru")
+    needed = quantizer_index_rate(family, beta)
+    if ru < needed - _FEAS_TOL:
+        raise FeasibilityError(
+            f"index rate {ru!r} cannot describe the quantizer (needs >= {needed!r})"
+        )
+    return gqf_bounds(family, beta).region(ru)
+
+
+def cf_region(family: GaussianFamily | MarcPmfFamily, beta: float) -> RateRegion | None:
+    """Compress-forward region of ``family``, or None where its binning
+    condition ``family.cf_feasible(beta)`` fails.  When feasible the bounds
+    are the plain (not index-charged) joint-decoding bounds."""
+    _check_beta(beta)
+    if not family.cf_feasible(beta):
+        return None
+    b = gqf_bounds(family, beta)
+    return RateRegion.from_bounds(b.b_r1, b.b_r2, b.b_r12)

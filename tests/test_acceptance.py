@@ -14,25 +14,22 @@ import pytest
 from marcsim import (
     ChannelState,
     FadingProfile,
+    GaussianFamily,
     MarcPmfFamily,
     PowerConfig,
     RateTarget,
-    cf_region_discrete,
-    cf_region_gaussian,
+    cf_region,
     common_outage_mc,
-    gqf_bounds_gaussian,
+    gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
-    gqf_region_discrete,
     optimize_ru_grid,
     outage_flags,
     quantizer_index_rate,
-    quantizer_index_rate_discrete,
     sigma_q2_opt_sum,
 )
 from marcsim.channel import draw_states
 from marcsim.experiments import preset_config, run_experiment
-from marcsim.info import mutual_info_discrete
 from marcsim.rates import _gqf_block, _gqf_terms, _links
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
@@ -56,8 +53,9 @@ def test_c1_closed_forms_match_engine_on_1000_configs():
         beta = float(rng.uniform(0.1, 0.9))
         s = float(rng.uniform(1e-6, 10.0))
         closed = np.array(gqf_min_terms_gaussian(st, pw, beta, s))
-        b = gqf_bounds_gaussian(st, pw, beta, s)
-        ru = quantizer_index_rate(st, pw, beta, s)
+        fam = GaussianFamily(st, pw, s)
+        b = gqf_bounds(fam, beta)
+        ru = quantizer_index_rate(fam, beta)
         engine = np.array(
             [b.b_r1, b.b_r1u - ru, b.b_r2, b.b_r2u - ru, b.b_r12, b.b_r12u - ru]
         )
@@ -109,7 +107,19 @@ def test_c3_static_sigma_sweep_shape():
     _passed(f"C3 sigma-sweep shape (peak {curve.max():.4f}, {elapsed:.1f}s)")
 
 
-def _random_binary_family(rng):
+def _random_gaussian_case(rng):
+    """A random Gaussian family and slot split, and whether they meet the
+    closed-form binning threshold with a relative margin."""
+    st = ChannelState(*(float(v) for v in rng.uniform(1e-6, 10.0, 5)))
+    pw = PowerConfig(*(float(v) for v in rng.uniform(1e-6, 10.0, 5)))
+    beta = float(rng.uniform(0.1, 0.9))
+    s = float(rng.uniform(1e-6, 10.0))
+    return GaussianFamily(st, pw, s), beta, s > sigma_q2_opt_sum(st, pw, beta) * (1.0 + 1e-9)
+
+
+def _random_binary_case(rng):
+    """A random binary family and slot split, and whether they meet the
+    binning condition with a margin."""
     def pmf():
         p = float(rng.uniform(0.2, 0.8))
         return np.array([p, 1.0 - p])
@@ -118,53 +128,39 @@ def _random_binary_family(rng):
         t = rng.uniform(0.05, 1.0, shape)
         return t / t.sum(axis=tuple(range(cond_axes, t.ndim)), keepdims=True)
 
-    return MarcPmfFamily(
+    fam = MarcPmfFamily(
         px11=pmf(), px21=pmf(), px12=pmf(), px22=pmf(), pxr=pmf(),
         quantizer=cond((2, 2), 1),
         slot1_channel=cond((2, 2, 2, 2), 2),
         slot2_channel=cond((2, 2, 2, 2), 3),
     )
+    beta = float(rng.uniform(0.1, 0.9))
+    p1, p2 = fam.slot1, fam.slot2
+    lhs = beta * (p1.mutual_info(("YR",), ("YhR",)) - p1.mutual_info(("YD1",), ("YhR",)))
+    rhs = (1.0 - beta) * p2.mutual_info(("XR",), ("YD2",))
+    return fam, beta, lhs < rhs - 1e-9
 
 
 def test_c4_scheme_coincidence_under_binning_condition():
     rng = np.random.default_rng(4096)
-    # Gaussian side: 1000 configs with the feasibility threshold strictly met
-    done = 0
-    worst_g = 0.0
-    while done < 1000:
-        st = ChannelState(*(float(v) for v in rng.uniform(1e-6, 10.0, 5)))
-        pw = PowerConfig(*(float(v) for v in rng.uniform(1e-6, 10.0, 5)))
-        beta = float(rng.uniform(0.1, 0.9))
-        s = float(rng.uniform(1e-6, 10.0))
-        if not s > sigma_q2_opt_sum(st, pw, beta) * (1.0 + 1e-9):
-            continue
-        cf = cf_region_gaussian(st, pw, beta, s)
-        gq = gqf_region(st, pw, beta, s, quantizer_index_rate(st, pw, beta, s))
-        gap = max(abs(cf.i1 - gq.i1), abs(cf.i2 - gq.i2), abs(cf.isum - gq.isum))
-        worst_g = max(worst_g, gap)
-        done += 1
-    assert worst_g < 1e-9
-    # discrete side: 1000 binary networks with the condition strictly met
-    done = 0
-    worst_d = 0.0
-    while done < 1000:
-        fam = _random_binary_family(rng)
-        beta = float(rng.uniform(0.1, 0.9))
-        p1, p2 = fam.slot1_pmf(), fam.slot2_pmf()
-        lhs = beta * (
-            mutual_info_discrete(p1, ("YR",), ("YhR",))
-            - mutual_info_discrete(p1, ("YD1",), ("YhR",))
-        )
-        rhs = (1.0 - beta) * mutual_info_discrete(p2, ("XR",), ("YD2",))
-        if not lhs < rhs - 1e-9:
-            continue
-        cf = cf_region_discrete(fam, beta)
-        gq = gqf_region_discrete(fam, beta, quantizer_index_rate_discrete(fam, beta))
-        gap = max(abs(cf.i1 - gq.i1), abs(cf.i2 - gq.i2), abs(cf.isum - gq.isum))
-        worst_d = max(worst_d, gap)
-        done += 1
-    assert worst_d < 1e-12
-    _passed(f"C4 scheme coincidence (gaussian {worst_g:.2e}, discrete {worst_d:.2e})")
+    # 1000 configs of each family with the binning condition strictly met
+    worst = {}
+    for kind, case, tol in (("gaussian", _random_gaussian_case, 1e-9),
+                            ("discrete", _random_binary_case, 1e-12)):
+        done = 0
+        worst[kind] = 0.0
+        while done < 1000:
+            fam, beta, strict = case(rng)
+            if not strict:
+                continue
+            cf = cf_region(fam, beta)
+            gq = gqf_region(fam, beta, quantizer_index_rate(fam, beta))
+            gap = max(abs(cf.i1 - gq.i1), abs(cf.i2 - gq.i2), abs(cf.isum - gq.isum))
+            worst[kind] = max(worst[kind], gap)
+            done += 1
+        assert worst[kind] < tol, (kind, worst[kind])
+    _passed(f"C4 scheme coincidence (gaussian {worst['gaussian']:.2e}, "
+            f"discrete {worst['discrete']:.2e})")
 
 
 def test_c5_monte_carlo_soundness():

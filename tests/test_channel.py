@@ -8,9 +8,11 @@ import pytest
 from marcsim import (
     ChannelState,
     FadingProfile,
+    GaussianFamily,
     PowerConfig,
     draw_states,
     mutual_info_gaussian,
+    quantizer_index_rate,
     ru_for_sigma_q2,
     sample_fading_block,
     sigma_q2_for_fixed_ru,
@@ -18,7 +20,6 @@ from marcsim import (
     slot2_system,
     substream,
 )
-from marcsim.rates import quantizer_index_rate
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -145,9 +146,18 @@ def test_slot_systems_psd_random():
         assert np.linalg.eigvalsh(s2.covariance).min() > -1e-10
 
 
-def test_slot1_infinite_sigma_drops_quantized_row():
+def test_slot1_infinite_sigma_makes_quantized_row_constant():
+    # a discarded observation is the constant YhR = 0: the same labels as at
+    # any finite variance, and no information through YhR
     sys1 = slot1_system(FIG3_STATE, UNIT_POWER, math.inf)
-    assert "YhR" not in sys1.labels
+    assert sys1.labels == slot1_system(FIG3_STATE, UNIT_POWER, 2.0).labels
+    j = sys1.labels.index("YhR")
+    assert not np.any(sys1.covariance[j]) and not np.any(sys1.covariance[:, j])
+    assert mutual_info_gaussian(sys1, ("X11", "X21"), ("YD1", "YhR")) == mutual_info_gaussian(
+        sys1, ("X11", "X21"), ("YD1",)
+    )
+    assert quantizer_index_rate(GaussianFamily(FIG3_STATE, UNIT_POWER, math.inf), 0.5) == 0.0
+    assert ru_for_sigma_q2(FIG3_STATE, UNIT_POWER, 0.5, math.inf) == 0.0
     with pytest.raises(ValueError):
         slot1_system(FIG3_STATE, UNIT_POWER, 0.0)
 
@@ -167,7 +177,7 @@ def test_sigma_for_fixed_ru_round_trip():
         s = sigma_q2_for_fixed_ru(st, pw, 0.4, ru)
         assert ru_for_sigma_q2(st, pw, 0.4, s) == pytest.approx(ru, abs=1e-12)
         # and the covariance engine agrees on the index rate it implies
-        assert quantizer_index_rate(st, pw, 0.4, s) == pytest.approx(ru, abs=1e-9)
+        assert quantizer_index_rate(GaussianFamily(st, pw, s), 0.4) == pytest.approx(ru, abs=1e-9)
 
 
 def test_sigma_for_fixed_ru_static_round_trip():
@@ -175,7 +185,7 @@ def test_sigma_for_fixed_ru_static_round_trip():
     pw = PowerConfig(2.0, 3.0, 1.0, 1.0, 5.0)
     s = sigma_q2_for_fixed_ru(st, pw, 0.5, 2.0)
     assert ru_for_sigma_q2(st, pw, 0.5, s) == pytest.approx(2.0, abs=1e-12)
-    assert quantizer_index_rate(st, pw, 0.5, s) == pytest.approx(2.0, abs=1e-9)
+    assert quantizer_index_rate(GaussianFamily(st, pw, s), 0.5) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_sigma_for_fixed_ru_limits_and_monotonicity():

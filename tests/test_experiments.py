@@ -202,6 +202,21 @@ def test_fig4_interior_maximum_and_cf_match():
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in res.columns["norelay_sum"])
 
 
+def test_fig4_runs_at_a_slot_split_near_zero(tmp_path):
+    # at beta = 0.001 the equalizer variance is below the float range: it
+    # reads 0, and the sum rate is the plain bound's limit there
+    rows = {}
+    for name, extra in (("near0", ["--override", "beta_grid=[0.001, 0.5]"]), ("default", [])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["preset", "fig4", "--out", str(out), *extra]) == 0
+        lines = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows[name] = {cells[0]: dict(zip(lines[0], cells)) for cells in lines[1:]}
+    low = rows["near0"]["0.001"]
+    assert float(low["sigma_q2_opt"]) == 0.0
+    assert math.isfinite(float(low["gqf_sum"])) and low["gqf_sum"] == low["cf_sum"]
+    assert rows["near0"]["0.5"] == rows["default"]["0.5"]
+
+
 def test_fading_snr_sweep_small():
     cfg = preset_config(
         "fig5", n_samples=4000, snr_db_grid=(5.0, 15.0), seed=3,
@@ -410,7 +425,9 @@ def test_cli_error_paths(tmp_path, capsys):
         ("fig3", "norelay_boost=.inf", 2),
         ("fig4", "hrd=1.0e+200", 2),
         ("fig3", "h1r=1.0e+200", 2),
-        ("fig4", "hrd=3.0e+4", 2),
+        # expm1 overflows in the equalizer at beta = 0.025: a variance below
+        # the float range, which runs
+        ("fig4", "hrd=3.0e+4", 0),
         ("fig4", "p22=1.7976931348623157e+308", 2),
         ("fig3", "h1r=1.0e+154", 2),
         ("fig4", "h1r=1.0e+154", 2),

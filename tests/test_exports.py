@@ -1,5 +1,6 @@
-"""Every public name of the package resolves: a deletion that leaves an
-export behind fails here, not at a user's import."""
+"""Every public name of the package resolves, and README's library sample
+runs: a deletion or rename that leaves an export or the sample behind
+fails here, not at a user's import."""
 
 import ast
 import importlib
@@ -22,3 +23,11 @@ def test_public_names_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), (node.module, alias.name)
             assert hasattr(marcsim, alias.asname or alias.name), alias.name
+
+
+def test_readme_library_sample_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    sample = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "import marcsim" in sample
+    exec(compile(sample, "README.md", "exec"), {})

@@ -15,6 +15,7 @@ from marcsim import (
     FADING,
     ChannelState,
     FadingProfile,
+    GaussianFamily,
     OutageEstimate,
     PowerConfig,
     RateTarget,
@@ -22,7 +23,7 @@ from marcsim import (
     direct_mac_region,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
-    gqf_bounds_gaussian,
+    gqf_bounds,
     gqf_region,
     individual_outage_mc,
     optimize_ru_grid,
@@ -75,7 +76,7 @@ def test_indicator_matches_engine_bounds():
     pw = PowerConfig(10.0, 10.0, 10.0, 10.0, 10.0)
     s = sigma_q2_for_fixed_ru(st, pw, 0.5, TARGET.ru)
     t = rates.gqf_min_terms_gaussian(st, pw, 0.5, s)
-    eng = gqf_bounds_gaussian(st, pw, 0.5, s)
+    eng = gqf_bounds(GaussianFamily(st, pw, s), 0.5)
     ru = TARGET.ru
     for got, name in zip(t, ("b_r1", "b_r1u", "b_r2", "b_r2u", "b_r12", "b_r12u")):
         charged = ru if name.endswith("u") else 0.0
@@ -409,7 +410,7 @@ def test_individual_outage_bit_identical_across_runs():
 # stay independent of the table
 SCALAR_REGION = {
     "gqf": lambda st, pw, b, t: gqf_region(
-        st, pw, b, sigma_q2_for_fixed_ru(st, pw, b, t.ru), t.ru
+        GaussianFamily(st, pw, sigma_q2_for_fixed_ru(st, pw, b, t.ru)), b, t.ru
     ),
     "csit": partial(region, "csit"),
     "nonwz_cf": partial(region, "nonwz_cf"),

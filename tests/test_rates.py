@@ -12,12 +12,14 @@ from marcsim import (
     STATIC,
     ChannelState,
     FeasibilityError,
+    GaussianFamily,
     PowerConfig,
     RateRegion,
     RateTarget,
-    cf_region_gaussian,
+    cf_region,
+    common_outage_mc,
     direct_mac_region,
-    gqf_bounds_gaussian,
+    gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
     optimize_sigma_beta_grid,
@@ -57,8 +59,9 @@ def test_closed_terms_match_engine():
         st, pw, beta = random_static(rng)
         s = float(rng.uniform(0.01, 10.0))
         t = gqf_min_terms_gaussian(st, pw, beta, s)
-        b = gqf_bounds_gaussian(st, pw, beta, s)
-        ru = quantizer_index_rate(st, pw, beta, s)
+        fam = GaussianFamily(st, pw, s)
+        b = gqf_bounds(fam, beta)
+        ru = quantizer_index_rate(fam, beta)
         eng = (b.b_r1, b.b_r1u - ru, b.b_r2, b.b_r2u - ru, b.b_r12, b.b_r12u - ru)
         assert np.max(np.abs(np.array(t) - np.array(eng))) < 1e-9
 
@@ -161,8 +164,8 @@ def test_index_charged_terms_at_tiny_quantizer_variance(mode, sigma_q2):
 
 def test_gqf_region_at_equality_matches_min_terms():
     s = 1.7
-    ru = quantizer_index_rate(FIG3_STATE, UNIT_POWER, 0.5, s)
-    reg = gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s, ru)
+    fam = GaussianFamily(FIG3_STATE, UNIT_POWER, s)
+    reg = gqf_region(fam, 0.5, quantizer_index_rate(fam, 0.5))
     t = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, 0.5, s)
     assert reg.i1 == pytest.approx(max(min(t[0], t[1]), 0.0), abs=1e-9)
     assert reg.i2 == pytest.approx(max(min(t[2], t[3]), 0.0), abs=1e-9)
@@ -171,31 +174,31 @@ def test_gqf_region_at_equality_matches_min_terms():
 
 def test_gqf_region_collapses_for_huge_index_rate():
     s = 1.7
-    reg = gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s, 1e6)
+    reg = gqf_region(GaussianFamily(FIG3_STATE, UNIT_POWER, s), 0.5, 1e6)
     assert reg == RateRegion(0.0, 0.0, 0.0)
 
 
 def test_gqf_region_symmetric_users():
     st = ChannelState(1.0, 1.0, 2.0, 2.0, 3.0)
-    ru = quantizer_index_rate(st, UNIT_POWER, 0.5, 1.3)
-    reg = gqf_region(st, UNIT_POWER, 0.5, 1.3, ru)
+    fam = GaussianFamily(st, UNIT_POWER, 1.3)
+    reg = gqf_region(fam, 0.5, quantizer_index_rate(fam, 0.5))
     assert reg.i1 == pytest.approx(reg.i2, abs=1e-12)
 
 
 def test_gqf_region_infeasible_index_rate():
-    s = 1.7
-    needed = quantizer_index_rate(FIG3_STATE, UNIT_POWER, 0.5, s)
+    fam = GaussianFamily(FIG3_STATE, UNIT_POWER, 1.7)
+    needed = quantizer_index_rate(fam, 0.5)
     with pytest.raises(FeasibilityError):
-        gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s, needed - 1e-3)
+        gqf_region(fam, 0.5, needed - 1e-3)
     for ru in (math.nan, math.inf, -1.0):  # not a rate: a plain ValueError
         with pytest.raises(ValueError, match="relay index rate ru must be finite") as exc:
-            gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s, ru)
+            gqf_region(fam, 0.5, ru)
         assert exc.type is ValueError
 
 
 def test_gqf_silent_relay_reduces_to_direct():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0)
-    reg = gqf_region(st, UNIT_POWER, 0.5, math.inf, 0.0)
+    reg = gqf_region(GaussianFamily(st, UNIT_POWER, math.inf), 0.5, 0.0)
     direct = direct_mac_region(st, UNIT_POWER, 0.5)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-9)
     assert reg.i2 == pytest.approx(direct.i2, abs=1e-9)
@@ -215,7 +218,7 @@ def test_bounds_monotone_in_powers_and_relay_gain():
     for _ in range(60):
         st, pw, beta = random_static(rng)
         s = float(rng.uniform(0.05, 5.0))
-        base = gqf_bounds_gaussian(st, pw, beta, s)
+        base = gqf_bounds(GaussianFamily(st, pw, s), beta)
         which = int(rng.integers(0, 10))
         if which < 5:
             vals = {f: getattr(st, f) for f in fields}
@@ -227,7 +230,7 @@ def test_bounds_monotone_in_powers_and_relay_gain():
             vals[powers[which - 5]] *= 1.1
             st2, pw2 = st, PowerConfig(**vals)
             names = all_bounds
-        bumped = gqf_bounds_gaussian(st2, pw2, beta, s)
+        bumped = gqf_bounds(GaussianFamily(st2, pw2, s), beta)
         for name in names:
             assert getattr(bumped, name) >= getattr(base, name) - 1e-9
 
@@ -236,8 +239,8 @@ def test_sum_bound_cross_term_counterexample():
     # aligning the channel matrix (h1d*h2r -> h1r*h2d) lowers the joint
     # listen-slot information even though |h1d| grew
     pw = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
-    base = gqf_bounds_gaussian(ChannelState(0.5, 3.0, 3.0, 1.0, 1.0), pw, 0.5, 0.3)
-    bumped = gqf_bounds_gaussian(ChannelState(0.65, 3.0, 3.0, 1.0, 1.0), pw, 0.5, 0.3)
+    base = gqf_bounds(GaussianFamily(ChannelState(0.5, 3.0, 3.0, 1.0, 1.0), pw, 0.3), 0.5)
+    bumped = gqf_bounds(GaussianFamily(ChannelState(0.65, 3.0, 3.0, 1.0, 1.0), pw, 0.3), 0.5)
     assert bumped.b_r12 < base.b_r12
     assert bumped.b_r1 > base.b_r1
 
@@ -246,14 +249,14 @@ def test_cf_threshold_and_feasibility():
     assert sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.5) == pytest.approx(
         (1 + 15.5 / 3.0) / 3.0, rel=1e-12
     )
-    feasible = cf_region_gaussian(FIG3_STATE, UNIT_POWER, 0.5, 3.0)
+    feasible = cf_region(GaussianFamily(FIG3_STATE, UNIT_POWER, 3.0), 0.5)
     assert feasible is not None
-    b = gqf_bounds_gaussian(FIG3_STATE, UNIT_POWER, 0.5, 3.0)
+    b = gqf_bounds(GaussianFamily(FIG3_STATE, UNIT_POWER, 3.0), 0.5)
     assert feasible.isum == pytest.approx(b.b_r12, abs=1e-12)
-    assert cf_region_gaussian(FIG3_STATE, UNIT_POWER, 0.5, 1.0) is None
+    assert cf_region(GaussianFamily(FIG3_STATE, UNIT_POWER, 1.0), 0.5) is None
     # exact threshold is still infeasible (strict inequality)
     thr = sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.5)
-    assert cf_region_gaussian(FIG3_STATE, UNIT_POWER, 0.5, thr) is None
+    assert cf_region(GaussianFamily(FIG3_STATE, UNIT_POWER, thr), 0.5) is None
 
 
 def test_cf_matches_gqf_when_feasible():
@@ -267,9 +270,9 @@ def test_cf_matches_gqf_when_feasible():
         thr = sigma_q2_opt_sum(st, pw, beta)
         if not s > thr * (1 + 1e-9):
             continue
-        cf = cf_region_gaussian(st, pw, beta, s)
-        ru = quantizer_index_rate(st, pw, beta, s)
-        gq = gqf_region(st, pw, beta, s, ru)
+        fam = GaussianFamily(st, pw, s)
+        cf = cf_region(fam, beta)
+        gq = gqf_region(fam, beta, quantizer_index_rate(fam, beta))
         assert cf is not None
         assert abs(cf.i1 - gq.i1) < 1e-9
         assert abs(cf.i2 - gq.i2) < 1e-9
@@ -281,16 +284,31 @@ def test_csit_reference_values():
     reg = region("csit", FIG3_STATE, UNIT_POWER, 0.5, NO_RATES)
     assert reg.isum == pytest.approx(1.1495, abs=1e-3)
     # per-bound consistency with the region at each bound's own optimizer
+    def gqf_at(s):
+        fam = GaussianFamily(FIG3_STATE, UNIT_POWER, s)
+        return gqf_region(fam, 0.5, quantizer_index_rate(fam, 0.5))
+
     s_sum = sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.5)
-    ru = quantizer_index_rate(FIG3_STATE, UNIT_POWER, 0.5, s_sum)
-    assert reg.isum == pytest.approx(
-        gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s_sum, ru).isum, abs=1e-9
-    )
+    assert reg.isum == pytest.approx(gqf_at(s_sum).isum, abs=1e-9)
     s_1 = sigma_q2_opt_indiv(FIG3_STATE, UNIT_POWER, 0.5, 1)
-    ru = quantizer_index_rate(FIG3_STATE, UNIT_POWER, 0.5, s_1)
-    assert reg.i1 == pytest.approx(
-        gqf_region(FIG3_STATE, UNIT_POWER, 0.5, s_1, ru).i1, abs=1e-9
+    assert reg.i1 == pytest.approx(gqf_at(s_1).i1, abs=1e-9)
+
+
+def test_equalizer_below_the_float_range_is_zero():
+    # at beta = 1e-3 every equalizer variance is below the float range: it
+    # is 0, with no overflow warning, and csit's bounds are the plain
+    # min-terms' sigma_q2 -> 0 limit, where the index-charged ones equal them
+    beta = 1e-3
+    assert sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, beta) == 0.0
+    assert sigma_q2_opt_indiv(FIG3_STATE, UNIT_POWER, beta, 2) == 0.0
+    t = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, beta, 1e-300)
+    assert region("csit", FIG3_STATE, UNIT_POWER, beta, NO_RATES) == RateRegion.from_bounds(
+        t[0], t[2], t[4]
     )
+    # and it is no overflow to the Monte Carlo layer, which raises on any
+    est = common_outage_mc("csit", FadingProfile.uniform(1.0), PowerConfig.from_snr(10.0, beta),
+                           beta, RateTarget(0.5, 0.5), 5000, 3)
+    assert est.n_samples == 5000
 
 
 def test_csit_dominates_fixed_index_rate_per_draw():
@@ -352,7 +370,7 @@ def test_nonwz_strong_relay_link_equals_cf():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 100.0, mode="fading")
     reg = region("nonwz_cf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 3.0))
     s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, 3.0)
-    cf = cf_region_gaussian(st, UNIT_POWER, 0.5, s)
+    cf = cf_region(GaussianFamily(st, UNIT_POWER, s), 0.5)
     assert cf is not None
     assert reg.isum == pytest.approx(cf.isum, abs=1e-9)
 
@@ -401,7 +419,7 @@ def test_region_of_gqf_and_the_direct_baselines():
         for ru in (0.5, 1.0, 3.0):
             got = region("gqf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, ru))
             s = sigma_q2_for_fixed_ru(st, UNIT_POWER, 0.5, ru)
-            ref = gqf_region(st, UNIT_POWER, 0.5, s, ru)
+            ref = gqf_region(GaussianFamily(st, UNIT_POWER, s), 0.5, ru)
             for a, b in ((got.i1, ref.i1), (got.i2, ref.i2), (got.isum, ref.isum)):
                 assert a == pytest.approx(b, abs=1e-9)
     # the direct baselines equal direct_mac_region's own body at their boost
@@ -456,7 +474,7 @@ def test_pentagon_shape_by_scheme():
             assert region(name, st, pw, 0.5, RateTarget(1.0, 1.0, 3.0)).is_proper_pentagon
         assert direct_mac_region(st, pw, 0.5).is_proper_pentagon
         s = sigma_q2_for_fixed_ru(st, pw, 0.5, 3.0)
-        reg = gqf_bounds_gaussian(st, pw, 0.5, s).region(3.0)
+        reg = gqf_bounds(GaussianFamily(st, pw, s), 0.5).region(3.0)
         gqf_flat += not reg.is_proper_pentagon
     assert gqf_flat > 0  # low-SNR fixed-rate draws do trip the flag
 

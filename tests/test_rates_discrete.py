@@ -8,12 +8,12 @@ import pytest
 from marcsim import (
     FeasibilityError,
     MarcPmfFamily,
-    cf_region_discrete,
+    cf_region,
     entropy_discrete,
-    gqf_bounds_discrete,
-    gqf_region_discrete,
+    gqf_bounds,
+    gqf_region,
     mutual_info_discrete,
-    quantizer_index_rate_discrete,
+    quantizer_index_rate,
 )
 
 
@@ -97,12 +97,12 @@ def test_family_validation():
 
 def test_slot_pmfs_compose():
     fam = xor_relay_family()
-    p1 = fam.slot1_pmf()
+    p1 = fam.slot1
     assert p1.labels == ("X11", "X21", "YR", "YhR", "YD1")
     assert entropy_discrete(p1, ("YR",)) == pytest.approx(1.0, abs=1e-12)
     # identity quantizer copies the relay observation
     assert mutual_info_discrete(p1, ("YR",), ("YhR",)) == pytest.approx(1.0, abs=1e-12)
-    p2 = fam.slot2_pmf()
+    p2 = fam.slot2
     assert mutual_info_discrete(p2, ("X12",), ("X22",)) == 0.0
 
 
@@ -110,8 +110,8 @@ def test_independent_quantizer_reduces_to_direct():
     # a quantizer that ignores its input contributes nothing: the region
     # equals the two-slot MAC region computed without the relay observation
     fam = xor_relay_family(quantizer=np.array([[0.4, 0.6], [0.4, 0.6]]))
-    reg = gqf_region_discrete(fam, 0.5, ru=1e-9)
-    p1, p2 = fam.slot1_pmf(), fam.slot2_pmf()
+    reg = gqf_region(fam, 0.5, ru=1e-9)
+    p1, p2 = fam.slot1, fam.slot2
     i1 = 0.5 * mutual_info_discrete(p1, ("X11",), ("YD1",), ("X21",)) + 0.5 * (
         mutual_info_discrete(p2, ("X12",), ("YD2",), ("X22", "XR"))
     )
@@ -127,22 +127,22 @@ def test_identity_quantizer_index_bounds_loose():
     # the index-charged user-1 bound above the plain one on this network
     fam = xor_relay_family()
     beta = 0.5
-    ru = beta * entropy_discrete(fam.slot1_pmf(), ("YR",)) + 0.01
-    b = gqf_bounds_discrete(fam, beta)
-    assert quantizer_index_rate_discrete(fam, beta) <= ru
+    ru = beta * entropy_discrete(fam.slot1, ("YR",)) + 0.01
+    b = gqf_bounds(fam, beta)
+    assert quantizer_index_rate(fam, beta) <= ru
     assert b.b_r1u - ru >= b.b_r1 - 1e-12
 
 
 def test_region_feasibility_guard():
     fam = xor_relay_family()
-    needed = quantizer_index_rate_discrete(fam, 0.5)
+    needed = quantizer_index_rate(fam, 0.5)
     with pytest.raises(FeasibilityError):
-        gqf_region_discrete(fam, 0.5, needed - 0.01)
-    reg = gqf_region_discrete(fam, 0.5, needed)
+        gqf_region(fam, 0.5, needed - 0.01)
+    reg = gqf_region(fam, 0.5, needed)
     assert reg.i1 >= 0.0 and reg.isum >= 0.0
     for ru in (math.nan, math.inf):
         with pytest.raises(ValueError, match="relay index rate ru must be finite") as exc:
-            gqf_region_discrete(fam, 0.5, ru)
+            gqf_region(fam, 0.5, ru)
         assert exc.type is ValueError  # not a FeasibilityError
 
 
@@ -160,7 +160,7 @@ def test_cf_infeasible_when_relay_cannot_deliver():
         slot1_channel=fam.slot1_channel,
         slot2_channel=slot2,
     )
-    assert cf_region_discrete(fam2, 0.5) is None
+    assert cf_region(fam2, 0.5) is None
 
 
 def test_gqf_matches_cf_under_strict_binning_condition():
@@ -172,7 +172,7 @@ def test_gqf_matches_cf_under_strict_binning_condition():
     while done < 200:
         fam = random_family(rng)
         beta = float(rng.uniform(0.1, 0.9))
-        p1, p2 = fam.slot1_pmf(), fam.slot2_pmf()
+        p1, p2 = fam.slot1, fam.slot2
         lhs = beta * (
             mutual_info_discrete(p1, ("YR",), ("YhR",))
             - mutual_info_discrete(p1, ("YD1",), ("YhR",))
@@ -180,10 +180,10 @@ def test_gqf_matches_cf_under_strict_binning_condition():
         rhs = (1.0 - beta) * mutual_info_discrete(p2, ("XR",), ("YD2",))
         if not lhs < rhs - 1e-9:
             continue
-        cf = cf_region_discrete(fam, beta)
+        cf = cf_region(fam, beta)
         assert cf is not None
-        ru = quantizer_index_rate_discrete(fam, beta)
-        gq = gqf_region_discrete(fam, beta, ru)
+        ru = quantizer_index_rate(fam, beta)
+        gq = gqf_region(fam, beta, ru)
         assert abs(cf.i1 - gq.i1) < 1e-12
         assert abs(cf.i2 - gq.i2) < 1e-12
         assert abs(cf.isum - gq.isum) < 1e-12
