@@ -189,8 +189,8 @@ def _check_boost(boost: float, name: str = "power boost") -> None:
 
 
 def _check_samples(n: int, name: str = "n") -> None:
-    if not n >= 1:
-        raise ValueError(f"{name} must be >= 1 (at least one sample), got {n!r}")
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"{name} must be an integer >= 1 (at least one sample), got {n!r}")
 
 
 def _check_u64(value: int, name: str = "seed") -> None:

@@ -11,6 +11,9 @@ regions of the rate plane:
     3: both undecodable
     4: no outage
 
+It draws, calls the scheme table and counts; ``marcsim.rates`` makes every
+per-draw decision on a block (bounds, region masks, index-rate curve).
+
 Draws come in fixed-size blocks from counter-based substreams
 (seed, block index), and accumulation is integer counting, so estimates
 are bit-identical across runs and schemes can be compared on shared
@@ -20,13 +23,10 @@ draws without cross-scheme Monte Carlo noise.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from . import rates
 from .channel import (
     BLOCK_SIZE,
     FadingProfile,
@@ -35,7 +35,8 @@ from .channel import (
     _check_samples,
     sample_fading_block,
 )
-from .rates import RateTarget, _block, _mins, _scheme, _take
+from .rates import (RateTarget, _IndexRateCurve, _block, _columns, _index_regions, _scheme,
+                    _violated)
 
 __all__ = [
     "OutageEstimate",
@@ -94,118 +95,6 @@ class IndividualOutageEstimate:
     seed: int
 
 
-def _clamp(x):
-    return np.maximum(x, 0.0)
-
-
-def _all(masks):
-    """Elementwise AND of one or more boolean arrays."""
-    return reduce(operator.and_, masks)
-
-
-def _index_regions(b, target):
-    """(i1, i2, isum) and the region-1 and region-2 masks of a scheme with a
-    relay index rate.  A user fails where it violates all of its own
-    min-terms and is decodable alone where it meets its single-user bound
-    (``rates._index_alone``), asked for only on draws where a user fails
-    (regions 1 and 2 need one)."""
-    terms, _, sigma_q2 = rates._index_terms(b.terms, b.beta, target.ru)
-    r1, r2 = target.r1, target.r2
-    fail1 = _all(r1 > _clamp(t) for t in terms[0])
-    fail2 = _all(r2 > _clamp(t) for t in terms[1])
-    reg1, reg2 = np.zeros_like(fail1), np.zeros_like(fail2)
-    idx = np.flatnonzero(fail1 | fail2)
-    v1, v2 = rates._index_alone(b, target.ru, idx, sigma_q2)
-    reg1[idx] = (r2 <= _clamp(v2)) & fail1[idx]
-    reg2[idx] = (r1 <= _clamp(v1)) & fail2[idx]
-    return _mins(terms), reg1, reg2
-
-
-# ---------------------------------------------------------------------------
-# outage over the index rate from one per-block interval
-# ---------------------------------------------------------------------------
-
-#: guard band (bits) around each target rate: a draw whose bounds come this
-#: close to a target at the index rate asked for is settled by the exact
-#: per-target kernel, whose rounding stays far inside it
-_GUARD = 1e-9
-
-
-class _IndexRateCurve:
-    """Outage of ``scheme`` on the draw matrix ``h`` for the rate pair
-    (r1, r2) at any index rate.  It builds the block's
-    ``rates._index_block`` once and records what it was built for (``h``
-    itself, scheme, power, beta and rate pair), which
-    ``outage_flags(..., curve=)`` checks.
-
-    In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) a draw that
-    recovers the index is out of outage on one interval of z
-    (``rates._index_intervals``), built with every positive target rate
-    lowered by the guard band (outer: outside it outage is certain) and
-    raised by it (inner: inside it no outage is certain).  ``flags``
-    compares z with both and runs the exact per-target kernel only on the
-    draws in between, on draws whose inputs are not finite and where
-    2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
-    kernel's.  With a recovery rate (non-WZ CF) recovery is tested exactly
-    (``rates._recovered``), and a draw that does not recover takes the
-    fallback verdict, which does not depend on ``ru`` and is found once per
-    block; without one (GQF) every draw recovers the index.
-    """
-
-    def __init__(self, scheme, h, power, beta, r1, r2):
-        spec = _scheme(scheme, beta, None, index_rate=True)
-        r1, r2 = float(r1), float(r2)
-        self.h, self.built_for = h, (scheme, power, beta, (r1, r2))
-        self.terms = terms = _block(spec, _columns(h), power, beta).terms
-        self.beta = beta
-        received, _, _, fallback = terms
-        self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
-        self.inv_one_c = 1.0 / (1.0 + received)
-        (self.lo_out, self.hi_out), (self.lo_in, self.hi_in) = rates._index_intervals(
-            terms, beta, r1, r2, (-_GUARD, _GUARD))
-
-    def split(self, ru):
-        """(certain-outage flags, undecided band) at index rate ``ru``, or
-        None where every draw needs the exact kernel."""
-        x = rates._index_denom(self.beta, ru)
-        if not 0.0 < x < math.inf:
-            return None
-        z = x * self.inv_one_c
-        out = (z < self.lo_out) | (z > self.hi_out)
-        band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
-        if self.fallback is None:  # gqf: the index is always recovered
-            return out, band
-        recovered = rates._recovered(self.terms, ru)
-        return np.where(recovered, out, self.fallback), recovered & band
-
-    def flags(self, target):
-        exact = lambda terms: _violated(*_mins(rates._index_terms(terms, self.beta, target.ru)[0]),
-                                        target)
-        parts = self.split(target.ru)
-        if parts is None:
-            return exact(self.terms)
-        flags, band = parts
-        idx = np.flatnonzero(band)
-        if idx.size:
-            flags[idx] = exact(_take(self.terms, idx))
-        return flags
-
-
-def _columns(h: np.ndarray):
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[1] != 5:
-        raise ValueError("draw matrix must have shape (n, 5)")
-    return h[:, 0], h[:, 1], h[:, 2], h[:, 3], h[:, 4]
-
-
-def _violated(i1, i2, isum, target: RateTarget):
-    return (
-        (target.r1 > np.maximum(i1, 0.0))
-        | (target.r2 > np.maximum(i2, 0.0))
-        | (target.r1 + target.r2 > np.maximum(isum, 0.0))
-    )
-
-
 def outage_flags(
     scheme: str,
     h: np.ndarray,
@@ -247,8 +136,7 @@ def classify_region_batch(
     (internal invariant).
     """
     spec = _scheme(scheme, beta, target, index_rate=True)
-    bounds, reg1, reg2 = _index_regions(_block(spec, _columns(h), power, beta), target)
-    common = _violated(*bounds, target)
+    common, reg1, reg2 = _index_regions(_block(spec, _columns(h), power, beta), target)
     if np.any(reg1 & reg2) or np.any((reg1 | reg2) & ~common):
         raise RuntimeError("region classification invariant violated")
     codes = np.full(common.shape, 4, dtype=np.int8)

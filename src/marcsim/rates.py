@@ -17,9 +17,11 @@ Schemes covered:
   standard form (see README for the exact constructions).
 
 The numeric cores broadcast over numpy arrays, so the Monte Carlo layer
-evaluates exactly the expressions the scalar API exposes.  They work in
-complex-signalling units (prefactor 1), rate inputs too; the scalar API
-applies the 1/2 of real signalling.  The engine-path evaluators
+evaluates exactly the expressions the scalar API exposes; the per-draw
+decisions it counts (the outage test, the region masks of individual
+outage and the outage curve over the relay index rate) are made here too.
+They work in complex-signalling units (prefactor 1), rate inputs too; the
+scalar API applies the 1/2 of real signalling.  The engine-path evaluators
 (`quantizer_index_rate`, `gqf_bounds`, `gqf_region`, `cf_region`) instead
 query the mutual-information engine of a network family's slot sources: the
 covariance engine for a `GaussianFamily`, giving every closed form an
@@ -434,16 +436,20 @@ def _equalizer_sigma(num_frac, e, dsum, beta):
         (1 + num_frac) / ((1 + e/(1+dsum))^((1-beta)/beta) - 1)
 
     Returns inf when the relay-destination link cannot trade rate
-    (e = 0 or beta -> 1), and 0 where the power overflows (beta -> 0): the
-    variance is then under (1 + num_frac) / DBL_MAX, and both bounds equal
-    the plain bound's sigma_q2 -> 0 limit to within rounding.
+    (e = 0 or beta -> 1).  Where the power e^y overflows (beta -> 0) the
+    quotient is (1 + num_frac) e^-y, taken in the log domain; it is 0 only
+    below the float range, where both bounds equal the plain bound's
+    sigma_q2 -> 0 limit to within rounding.
     """
-    expo = (1.0 - beta) / beta
     with np.errstate(over="ignore"):
-        denom = np.expm1(expo * np.log1p(e / (1.0 + dsum)))
+        y = (1.0 - beta) / beta * np.log1p(e / (1.0 + dsum))
+        denom = np.expm1(y)
     num = 1.0 + num_frac
     with np.errstate(divide="ignore"):
-        return np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), np.inf)
+        sigma = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), np.inf)
+    if np.any(np.isinf(denom)):
+        sigma = np.where(np.isinf(denom), np.exp(np.log1p(num_frac) - y), sigma)
+    return sigma
 
 
 def _opt_sigmas(L, beta):
@@ -583,6 +589,111 @@ def _block(spec: Scheme, g, power: PowerConfig, beta: float) -> _Block:
     L = _links(g, power)
     terms = None if spec.recover is None else _index_block(L, beta, spec.recover)
     return _Block(g, L, power, beta, terms)
+
+
+# ---------------------------------------------------------------------------
+# per-draw outage decisions on a block of draws, counted by the Monte Carlo
+# layer: the outage test, the region masks and the curve over the index rate
+# ---------------------------------------------------------------------------
+
+
+def _columns(h: np.ndarray):
+    """Gain columns (h1d, h2d, h1r, h2r, hrd) of the draw matrix ``h``."""
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[1] != 5:
+        raise ValueError("draw matrix must have shape (n, 5)")
+    return h[:, 0], h[:, 1], h[:, 2], h[:, 3], h[:, 4]
+
+
+def _violated(i1, i2, isum, target: RateTarget):
+    """Per-draw outage: ``target`` strictly violates a clamped bound."""
+    return (
+        (target.r1 > np.maximum(i1, 0.0))
+        | (target.r2 > np.maximum(i2, 0.0))
+        | (target.r1 + target.r2 > np.maximum(isum, 0.0))
+    )
+
+
+def _index_regions(b, target):
+    """(common, reg1, reg2): the common-outage mask and the region-1 and
+    region-2 masks of the index-rate block ``b`` at ``target``.  A user
+    fails where it violates every one of its own min-terms and is decodable
+    alone where it meets its single-user bound (:func:`_index_alone`), asked
+    for only on draws where a user fails (regions 1 and 2 need one)."""
+    terms, _, sigma_q2 = _index_terms(b.terms, b.beta, target.ru)
+    r1, r2 = target.r1, target.r2
+    fail1 = r1 > np.maximum(reduce(np.maximum, terms[0]), 0.0)
+    fail2 = r2 > np.maximum(reduce(np.maximum, terms[1]), 0.0)
+    reg1, reg2 = np.zeros_like(fail1), np.zeros_like(fail2)
+    idx = np.flatnonzero(fail1 | fail2)
+    v1, v2 = _index_alone(b, target.ru, idx, sigma_q2)
+    reg1[idx] = (r2 <= np.maximum(v2, 0.0)) & fail1[idx]
+    reg2[idx] = (r1 <= np.maximum(v1, 0.0)) & fail2[idx]
+    return _violated(*_mins(terms), target), reg1, reg2
+
+
+#: guard band (bits) around each target rate: a draw whose bounds come this
+#: close to a target at the index rate asked for is settled by the exact
+#: per-target kernel, whose rounding stays far inside it
+_GUARD = 1e-9
+
+
+class _IndexRateCurve:
+    """Outage of ``scheme`` on the draw matrix ``h`` for the rate pair
+    (r1, r2) at any index rate.  It builds the block once, keeping only the
+    parts the scheme's bounds read (``block.terms``, ``block.beta``), and
+    records what it was built for (``h`` itself, scheme, power, beta and
+    rate pair), which ``outage_flags(..., curve=)`` checks.
+
+    In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) (the inverse of
+    :func:`_quantizer_variance`) a draw that recovers the index is out of
+    outage on one interval of z (:func:`_index_intervals`), built with every
+    positive target rate lowered by the guard band (outer: outside it outage
+    is certain) and raised by it (inner: inside it no outage is certain).
+    ``flags`` compares z with both and runs the scheme's own bounds only on
+    the draws in between, on draws whose inputs are not finite and where
+    2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
+    kernel's.  With a recovery rate (non-WZ CF) recovery is tested exactly
+    (:func:`_recovered`), and a draw that does not recover takes the
+    fallback verdict, which does not depend on ``ru`` and is found once per
+    block; without one (GQF) every draw recovers the index.
+    """
+
+    def __init__(self, scheme, h, power, beta, r1, r2):
+        spec = _scheme(scheme, beta, None, index_rate=True)
+        r1, r2 = float(r1), float(r2)
+        self.h, self.built_for, self.bounds = h, (scheme, power, beta, (r1, r2)), spec.bounds
+        self.block = _block(spec, _columns(h), power, beta)._replace(g=None, L=None, power=None)
+        received, _, _, fallback = terms = self.block.terms
+        self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
+        self.inv_one_c = 1.0 / (1.0 + received)
+        (self.lo_out, self.hi_out), (self.lo_in, self.hi_in) = _index_intervals(
+            terms, beta, r1, r2, (-_GUARD, _GUARD))
+
+    def split(self, ru):
+        """(certain-outage flags, undecided band) at index rate ``ru``, or
+        None where every draw needs the exact kernel."""
+        x = _index_denom(self.block.beta, ru)
+        if not 0.0 < x < math.inf:
+            return None
+        z = x * self.inv_one_c
+        out = (z < self.lo_out) | (z > self.hi_out)
+        band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
+        if self.fallback is None:  # gqf: the index is always recovered
+            return out, band
+        recovered = _recovered(self.block.terms, ru)
+        return np.where(recovered, out, self.fallback), recovered & band
+
+    def flags(self, target):
+        exact = lambda b: _violated(*self.bounds(b, target), target)
+        parts = self.split(target.ru)
+        if parts is None:
+            return exact(self.block)
+        flags, band = parts
+        idx = np.flatnonzero(band)
+        if idx.size:
+            flags[idx] = exact(self.block._replace(terms=_take(self.block.terms, idx)))
+        return flags
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from marcsim import (
 )
 from marcsim import channel, cli, config, experiments, outage, rates
 from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block
-from marcsim.rates import SCHEMES, sigma_q2_for_fixed_ru
+from marcsim.rates import SCHEMES, _IndexRateCurve, sigma_q2_for_fixed_ru
 from marcsim.config import SCHEME_TOKENS
-from marcsim.outage import _IndexRateCurve, classify_region_batch
+from marcsim.outage import classify_region_batch
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -397,6 +397,21 @@ def test_unknown_scheme_and_missing_ru():
         )
 
 
+def test_sample_count_is_an_integer():
+    # a float or bool count is not rounded or read as 1: it is a ValueError
+    # naming the argument, at every entry point of the sample-count rule
+    pw = snr_power(10.0)
+    for n in (100.5, 100.0, True, math.nan, 0, -3):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, n, 1)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            draw_states(PROFILE, n, 1)
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            OutageEstimate(0.1, n, 1, 0.1)
+    assert common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, np.int64(100), 1) == (
+        common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, 100, 1))
+
+
 def test_individual_outage_bit_identical_across_runs():
     pw = snr_power(10.0)
     a = individual_outage_mc(PROFILE, pw, 0.5, TARGET, 20_000, 2)
@@ -501,7 +516,7 @@ def test_curve_gives_the_exact_flags_and_estimates(scheme, sigma_rd2):
             outage_flags(scheme, h, pw, 0.5, t, curve=curve), outage_flags(scheme, h, pw, 0.5, t)
         )
     if scheme == "nonwz_cf":
-        recovered = [rates._index_terms(curve.terms, 0.5, ru)[1].mean() for ru in grid]
+        recovered = [rates._index_terms(curve.block.terms, 0.5, ru)[1].mean() for ru in grid]
         assert (max(recovered) < 0.01) if sigma_rd2 == 0.001 else (max(recovered) > 0.5)
     ru_star, est = optimize_ru_grid(prof, pw, 0.5, RateTarget(1.0, 1.0, 3.0), grid, n, seed,
                                     scheme=scheme)
@@ -576,7 +591,7 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     pw = snr_power(snr_db)
     h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
     h[-1] = np.nan
-    b = rates._block(SCHEMES[scheme], outage._columns(h), pw, 0.5)
+    b = rates._block(SCHEMES[scheme], rates._columns(h), pw, 0.5)
     i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
     ok = (i1 > 0.0) & (i1 < isum)
     if scheme == "nonwz_cf":
@@ -617,11 +632,23 @@ def test_region_classifier_is_scheme_blind():
     assert "index_rate >= ru" in inspect.getsource(rates._recovered)
 
 
+def test_index_rate_block_is_read_in_rates_only():
+    # the outage curve over ru and the region masks live in rates, beside
+    # the block they read; the Monte Carlo layer draws, calls the scheme
+    # table and counts, and the curve's exact path is the kernel itself
+    source = Path(outage.__file__).read_text()
+    for text in ("rates._", ".terms", "_GUARD", "_index_denom", "_index_intervals", "_recovered"):
+        assert text not in source, text
+    counts = {path.name: path.read_text().count("_mins(_index_terms(")
+              for path in Path(rates.__file__).parent.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"rates.py": 1}, counts
+
+
 def _codes_on_every_draw(scheme, h, pw, beta, target):
     """Region codes with the single-user bounds evaluated on every draw,
     as classify_region_batch did before it restricted them to the draws
     where a user fails its own bounds."""
-    b = rates._block(SCHEMES[scheme], outage._columns(h), pw, beta)
+    b = rates._block(SCHEMES[scheme], rates._columns(h), pw, beta)
     r1, r2, ru = target.r1, target.r2, target.ru
     clamp = lambda x: np.maximum(x, 0.0)
     terms, recovered, sq2 = rates._index_terms(b.terms, beta, ru)

@@ -311,6 +311,20 @@ def test_equalizer_below_the_float_range_is_zero():
     assert est.n_samples == 5000
 
 
+def test_equalizer_past_the_power_overflow_is_its_log_domain_value():
+    # on the fig3 state the sum-rate equalizer is (1 + 15.5/3) e^-y with
+    # y = (1 - beta)/beta ln 4; at y = 709.9 e^y overflows while the
+    # variance, about 3.05e-308, is still a normal float.  Just inside the
+    # overflow (beta = 0.00195) the value is the quotient, bit for bit
+    beta = 0.0019489963072676182
+    log_domain = math.exp(math.log1p(15.5 / 3.0) - (1.0 - beta) / beta * math.log1p(3.0))
+    got = sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, beta)
+    assert got > 0.0
+    assert got == pytest.approx(log_domain, rel=1e-12, abs=0.0)
+    assert sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.00195) == float.fromhex(
+        "0x1.fa2a5ae9d8bedp-1022")
+
+
 def test_csit_dominates_fixed_index_rate_per_draw():
     prof = FadingProfile.uniform(1.0)
     h = draw_states(prof, 1000, 31)
