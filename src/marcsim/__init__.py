@@ -9,11 +9,7 @@ from .channel import (
     ChannelState,
     FadingProfile,
     PowerConfig,
-    draw_states,
     sample_fading_block,
-    slot1_system,
-    slot2_system,
-    substream,
 )
 from .info import (
     DegenerateCovarianceError,
@@ -46,10 +42,8 @@ from .rates import (
     gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
-    optimize_sigma_beta_grid,
     quantizer_index_rate,
     region,
-    ru_for_sigma_q2,
     sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,
     sigma_q2_opt_sum,

@@ -33,11 +33,7 @@ __all__ = [
     "ChannelState",
     "PowerConfig",
     "FadingProfile",
-    "substream",
     "sample_fading_block",
-    "draw_states",
-    "slot1_system",
-    "slot2_system",
 ]
 
 STATIC = "static"
@@ -194,7 +190,8 @@ def _check_samples(n: int, name: str = "n") -> None:
 
 
 def _check_u64(value: int, name: str = "seed") -> None:
-    if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 2**64):
         raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
 
 
@@ -203,7 +200,7 @@ def _check_grid(grid, name: str) -> None:
         raise ValueError(f"{name} must be non-empty and strictly increasing, got {list(grid)!r}")
 
 
-def substream(seed: int, index: int) -> Generator:
+def _substream(seed: int, index: int) -> Generator:
     """Independent generator for substream ``index`` of master ``seed``.
 
     Philox is counter based: keying by (seed, index) makes substreams
@@ -225,21 +222,12 @@ def sample_fading_block(
     """
     # one draw of the real parts, then the imaginary parts: the same stream
     # as two calls, written into the complex matrix without temporaries
-    z = substream(seed, block_index).standard_normal((2, block_size, 5))
+    z = _substream(seed, block_index).standard_normal((2, block_size, 5))
     std = np.sqrt(profile.as_array() / 2.0)
     h = np.empty((block_size, 5), dtype=complex)
     np.multiply(z[0], std, out=h.real)
     np.multiply(z[1], std, out=h.imag)
     return h
-
-
-def draw_states(profile: FadingProfile, n: int, seed: int) -> np.ndarray:
-    """Materialize the first ``n`` fading states of a run as an (n, 5) matrix."""
-    _check_samples(n)
-    blocks = []
-    for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        blocks.append(sample_fading_block(profile, seed, b))
-    return np.concatenate(blocks, axis=0)[:n]
 
 
 def _system(labels, mixing, source_vars, field_kind):
@@ -251,7 +239,7 @@ def _system(labels, mixing, source_vars, field_kind):
     return GaussianSystem(labels=labels, covariance=cov.astype(dtype), field_kind=field_kind)
 
 
-def slot1_system(state: ChannelState, power: PowerConfig, sigma_q2: float):
+def _slot1_system(state: ChannelState, power: PowerConfig, sigma_q2: float):
     """Jointly Gaussian listen-slot system over (X11, X21, YR, YhR, YD1).
 
     YD1 = h1d*X11 + h2d*X21 + Z, YR = h1r*X11 + h2r*X21 + Z', and the
@@ -259,7 +247,6 @@ def slot1_system(state: ChannelState, power: PowerConfig, sigma_q2: float):
     ``sigma_q2 = math.inf`` means the relay observation is discarded: YhR
     is then the constant 0, which every mutual-information query drops.
     """
-    _check_sigma_q2(sigma_q2)
     h1d, h2d, h1r, h2r, _ = state.gains()
     keep, noise = (1.0, sigma_q2) if sigma_q2 < math.inf else (0.0, 0.0)
     mixing = [
@@ -273,7 +260,7 @@ def slot1_system(state: ChannelState, power: PowerConfig, sigma_q2: float):
     return _system(SLOT1_LABELS, mixing, source_vars, state.field_kind)
 
 
-def slot2_system(state: ChannelState, power: PowerConfig):
+def _slot2_system(state: ChannelState, power: PowerConfig):
     """Jointly Gaussian cooperate-slot system over (X12, X22, XR, YD2),
     with YD2 = h1d*X12 + h2d*X22 + hrd*XR + Z."""
     h1d, h2d, _, _, hrd = state.gains()

@@ -48,8 +48,8 @@ from .channel import (
     _check_rate,
     _check_sigma_q2,
     _check_slot,
-    slot1_system,
-    slot2_system,
+    _slot1_system,
+    _slot2_system,
 )
 
 __all__ = [
@@ -60,13 +60,11 @@ __all__ = [
     "SCHEMES",
     "GqfBounds",
     "sigma_q2_for_fixed_ru",
-    "ru_for_sigma_q2",
     "gqf_min_terms_gaussian",
     "sigma_q2_opt_sum",
     "sigma_q2_opt_indiv",
     "region",
     "direct_mac_region",
-    "optimize_sigma_beta_grid",
     "GaussianFamily",
     "MarcPmfFamily",
     "quantizer_index_rate",
@@ -748,24 +746,8 @@ def sigma_q2_for_fixed_ru(
     _check_beta(beta)
     _check_index_rate(ru)
     k = info.prefactor(state.field_kind)
-    return float(_quantizer_variance(_received(state, power), beta, ru / k))
-
-
-def ru_for_sigma_q2(
-    state: ChannelState, power: PowerConfig, beta: float, sigma_q2: float
-) -> float:
-    """Index rate implied by a quantizer variance; inverse of
-    :func:`sigma_q2_for_fixed_ru` (same bit convention)."""
-    _check_beta(beta)
-    _check_sigma_q2(sigma_q2)
-    k = info.prefactor(state.field_kind)
-    return beta * k * math.log2(1.0 + (1.0 + _received(state, power)) / sigma_q2)
-
-
-def _received(state: ChannelState, power: PowerConfig):
-    """The relay's listen-slot received power c1 + c2."""
     _, _, c1, c2, _, _, _, _ = _links(state.gains(), power)
-    return c1 + c2
+    return float(_quantizer_variance(c1 + c2, beta, ru / k))
 
 
 def sigma_q2_opt_sum(state: ChannelState, power: PowerConfig, beta: float) -> float:
@@ -828,23 +810,6 @@ def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, 
     return sigma_opt, (k * tsa, k * tsb), norelay
 
 
-def optimize_sigma_beta_grid(
-    state: ChannelState,
-    power: PowerConfig,
-    sigma_grid,
-    beta_grid,
-) -> tuple[float, float, float]:
-    """Grid search of (sigma_q2, beta) maximizing the equal-index-rate sum
-    rate; returns (sigma_q2, beta, sum_rate).  Ties resolve to the first
-    grid point in row-major (beta, sigma) order."""
-    sigma, beta = (np.asarray(g, dtype=float) for g in (sigma_grid, beta_grid))
-    if not sigma.size or not beta.size:
-        raise ValueError("grids must be non-empty")
-    vals = np.minimum(*_static_model(state, power, beta[:, None], sigma)[1])
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    return float(sigma[j]), float(beta[i]), float(vals[i, j])
-
-
 # ---------------------------------------------------------------------------
 # engine path: the joint-decoding region through the mutual-information
 # engines, on a Gaussian or a discrete network family
@@ -870,11 +835,11 @@ class GaussianFamily:
 
     @cached_property
     def slot1(self) -> info.GaussianSystem:
-        return slot1_system(self.state, self.power, self.sigma_q2)
+        return _slot1_system(self.state, self.power, self.sigma_q2)
 
     @cached_property
     def slot2(self) -> info.GaussianSystem:
-        return slot2_system(self.state, self.power)
+        return _slot2_system(self.state, self.power)
 
     def cf_feasible(self, beta: float) -> bool:
         """Compress-forward's binning condition in closed form: the

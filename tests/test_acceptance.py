@@ -28,9 +28,9 @@ from marcsim import (
     quantizer_index_rate,
     sigma_q2_opt_sum,
 )
-from marcsim.channel import draw_states
 from marcsim.experiments import preset_config, run_experiment
 from marcsim.rates import _gqf_block, _gqf_terms, _links
+from reference_draws import draw_states
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)

@@ -1,13 +1,40 @@
-"""Every public name of the package resolves, and README's library sample
-runs: a deletion or rename that leaves an export or the sample behind
-fails here, not at a user's import."""
+"""Every public name of the package resolves, the package exports exactly
+the pinned set, and README's library sample runs: a deletion or rename that
+leaves an export or the sample behind fails here, not at a user's import,
+and a new export is a deliberate edit of ``PUBLIC``."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import marcsim
+
+PUBLIC = {
+    # channel
+    "BLOCK_SIZE", "FADING", "STATIC", "ChannelState", "FadingProfile", "PowerConfig",
+    "sample_fading_block",
+    # info
+    "DegenerateCovarianceError", "GaussianSystem", "JointPMF", "LabelError",
+    "entropy_discrete", "mutual_info_discrete", "mutual_info_gaussian",
+    # outage
+    "IndividualOutageEstimate", "OutageEstimate", "common_outage_mc",
+    "expected_sum_rate_common", "expected_sum_rate_indiv", "individual_outage_mc",
+    "optimize_ru_grid", "outage_flags",
+    # rates
+    "FeasibilityError", "GaussianFamily", "GqfBounds", "MarcPmfFamily", "RateRegion",
+    "RateTarget", "cf_region", "direct_mac_region", "gqf_bounds", "gqf_min_terms_gaussian",
+    "gqf_region", "quantizer_index_rate", "region", "sigma_q2_for_fixed_ru",
+    "sigma_q2_opt_indiv", "sigma_q2_opt_sum",
+}
+# names kept off the public surface: the grid search and the index-rate
+# inverse only repeat fig4 and quantizer_index_rate, the reference sampler
+# belongs to the tests, and the stream and slot builders are internals
+REMOVED = {
+    "draw_states", "substream", "slot1_system", "slot2_system",
+    "optimize_sigma_beta_grid", "ru_for_sigma_q2",
+}
 
 
 def test_public_names_resolve():
@@ -23,6 +50,16 @@ def test_public_names_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), (node.module, alias.name)
             assert hasattr(marcsim, alias.asname or alias.name), alias.name
+
+
+def test_public_surface_is_pinned():
+    exported = {n for n, v in vars(marcsim).items()
+                if not n.startswith("_") and not inspect.ismodule(v)}
+    assert exported == PUBLIC
+    assert not REMOVED & set(dir(marcsim))
+    for info in pkgutil.iter_modules(marcsim.__path__):
+        module = importlib.import_module(f"marcsim.{info.name}")
+        assert not REMOVED & set(getattr(module, "__all__", ())), info.name
 
 
 def test_readme_library_sample_runs():

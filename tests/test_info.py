@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from marcsim import (
+    ChannelState,
     DegenerateCovarianceError,
+    GaussianFamily,
     GaussianSystem,
     JointPMF,
     LabelError,
+    PowerConfig,
     entropy_discrete,
     mutual_info_discrete,
     mutual_info_gaussian,
 )
-from marcsim.channel import ChannelState, PowerConfig, slot1_system
 
 
 def h2(p):
@@ -134,7 +136,7 @@ def test_mi_gaussian_listen_slot_sum_bracket():
     state = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
     power = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
     s = 2.0556
-    sys1 = slot1_system(state, power, s)
+    sys1 = GaussianFamily(state, power, s).slot1
     got = mutual_info_gaussian(sys1, ("X11", "X21"), ("YD1", "YhR"))
     cross = (1.0 * 0.5 - 3.0 * 1.0) ** 2
     want = 0.5 * math.log2(1.0 + 2.0 + (9.0 + 0.25 + cross) / (1.0 + s))
@@ -158,7 +160,7 @@ def test_mi_gaussian_zero_power_inputs():
     # silent sources: outputs are pure noise and every MI term vanishes
     state = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
     power = PowerConfig(0.0, 0.0, 1.0, 1.0, 1.0)
-    sys1 = slot1_system(state, power, 2.0)
+    sys1 = GaussianFamily(state, power, 2.0).slot1
     assert mutual_info_gaussian(sys1, ("X11", "X21"), ("YD1", "YhR")) == 0.0
     assert mutual_info_gaussian(sys1, ("X11",), ("YR",), ("X21",)) == 0.0
     assert float(np.real(sys1.covariance[sys1.labels.index("YR"), sys1.labels.index("YR")])) == 1.0
@@ -177,7 +179,7 @@ def test_mi_gaussian_data_processing_on_quantizer():
     state = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
     power = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
     for s in (0.1, 0.5, 1.0, 2.0, 5.0, 50.0):
-        sys1 = slot1_system(state, power, s)
+        sys1 = GaussianFamily(state, power, s).slot1
         through = mutual_info_gaussian(sys1, ("X11", "X21"), ("YhR",))
         raw = mutual_info_gaussian(sys1, ("X11", "X21"), ("YR",))
         assert through <= raw + 1e-12
@@ -187,7 +189,7 @@ def test_mi_gaussian_markov_quantizer():
     # (X11, X21) -> YR -> YhR: conditioning on YR removes all information
     state = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
     power = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
-    sys1 = slot1_system(state, power, 2.0)
+    sys1 = GaussianFamily(state, power, 2.0).slot1
     assert mutual_info_gaussian(sys1, ("X11", "X21"), ("YhR",), ("YR",)) < 1e-9
     assert mutual_info_gaussian(sys1, ("X11",), ("X21",)) < 1e-12
 
@@ -195,7 +197,7 @@ def test_mi_gaussian_markov_quantizer():
 def test_quantizer_vanishes_with_coarse_quantization():
     state = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
     power = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
-    sys1 = slot1_system(state, power, 1e12)
+    sys1 = GaussianFamily(state, power, 1e12).slot1
     assert mutual_info_gaussian(sys1, ("YR",), ("YhR",)) < 1e-8
 
 

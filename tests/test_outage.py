@@ -31,10 +31,11 @@ from marcsim import (
     region,
 )
 from marcsim import channel, cli, config, experiments, outage, rates
-from marcsim.channel import BLOCK_SIZE, draw_states, sample_fading_block
+from marcsim.channel import BLOCK_SIZE, sample_fading_block
 from marcsim.rates import SCHEMES, _IndexRateCurve, sigma_q2_for_fixed_ru
 from marcsim.config import SCHEME_TOKENS
 from marcsim.outage import classify_region_batch
+from reference_draws import draw_states
 
 PROFILE = FadingProfile.uniform(1.0)
 TARGET = RateTarget(1.0, 1.0, 3.0)
@@ -404,8 +405,6 @@ def test_sample_count_is_an_integer():
     for n in (100.5, 100.0, True, math.nan, 0, -3):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, n, 1)
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            draw_states(PROFILE, n, 1)
         with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
             OutageEstimate(0.1, n, 1, 0.1)
     assert common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, np.int64(100), 1) == (

@@ -22,14 +22,14 @@ from marcsim import (
     gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
-    optimize_sigma_beta_grid,
     quantizer_index_rate,
     region,
     sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )
-from marcsim.channel import draw_states, FadingProfile
+from marcsim.channel import FadingProfile
+from marcsim.experiments import preset_config, run_experiment
 from marcsim.rates import (
     SCHEMES,
     _af_terms,
@@ -37,7 +37,9 @@ from marcsim.rates import (
     _index_block,
     _index_terms,
     _links,
+    _static_model,
 )
+from reference_draws import draw_states
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 NO_RATES = RateTarget(0.0, 0.0)  # for the schemes whose region ignores the target
@@ -493,46 +495,18 @@ def test_pentagon_shape_by_scheme():
     assert gqf_flat > 0  # low-SNR fixed-rate draws do trip the flag
 
 
-def test_optimize_sigma_beta_grid():
-    s, b, v = optimize_sigma_beta_grid(
-        FIG3_STATE, UNIT_POWER, np.arange(0.2, 6.0, 0.2), np.arange(0.1, 1.0, 0.1)
-    )
-    t = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, 0.5, sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.5))
-    assert v >= min(t[4], t[5]) - 0.05  # grid resolution
-    assert 0.0 < b < 1.0
-    with pytest.raises(ValueError):
-        optimize_sigma_beta_grid(FIG3_STATE, UNIT_POWER, [], [0.5])
-
-    # no source-relay link and equal powers: the plain sum bound depends on
-    # neither sigma_q2 nor beta, and at these variances it is below the
-    # index-charged one, so every point ties and the first in row-major
-    # (beta, sigma) order wins
-    no_relay_in = ChannelState(1.0, 0.7, 0.0, 0.0, 2.0)
-    got = optimize_sigma_beta_grid(no_relay_in, UNIT_POWER, [10.0, 100.0, 1000.0], [0.3, 0.5])
-    assert got == (10.0, 0.3, 0.658072871146678)
-
-    # the double loop over the scalar min-terms, on real and complex states
-    def loop(state, pw, sigmas, betas):
-        best = None
-        for beta in betas:
-            for s in sigmas:
-                t = gqf_min_terms_gaussian(state, pw, beta, s)
-                if best is None or min(t[4], t[5]) > best[2]:
-                    best = (s, beta, min(t[4], t[5]))
-        return best
-
-    rng = np.random.default_rng(29)
-    for i in range(20):
-        state, pw, _ = random_static(rng)
-        if i % 2:
-            h = rng.normal(size=5) + 1j * rng.normal(size=5)
-            state = ChannelState(*(complex(v) for v in h), mode=FADING)
-        sigmas = sorted(float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, 6)) + [math.inf]
-        betas = sorted(float(v) for v in rng.uniform(0.02, 0.98, 5))
-        assert optimize_sigma_beta_grid(state, pw, sigmas, betas) == loop(state, pw, sigmas, betas)
-    for sigmas, betas in (([0.0, 1.0], [0.5]), ([1.0], [0.5, 1.0]), ([1.0], [0.0])):
-        with pytest.raises(ValueError):
-            optimize_sigma_beta_grid(FIG3_STATE, UNIT_POWER, sigmas, betas)
+def test_fig4_sum_rate_tops_every_sigma_q2_grid_point():
+    # at each slot split the equalizer variance maximizes the sum-rate min
+    # over sigma_q2, so fig4's sum rate is at least the best of the preset's
+    # sigma_q2 grid and of a discarded observation, up to rounding
+    cfg = preset_config("fig4")
+    state, power = cfg.static_channel()
+    beta = np.asarray(cfg.beta_grid)
+    sigmas = np.asarray([*cfg.sigma_q2_grid, math.inf])
+    best = np.minimum(*_static_model(state, power, beta[:, None], sigmas)[1]).max(axis=1)
+    gqf = np.asarray(run_experiment(cfg).columns["gqf_sum"])
+    assert gqf.shape == best.shape
+    assert np.all(gqf >= best - 1e-12)
 
 
 def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
@@ -560,9 +534,6 @@ def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
         assert direct_mac_region(static, pw, beta, boost) == half(
             direct_mac_region(fading, pw, beta, boost)
         )
-    sigmas, betas = np.arange(0.2, 6.0, 0.2), np.arange(0.1, 1.0, 0.1)
-    s_f, b_f, v_f = optimize_sigma_beta_grid(fading, pw, sigmas, betas)
-    assert optimize_sigma_beta_grid(static, pw, sigmas, betas) == (s_f, b_f, 0.5 * v_f)
 
     # user 1 at the static relay's decoding threshold and one ulp above
     L = _links(gains, pw)
