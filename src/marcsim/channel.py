@@ -200,15 +200,15 @@ def _check_grid(grid, name: str) -> None:
         raise ValueError(f"{name} must be non-empty and strictly increasing, got {list(grid)!r}")
 
 
-def _substream(seed: int, index: int) -> Generator:
-    """Independent generator for substream ``index`` of master ``seed``.
+def _substream(seed: int, block_index: int) -> Generator:
+    """Independent generator for block ``block_index`` of master ``seed``.
 
-    Philox is counter based: keying by (seed, index) makes substreams
+    Philox is counter based: keying by (seed, block_index) makes substreams
     reproducible in any order.
     """
     _check_u64(seed)
-    _check_u64(index, "substream index")
-    key = np.array([seed, index], dtype=np.uint64)
+    _check_u64(block_index, "block_index")
+    key = np.array([seed, block_index], dtype=np.uint64)
     return Generator(Philox(key=key))
 
 
@@ -220,6 +220,7 @@ def sample_fading_block(
     Columns are ordered (h1d, h2d, h1r, h2r, hrd).  The draw depends only on
     (seed, block_index, block_size), never on what was drawn before.
     """
+    _check_samples(block_size, "block_size")
     # one draw of the real parts, then the imaginary parts: the same stream
     # as two calls, written into the complex matrix without temporaries
     z = _substream(seed, block_index).standard_normal((2, block_size, 5))

@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+def _check_probability(p, name: str) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+
+
 @dataclass(frozen=True)
 class OutageEstimate:
     """Empirical outage probability.  ``ci95_halfwidth`` is that of the
@@ -63,8 +68,7 @@ class OutageEstimate:
     ci95_halfwidth: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
+        _check_probability(self.p_hat, "p_hat")
         _check_samples(self.n_samples, "n_samples")
 
     @classmethod
@@ -93,6 +97,13 @@ class IndividualOutageEstimate:
     region_freqs: tuple[float, float, float, float]
     n_samples: int
     seed: int
+
+    def __post_init__(self):
+        for name in ("p_indiv1", "p_indiv2", "p_common"):
+            _check_probability(getattr(self, name), name)
+        for p in self.region_freqs:
+            _check_probability(p, "each region frequency")
+        _check_samples(self.n_samples, "n_samples")
 
 
 def outage_flags(

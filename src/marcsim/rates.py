@@ -276,21 +276,18 @@ def _index_block(L, beta, recover):
 
 def _index_terms(B, beta, ru):
     """Min-terms at index rate ``ru`` from the per-block part
-    ``B = _index_block(L, beta, recover)``: (terms, recovered, sigma_q2).
-
-    ``sigma_q2`` is the quantizer variance that spends exactly ``ru`` on
-    the relay's observation and ``terms`` holds, per rate (r1, r2,
-    r1 + r2), the tuple of its min-terms (see :func:`_gqf_terms`), where the
-    draws that do not recover the index (``recovered``, see
-    :func:`_recovered`) carry their fallback bound.
+    ``B = _index_block(L, beta, recover)``: per rate (r1, r2, r1 + r2), the
+    tuple of the min-terms (see :func:`_gqf_terms`) of the quantizer that
+    spends exactly ``ru`` on the relay's observation, where the draws that
+    do not recover the index (see :func:`_recovered`) carry their fallback
+    bound.
     """
     received, G, _, fallback = B
-    sigma_q2 = _quantizer_variance(received, beta, ru)
-    terms = _gqf_terms(G, beta, sigma_q2)
+    terms = _gqf_terms(G, beta, _quantizer_variance(received, beta, ru))
     recovered = _recovered(B, ru)
     if recovered is not None:
         terms = tuple((np.where(recovered, t, f),) for (t,), f in zip(terms, fallback))
-    return terms, recovered, sigma_q2
+    return terms
 
 
 def _recovered(B, ru):
@@ -339,39 +336,6 @@ def _index_intervals(B, beta, r1, r2, shifts):
     return list(zip(lo, hi))
 
 
-def _interference_terms(g, L, power, beta, sigma_q2, ru):
-    """Single-user bounds with the other source treated as noise.
-
-    Returns (w1a, w1b, w2a, w2b): plain and index-charged bounds for
-    decoding one message alone (see :func:`_index_alone`).  Where the
-    determinants overflow (sigma_q2 = inf or near it), both determinant
-    ratios of user i take their limit v_yd1 / (1 + a_j).
-    """
-    h1d, h2d, h1r, h2r, _ = g
-    a1, a2, c1, c2, d1, d2, e, _ = L
-    v_yd1 = 1.0 + a1 + a2
-    v_yhr = 1.0 + c1 + c2 + sigma_q2
-    rho1 = h1d * np.conj(h1r) * power.p11
-    rho2 = h2d * np.conj(h2r) * power.p21
-    rho = rho1 + rho2
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_full = v_yd1 * v_yhr - np.abs(rho) ** 2
-        det_wo1 = (1.0 + a2) * (1.0 + c2 + sigma_q2) - np.abs(rho2) ** 2
-        det_wo2 = (1.0 + a1) * (1.0 + c1 + sigma_q2) - np.abs(rho1) ** 2
-        q1 = (det_full / det_wo1, v_yd1 * v_yhr / det_wo1)
-        q2 = (det_full / det_wo2, v_yd1 * v_yhr / det_wo2)
-    lim = np.isinf(det_full)
-    if np.any(lim):
-        q1 = [np.where(lim, v_yd1 / (1.0 + a2), q) for q in q1]
-        q2 = [np.where(lim, v_yd1 / (1.0 + a1), q) for q in q2]
-    mb = 1.0 - beta
-    w1a = beta * np.log2(q1[0]) + mb * np.log2((1.0 + d1 + d2) / (1.0 + d2))
-    w1b = beta * np.log2(q1[1]) + mb * np.log2((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
-    w2a = beta * np.log2(q2[0]) + mb * np.log2((1.0 + d1 + d2) / (1.0 + d1))
-    w2b = beta * np.log2(q2[1]) + mb * np.log2((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
-    return w1a, w1b, w2a, w2b
-
-
 def _take(parts, idx):
     """``parts`` (arrays, possibly nested in tuples and lists) at draws ``idx``."""
     if isinstance(parts, np.ndarray):
@@ -379,30 +343,6 @@ def _take(parts, idx):
     if isinstance(parts, (tuple, list)):
         return type(parts)(_take(p, idx) for p in parts)
     return parts
-
-
-def _index_alone(b, ru, idx, sigma_q2):
-    """(v1, v2): each user's single-user bound, with the other source as
-    noise, on the draws ``idx`` of the index-rate block ``b`` (``sigma_q2``
-    per draw of ``b``), by each draw's index outcome at ``ru``: under GQF the
-    least of both :func:`_interference_terms` bounds; under non-WZ CF the
-    plain one if the index is recovered, else the one with the relay signal
-    as cooperate-slot noise too, each on its own draws only."""
-    recovered = _recovered(b.terms, ru)
-    j = idx if recovered is None else idx[recovered[idx]]
-    w1a, w1b, w2a, w2b = _interference_terms(
-        _take(b.g, j), _take(b.L, j), b.power, b.beta, sigma_q2[j], ru
-    )
-    if recovered is None:
-        return np.minimum(w1a, w1b), np.minimum(w2a, w2b)
-    rec = recovered[idx]
-    a1, a2, _, _, d1, d2, e, _ = _take(b.L, idx[~rec])
-    beta, mb, v_yd1 = b.beta, 1.0 - b.beta, 1.0 + a1 + a2
-    v1, v2 = np.empty(idx.size), np.empty(idx.size)
-    v1[rec], v2[rec] = w1a, w2a
-    v1[~rec] = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
-    v2[~rec] = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
-    return v1, v2
 
 
 def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
@@ -483,25 +423,21 @@ def _df_terms(L, beta, r1, r2):
     return _mac_terms(a1, a2, d1, d2, beta, np.where(decodes, e, 0.0))
 
 
-def _af_terms(g, L, power):
+def _af_terms(L):
     """Amplify-forward at beta = 1/2: the relay retransmits its received
     samples scaled to its power budget, so each listen-slot use pairs with
     one cooperate-slot use and the region follows from the 2x2 output
-    covariance of that pair channel."""
-    h1d, h2d, h1r, h2r, hrd = g
-    a1, a2, c1, c2, d1, d2, _, _ = L
-    gain = np.sqrt(power.pr / (1.0 + c1 + c2))
-    w1 = gain * hrd * h1r
-    w2 = gain * hrd * h2r
-    n2 = 1.0 + gain**2 * np.abs(hrd) ** 2
-    q1 = np.abs(w1) ** 2 * power.p11
-    q2 = np.abs(w2) ** 2 * power.p21
-    det1 = (1.0 + a1) * (n2 + d1 + q1) - np.abs(h1d * np.conj(w1)) ** 2 * power.p11**2
-    det2 = (1.0 + a2) * (n2 + d2 + q2) - np.abs(h2d * np.conj(w2)) ** 2 * power.p21**2
-    v1 = 1.0 + a1 + a2
-    v2 = n2 + d1 + d2 + q1 + q2
-    cross = h1d * np.conj(w1) * power.p11 + h2d * np.conj(w2) * power.p21
-    dets = v1 * v2 - np.abs(cross) ** 2
+    covariance of that pair channel.
+
+    The forwarded relay noise has power g2 = e/(1 + c1 + c2), so the
+    cooperate-slot noise is n2 = 1 + g2, and the listen-slot cross
+    covariance rho has |rho|^2 = (a1 + a2)(c1 + c2) - kap."""
+    a1, a2, c1, c2, d1, d2, e, kap = L
+    g2 = e / (1.0 + c1 + c2)
+    n2 = 1.0 + g2
+    det1 = (1.0 + a1) * (n2 + d1) + g2 * c1
+    det2 = (1.0 + a2) * (n2 + d2) + g2 * c2
+    dets = (1.0 + a1 + a2) * (n2 + d1 + d2) + g2 * (c1 + c2 + kap)
     return 0.5 * np.log2(det1 / n2), 0.5 * np.log2(det2 / n2), 0.5 * np.log2(dets / n2)
 
 
@@ -512,11 +448,10 @@ def _af_terms(g, L, power):
 
 
 class _Block(NamedTuple):
-    """What a scheme's bounds read of one block of draws (see :class:`Scheme`)."""
+    """What a scheme's bounds read of one block of draws (see :class:`Scheme`):
+    the link powers, never the gains."""
 
-    g: tuple            # gain columns (h1d, h2d, h1r, h2r, hrd)
     L: tuple            # link powers _links(g, power)
-    power: PowerConfig
     beta: float
     terms: object       # _index_block(L, beta, Scheme.recover), or None
 
@@ -528,7 +463,9 @@ class Scheme:
     ``bounds(b, target)`` returns the per-draw (i1, i2, isum), in
     complex-signalling units, from the block ``b = _block(scheme, g,
     power, beta)`` of the gain columns ``g``: one channel state's gains
-    for :func:`region`, arrays over draws for the Monte Carlo layer.
+    for :func:`region`, arrays over draws for the Monte Carlo layer.  The
+    bounds read the link powers ``b.L`` (:func:`_links`, the one reader of
+    the gains), the split ``b.beta`` and ``b.terms``.
     ``beta``, if set, is the only slot split the scheme is defined for.
     ``recover`` is set only for a scheme with a relay index rate and says
     how the destination treats the index (see :func:`_index_block`): its
@@ -550,7 +487,7 @@ def _mins(terms):
 
 def _index_bounds(b, target):
     """(i1, i2, isum) of a scheme with a relay index rate at ``target.ru``."""
-    return _mins(_index_terms(b.terms, b.beta, target.ru)[0])
+    return _mins(_index_terms(b.terms, b.beta, target.ru))
 
 
 #: every relaying scheme with per-state bounds; adding a scheme here makes
@@ -560,7 +497,7 @@ SCHEMES = {
     "csit": Scheme(lambda b, t: _csit_terms(b.L, b.beta)),
     "nonwz_cf": Scheme(_index_bounds, recover=True),
     "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t.r1, t.r2)),
-    "af": Scheme(lambda b, t: _af_terms(b.g, b.L, b.power), beta=_AF_BETA),
+    "af": Scheme(lambda b, t: _af_terms(b.L), beta=_AF_BETA),
     "direct": Scheme(lambda b, t: _direct_terms(b.L, b.beta)),
     "direct15": Scheme(lambda b, t: _direct_terms(b.L, b.beta, boost=1.5)),
 }
@@ -586,7 +523,7 @@ def _block(spec: Scheme, g, power: PowerConfig, beta: float) -> _Block:
     gains."""
     L = _links(g, power)
     terms = None if spec.recover is None else _index_block(L, beta, spec.recover)
-    return _Block(g, L, power, beta, terms)
+    return _Block(L, beta, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -616,18 +553,19 @@ def _index_regions(b, target):
     """(common, reg1, reg2): the common-outage mask and the region-1 and
     region-2 masks of the index-rate block ``b`` at ``target``.  A user
     fails where it violates every one of its own min-terms and is decodable
-    alone where it meets its single-user bound (:func:`_index_alone`), asked
-    for only on draws where a user fails (regions 1 and 2 need one)."""
-    terms, _, sigma_q2 = _index_terms(b.terms, b.beta, target.ru)
-    r1, r2 = target.r1, target.r2
-    fail1 = r1 > np.maximum(reduce(np.maximum, terms[0]), 0.0)
-    fail2 = r2 > np.maximum(reduce(np.maximum, terms[1]), 0.0)
-    reg1, reg2 = np.zeros_like(fail1), np.zeros_like(fail2)
-    idx = np.flatnonzero(fail1 | fail2)
-    v1, v2 = _index_alone(b, target.ru, idx, sigma_q2)
-    reg1[idx] = (r2 <= np.maximum(v2, 0.0)) & fail1[idx]
-    reg2[idx] = (r1 <= np.maximum(v1, 0.0)) & fail2[idx]
-    return _violated(*_mins(terms), target), reg1, reg2
+    alone where it meets its single-user bound, the other source as noise.
+    By the chain rule I(X1;Y) = I(X1,X2;Y) - I(X2;Y|X1) that bound is the
+    least sum-rate term less the other user's plain term: under GQF
+    min(tsa, tsb) - t2a, with the index rate spent exactly; under non-WZ CF
+    tsa - t2a where the index is recovered and the fallback's isum - i2
+    where it is not."""
+    terms = _index_terms(b.terms, b.beta, target.ru)
+    i1, i2, isum = _mins(terms)
+    fail1 = target.r1 > np.maximum(reduce(np.maximum, terms[0]), 0.0)
+    fail2 = target.r2 > np.maximum(reduce(np.maximum, terms[1]), 0.0)
+    reg1 = fail1 & (target.r2 <= np.maximum(isum - terms[0][0], 0.0))
+    reg2 = fail2 & (target.r1 <= np.maximum(isum - terms[1][0], 0.0))
+    return _violated(i1, i2, isum, target), reg1, reg2
 
 
 #: guard band (bits) around each target rate: a draw whose bounds come this
@@ -638,10 +576,9 @@ _GUARD = 1e-9
 
 class _IndexRateCurve:
     """Outage of ``scheme`` on the draw matrix ``h`` for the rate pair
-    (r1, r2) at any index rate.  It builds the block once, keeping only the
-    parts the scheme's bounds read (``block.terms``, ``block.beta``), and
-    records what it was built for (``h`` itself, scheme, power, beta and
-    rate pair), which ``outage_flags(..., curve=)`` checks.
+    (r1, r2) at any index rate.  It builds the block once and records what
+    it was built for (``h`` itself, scheme, power, beta and rate pair),
+    which ``outage_flags(..., curve=)`` checks.
 
     In z = 1/sigma_q2 = (2^(ru/beta) - 1)/(1 + c1 + c2) (the inverse of
     :func:`_quantizer_variance`) a draw that recovers the index is out of
@@ -661,7 +598,7 @@ class _IndexRateCurve:
         spec = _scheme(scheme, beta, None, index_rate=True)
         r1, r2 = float(r1), float(r2)
         self.h, self.built_for, self.bounds = h, (scheme, power, beta, (r1, r2)), spec.bounds
-        self.block = _block(spec, _columns(h), power, beta)._replace(g=None, L=None, power=None)
+        self.block = _block(spec, _columns(h), power, beta)
         received, _, _, fallback = terms = self.block.terms
         self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
         self.inv_one_c = 1.0 / (1.0 + received)

@@ -233,8 +233,11 @@ def test_substream_validation():
     prof = FadingProfile.uniform(1.0)
     with pytest.raises(ValueError):
         sample_fading_block(prof, -1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block_index must fit in an unsigned 64-bit integer"):
         sample_fading_block(prof, 0, 2**64)
+    for size in (0, -1, True):
+        with pytest.raises(ValueError, match=r"block_size must be an integer >= 1"):
+            sample_fading_block(prof, 0, 0, block_size=size)
     # a seed is an integer: a float is not truncated into another stream,
     # and a bool is not read as seed 1
     for seed in (12345.7, 12345.0, math.inf, math.nan, True):

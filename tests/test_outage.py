@@ -1,6 +1,7 @@
 """Tests of the Monte Carlo outage layer: indicators, region
 classification, determinism, and the estimator contracts."""
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -16,6 +17,7 @@ from marcsim import (
     ChannelState,
     FadingProfile,
     GaussianFamily,
+    IndividualOutageEstimate,
     OutageEstimate,
     PowerConfig,
     RateTarget,
@@ -407,8 +409,24 @@ def test_sample_count_is_an_integer():
             common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, n, 1)
         with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
             OutageEstimate(0.1, n, 1, 0.1)
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            IndividualOutageEstimate(0.1, 0.1, 0.1, (0.1, 0, 0, 0.9), n, 1)
     assert common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, np.int64(100), 1) == (
         common_outage_mc("direct", PROFILE, pw, 0.5, TARGET, 100, 1))
+
+
+def test_estimates_check_their_probabilities():
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="p_hat must lie in"):
+            OutageEstimate(p, 10, 1, 0.1)
+        for i, name in enumerate(("p_indiv1", "p_indiv2", "p_common")):
+            ps = [0.1, 0.1, 0.1]
+            ps[i] = p
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                IndividualOutageEstimate(*ps, (0.1, 0, 0, 0.9), 10, 1)
+        with pytest.raises(ValueError, match="each region frequency must lie in"):
+            IndividualOutageEstimate(0.1, 0.1, 0.1, (0.1, 0, p, 0.9), 10, 1)
+    IndividualOutageEstimate(0.0, 1.0, 1.0, (0.0, 1.0, 0.0, 0.0), 1, 0)
 
 
 def test_individual_outage_bit_identical_across_runs():
@@ -515,7 +533,7 @@ def test_curve_gives_the_exact_flags_and_estimates(scheme, sigma_rd2):
             outage_flags(scheme, h, pw, 0.5, t, curve=curve), outage_flags(scheme, h, pw, 0.5, t)
         )
     if scheme == "nonwz_cf":
-        recovered = [rates._index_terms(curve.block.terms, 0.5, ru)[1].mean() for ru in grid]
+        recovered = [rates._recovered(curve.block.terms, ru).mean() for ru in grid]
         assert (max(recovered) < 0.01) if sigma_rd2 == 0.001 else (max(recovered) > 0.5)
     ru_star, est = optimize_ru_grid(prof, pw, 0.5, RateTarget(1.0, 1.0, 3.0), grid, n, seed,
                                     scheme=scheme)
@@ -619,16 +637,30 @@ def test_outage_module_computes_no_rate():
 
 
 def test_region_classifier_is_scheme_blind():
-    # the single-user rule and the index-recovery rule of each scheme live
-    # in rates (rates._index_alone, rates._recovered); the classifier and
-    # the curve read neither the number of min-terms nor the recovery rate
+    # the single-user rule (the chain rule over the min-terms, in
+    # rates._index_regions) and the index-recovery rule (rates._recovered)
+    # live in rates; the classifier and the curve read neither the number
+    # of min-terms, the link powers nor the recovery rate
     source = Path(outage.__file__).read_text()
-    for text in ("recovered is None", "len(terms", "_interference_terms", ".index_rate"):
+    for text in ("recovered is None", "len(terms", "_links", ".index_rate"):
         assert text not in source, text
     hits = [(path.name, line) for path in Path(rates.__file__).parent.glob("*.py")
             for line in path.read_text().splitlines() if "index_rate >= ru" in line]
     assert len(hits) == 1 and hits[0][0] == "rates.py", hits
     assert "index_rate >= ru" in inspect.getsource(rates._recovered)
+
+
+def test_only_links_reads_the_gains():
+    # every bound is a function of the link powers: the one function of
+    # rates that names a gain column or takes a complex conjugate is _links
+    gains = {"h1d", "h2d", "h1r", "h2r", "hrd", "conj"}
+    readers = {
+        fn.name for fn in ast.walk(ast.parse(Path(rates.__file__).read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and any(getattr(n, "id", getattr(n, "attr", None)) in gains for n in ast.walk(fn))
+    }
+    assert readers == {"_links"}, readers
+    assert rates._Block._fields == ("L", "beta", "terms")
 
 
 def test_index_rate_block_is_read_in_rates_only():
@@ -643,31 +675,62 @@ def test_index_rate_block_is_read_in_rates_only():
     assert {name: n for name, n in counts.items() if n} == {"rates.py": 1}, counts
 
 
-def _codes_on_every_draw(scheme, h, pw, beta, target):
-    """Region codes with the single-user bounds evaluated on every draw,
-    as classify_region_batch did before it restricted them to the draws
-    where a user fails its own bounds."""
+def _interference_terms_reference(h, pw, beta, ru):
+    """Single-user bounds with the other source treated as noise, from the
+    complex gains by 2x2 determinants: (w1a, w1b, w2a, w2b), plain and
+    index-charged (index rate ``ru`` spent exactly).  Where the determinants
+    overflow (sigma_q2 = inf or near it), both ratios of user i take their
+    limit v_yd1 / (1 + a_j)."""
+    h1d, h2d, h1r, h2r, hrd = rates._columns(h)
+    a1, a2, c1, c2, d1, d2, e, _ = rates._links((h1d, h2d, h1r, h2r, hrd), pw)
+    sigma_q2 = rates._quantizer_variance(c1 + c2, beta, ru)
+    v_yd1 = 1.0 + a1 + a2
+    v_yhr = 1.0 + c1 + c2 + sigma_q2
+    rho1 = h1d * np.conj(h1r) * pw.p11
+    rho2 = h2d * np.conj(h2r) * pw.p21
+    rho = rho1 + rho2
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_full = v_yd1 * v_yhr - np.abs(rho) ** 2
+        det_wo1 = (1.0 + a2) * (1.0 + c2 + sigma_q2) - np.abs(rho2) ** 2
+        det_wo2 = (1.0 + a1) * (1.0 + c1 + sigma_q2) - np.abs(rho1) ** 2
+        q1 = (det_full / det_wo1, v_yd1 * v_yhr / det_wo1)
+        q2 = (det_full / det_wo2, v_yd1 * v_yhr / det_wo2)
+    lim = np.isinf(det_full)
+    q1 = [np.where(lim, v_yd1 / (1.0 + a2), q) for q in q1]
+    q2 = [np.where(lim, v_yd1 / (1.0 + a1), q) for q in q2]
+    mb = 1.0 - beta
+    w1a = beta * np.log2(q1[0]) + mb * np.log2((1.0 + d1 + d2) / (1.0 + d2))
+    w1b = beta * np.log2(q1[1]) + mb * np.log2((1.0 + d1 + d2 + e) / (1.0 + d2)) - ru
+    w2a = beta * np.log2(q2[0]) + mb * np.log2((1.0 + d1 + d2) / (1.0 + d1))
+    w2b = beta * np.log2(q2[1]) + mb * np.log2((1.0 + d1 + d2 + e) / (1.0 + d1)) - ru
+    return w1a, w1b, w2a, w2b
+
+
+def _codes_by_determinants(scheme, h, pw, beta, target):
+    """Region codes with the single-user bounds taken from the determinant
+    form (``_interference_terms_reference``) on every draw, not by the
+    chain rule from the min-terms."""
     b = rates._block(SCHEMES[scheme], rates._columns(h), pw, beta)
     r1, r2, ru = target.r1, target.r2, target.ru
     clamp = lambda x: np.maximum(x, 0.0)
-    terms, recovered, sq2 = rates._index_terms(b.terms, beta, ru)
+    terms = rates._index_terms(b.terms, beta, ru)
+    recovered = rates._recovered(b.terms, ru)
+    w1a, w1b, w2a, w2b = _interference_terms_reference(h, pw, beta, ru)
     if scheme == "gqf":
         assert recovered is None
         (t1a, t1b), (t2a, t2b), (tsa, tsb) = terms
-        w1a, w1b, w2a, w2b = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru)
         reg2 = (r1 <= clamp(w1a)) & (r1 <= clamp(w1b)) & (r2 > clamp(t2a)) & (r2 > clamp(t2b))
         reg1 = (r2 <= clamp(w2a)) & (r2 <= clamp(w2b)) & (r1 > clamp(t1a)) & (r1 > clamp(t1b))
         i1, i2, isum = np.minimum(t1a, t1b), np.minimum(t2a, t2b), np.minimum(tsa, tsb)
     else:
         (i1,), (i2,), (isum,) = terms
-        w = rates._interference_terms(b.g, b.L, pw, beta, sq2, ru)
         a1, a2, _, _, d1, d2, e, _ = b.L
         v_yd1 = 1.0 + a1 + a2
         mb = 1.0 - beta
         f1 = beta * np.log2(v_yd1 / (1.0 + a2)) + mb * np.log2(1.0 + d1 / (1.0 + d2 + e))
         f2 = beta * np.log2(v_yd1 / (1.0 + a1)) + mb * np.log2(1.0 + d2 / (1.0 + d1 + e))
-        reg2 = (r1 <= clamp(np.where(recovered, w[0], f1))) & (r2 > clamp(i2))
-        reg1 = (r2 <= clamp(np.where(recovered, w[2], f2))) & (r1 > clamp(i1))
+        reg2 = (r1 <= clamp(np.where(recovered, w1a, f1))) & (r2 > clamp(i2))
+        reg1 = (r2 <= clamp(np.where(recovered, w2a, f2))) & (r1 > clamp(i1))
     common = (r1 > clamp(i1)) | (r2 > clamp(i2)) | (r1 + r2 > clamp(isum))
     codes = np.full(len(h), 4, dtype=np.int8)
     codes[common] = 3
@@ -677,10 +740,12 @@ def _codes_on_every_draw(scheme, h, pw, beta, target):
 
 
 @pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
-def test_subset_classification_equals_evaluation_on_every_draw(scheme):
-    # fig8 points (10 dB, the sigma_rd2 grid), symmetric and asymmetric
-    # targets, ru over the grid and at 1e-320 and 30, where the
-    # single-user determinants reach their limit
+def test_chain_rule_classification_equals_determinant_form(scheme):
+    # the classifier reads each single-user bound off the min-terms by the
+    # chain rule; the codes equal those of the determinant form of the
+    # complex gains at fig8 points (10 dB, the sigma_rd2 grid), symmetric
+    # and asymmetric targets, ru over the grid and at 1e-320 and 30, where
+    # the determinants reach their limit
     pw = snr_power(10.0)
     seen = set()
     for sigma_rd2 in (0.001, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
@@ -689,7 +754,7 @@ def test_subset_classification_equals_evaluation_on_every_draw(scheme):
             for ru in (1e-320, 0.5, 1.5, 3.0, 6.0, 30.0):
                 t = RateTarget(r1, r2, ru)
                 codes = classify_region_batch(h, pw, 0.5, t, scheme)
-                assert np.array_equal(codes, _codes_on_every_draw(scheme, h, pw, 0.5, t)), (
+                assert np.array_equal(codes, _codes_by_determinants(scheme, h, pw, 0.5, t)), (
                     sigma_rd2, t)
                 seen.update(codes.tolist())
     assert seen == {1, 2, 3, 4}

@@ -22,13 +22,14 @@ from marcsim import (
     gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
+    outage_flags,
     quantizer_index_rate,
     region,
     sigma_q2_for_fixed_ru,
     sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )
-from marcsim.channel import FadingProfile
+from marcsim.channel import FadingProfile, sample_fading_block
 from marcsim.experiments import preset_config, run_experiment
 from marcsim.rates import (
     SCHEMES,
@@ -37,7 +38,9 @@ from marcsim.rates import (
     _index_block,
     _index_terms,
     _links,
+    _recovered,
     _static_model,
+    _violated,
 )
 from reference_draws import draw_states
 
@@ -66,6 +69,24 @@ def test_closed_terms_match_engine():
         ru = quantizer_index_rate(fam, beta)
         eng = (b.b_r1, b.b_r1u - ru, b.b_r2, b.b_r2u - ru, b.b_r12, b.b_r12u - ru)
         assert np.max(np.abs(np.array(t) - np.array(eng))) < 1e-9
+
+
+def test_single_user_bounds_by_chain_rule_match_engine():
+    # a user's plain bound with the other source as noise is the sum-rate
+    # term less the other user's plain term: tsa - t2a equals
+    # beta I(X11; YD1, YhR) + (1 - beta) I(X12; YD2 | XR) of the covariance
+    # engine on fading states, and tsa - t1a the mirrored one for user 2
+    rng = np.random.default_rng(23)
+    for row in draw_states(FadingProfile(2.0, 0.5, 1.0, 3.0, 1.0), 20, 43):
+        st = ChannelState(*(complex(v) for v in row), mode="fading")
+        pw = PowerConfig(*(float(v) for v in rng.uniform(0.05, 10.0, 5)))
+        beta, s = float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.01, 10.0))
+        t1a, _, t2a, _, tsa, _ = gqf_min_terms_gaussian(st, pw, beta, s)
+        fam = GaussianFamily(st, pw, s)
+        m1, m2 = fam.slot1.mutual_info, fam.slot2.mutual_info
+        for x1, x2, other in (("X11", "X12", t2a), ("X21", "X22", t1a)):
+            alone = beta * m1((x1,), ("YD1", "YhR")) + (1.0 - beta) * m2((x2,), ("YD2",), ("XR",))
+            assert tsa - other == pytest.approx(alone, abs=1e-9)
 
 
 def test_opt_sum_reference_value():
@@ -333,8 +354,9 @@ def test_csit_dominates_fixed_index_rate_per_draw():
     pw = PowerConfig.from_snr(10.0, 0.5)
     L = _links(tuple(h[:, i] for i in range(5)), pw)
     cs = _csit_terms(L, 0.5)
-    terms, recovered, _ = _index_terms(_index_block(L, 0.5, recover=False), 0.5, 3.0)
-    assert recovered is None
+    B = _index_block(L, 0.5, recover=False)
+    terms = _index_terms(B, 0.5, 3.0)
+    assert _recovered(B, 3.0) is None
     for (ta, tb), c in zip(terms, cs, strict=True):
         assert np.all(np.minimum(ta, tb) <= c + 1e-9)
 
@@ -455,16 +477,57 @@ def test_region_runs_its_table_entry_checks():
         region("af", FIG3_STATE, UNIT_POWER, 0.3, NO_RATES)
 
 
+def _af_reference(g, power):
+    """Amplify-forward from the complex gains: the 2x2 output covariance of
+    the pair channel, with the relay gain scaled to its power budget."""
+    h1d, h2d, h1r, h2r, hrd = g
+    a1, a2, c1, c2, d1, d2, _, _ = _links(g, power)
+    gain = np.sqrt(power.pr / (1.0 + c1 + c2))
+    w1 = gain * hrd * h1r
+    w2 = gain * hrd * h2r
+    n2 = 1.0 + gain**2 * np.abs(hrd) ** 2
+    q1 = np.abs(w1) ** 2 * power.p11
+    q2 = np.abs(w2) ** 2 * power.p21
+    det1 = (1.0 + a1) * (n2 + d1 + q1) - np.abs(h1d * np.conj(w1)) ** 2 * power.p11**2
+    det2 = (1.0 + a2) * (n2 + d2 + q2) - np.abs(h2d * np.conj(w2)) ** 2 * power.p21**2
+    v1 = 1.0 + a1 + a2
+    v2 = n2 + d1 + d2 + q1 + q2
+    cross = h1d * np.conj(w1) * power.p11 + h2d * np.conj(w2) * power.p21
+    dets = v1 * v2 - np.abs(cross) ** 2
+    return 0.5 * np.log2(det1 / n2), 0.5 * np.log2(det2 / n2), 0.5 * np.log2(dets / n2)
+
+
 def test_af_below_csit_on_random_draws():
     prof = FadingProfile.uniform(1.0)
     h = draw_states(prof, 1000, 37)
     pw = PowerConfig.from_snr(10.0, 0.5)
-    cols = tuple(h[:, i] for i in range(5))
-    L = _links(cols, pw)
-    af = _af_terms(cols, L, pw)
+    L = _links(tuple(h[:, i] for i in range(5)), pw)
+    af = _af_terms(L)
     cs = _csit_terms(L, 0.5)
     for a, c in zip(af, cs):
         assert np.all(np.asarray(a) <= np.asarray(c) + 1e-9)
+
+
+@pytest.mark.parametrize("pr", [0.0, 0.3, 1.0, 40.0])
+def test_af_link_powers_equal_complex_gain_form(pr):
+    # |rho|^2 = (a1 + a2)(c1 + c2) - kap and gain^2 |hrd|^2 = e/(1 + c1 + c2)
+    # turn the complex-gain covariance into link powers
+    h = draw_states(FadingProfile(2.0, 0.5, 1.0, 3.0, 1.0), 2000, 41)
+    cols = tuple(h[:, i] for i in range(5))
+    pw = PowerConfig(3.0, 0.7, 1.5, 2.0, pr)
+    for new, ref in zip(_af_terms(_links(cols, pw)), _af_reference(cols, pw), strict=True):
+        np.testing.assert_allclose(new, ref, rtol=0.0, atol=1e-12)
+
+
+def test_af_link_powers_flag_as_complex_gain_form_on_fig5_grid():
+    cfg = preset_config("fig5")
+    target = RateTarget(cfg.r1, cfg.r2, cfg.ru)
+    for profile, pw in cfg.fading_points():
+        h = sample_fading_block(profile, cfg.seed, 0)
+        with np.errstate(over="raise", invalid="raise"):
+            flags = outage_flags("af", h, pw, cfg.beta, target)
+        reference = _af_reference(tuple(h[:, i] for i in range(5)), pw)
+        assert np.array_equal(flags, _violated(*reference, target)), pw
 
 
 def test_pentagon_flag():
