@@ -4,17 +4,19 @@
     sim preset <name>            run a shipped preset (fig3..fig8, fig8_hetero)
     sim validate <config.yaml>   check a config file and exit
 
-Exit status: 0 on success, 2 on configuration errors, 1 on numerical
-degeneracy (including a kernel value beyond the float range in a fading
-run).
+Exit status: 0 on success, 2 on configuration errors (including a config
+file that cannot be read and an output path that cannot be written), 1 on
+numerical degeneracy (including a kernel value beyond the float range in a
+fading run).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from .config import ConfigError, config_from_dict, config_to_dict, load_config, save_config
+from .config import ConfigError, config_from_dict, config_to_dict, dump_config, load_config
 from .experiments import PRESETS, preset_config, run_experiment
 from .info import DegenerateCovarianceError
 from .rates import FeasibilityError
@@ -49,9 +51,20 @@ def _apply_common(cfg, args):
     return config_from_dict({**config_to_dict(cfg), **updates})
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a
+    configuration error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _run_and_write(cfg) -> int:
     result = run_experiment(cfg)
-    result.write(cfg.out, cfg.json_out or None)
+    _write(cfg.out, result.to_csv_text())
+    if cfg.json_out:
+        _write(cfg.json_out, result.to_json_text())
     print(f"wrote {cfg.out}" + (f" and {cfg.json_out}" if cfg.json_out else ""))
     return 0
 
@@ -104,7 +117,7 @@ def main(argv=None) -> int:
             return _run_and_write(cfg)
         cfg = _apply_common(preset_config(args.name), args)
         if args.emit_config:
-            save_config(cfg, args.emit_config)
+            _write(args.emit_config, dump_config(cfg))
         return _run_and_write(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -41,7 +41,6 @@ __all__ = [
     "config_to_dict",
     "dump_config",
     "load_config",
-    "save_config",
 ]
 
 
@@ -131,6 +130,8 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}; known: {tuple(KINDS)}")
+        if not self.out:
+            raise ConfigError("out must be a file path, got ''")
         sweep = KINDS[self.kind]
         if sweep.fading:
             if not self.schemes:
@@ -284,15 +285,11 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True, default_flow_style=False)
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(dump_config(cfg))
-
-
 def load_config(path) -> ExperimentConfig:
     import yaml
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)

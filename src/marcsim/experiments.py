@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,11 +77,6 @@ class SweepResult:
             "columns": self.columns,
         }
         return json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-    def write(self, out_path, json_path=None) -> None:
-        Path(out_path).write_text(self.to_csv_text())
-        if json_path:
-            Path(json_path).write_text(self.to_json_text())
 
 
 def _json_safe(v):

@@ -185,30 +185,35 @@ def _links(g, power: PowerConfig):
     return a1, a2, c1, c2, d1, d2, e, kap
 
 
+def _rate_sets(L):
+    """(1 + a, c, 1 + d) of each rate set (r1, r2, r1 + r2): listen-slot
+    variance, relay-observation power (kap in the pair) and cooperate-slot
+    variance.  Every bound is one formula mapped over these triples; no
+    other code adds the two users' powers."""
+    a1, a2, c1, c2, d1, d2, _, kap = L
+    return (
+        (1.0 + a1, c1, 1.0 + d1),
+        (1.0 + a2, c2, 1.0 + d2),
+        (1.0 + a1 + a2, c1 + c2 + kap, 1.0 + d1 + d2),
+    )
+
+
 def _gqf_block(L, beta, charged=True):
     """Per-block part of the joint-decoding min-terms: everything that does
     not depend on the quantizer variance.
 
-    One part per rate (r1, r2, r1 + r2): the destination's listen-slot
-    variance (1 + a), the relay-observation power the quantizer dilutes,
-    and the cooperate-slot terms of the plain bound and (with ``charged``,
-    else None) of the index-charged bound.
+    One part per rate set: its (1 + a, c) of :func:`_rate_sets` and the
+    cooperate-slot terms of the plain bound and (with ``charged``, else
+    None) of the index-charged bound.
     """
-    a1, a2, c1, c2, d1, d2, e, kap = L
-    mb = 1.0 - beta
-    parts = []
-    for s, c, dsum in (
-        (1.0 + a1, c1, 1.0 + d1),
-        (1.0 + a2, c2, 1.0 + d2),
-        (1.0 + a1 + a2, c1 + c2 + kap, 1.0 + d1 + d2),
-    ):
-        parts.append((s, c, mb * np.log2(dsum), mb * np.log2(dsum + e) if charged else None))
-    return parts
+    e, mb = L[6], 1.0 - beta
+    return [(s, c, mb * np.log2(dsum), mb * np.log2(dsum + e) if charged else None)
+            for s, c, dsum in _rate_sets(L)]
 
 
 def _gqf_terms(G, beta, sigma_q2):
     """Min-terms of the joint-decoding region at quantizer variance
-    sigma_q2, per rate (r1, r2, r1 + r2), from the per-block part
+    sigma_q2, per rate set (r1, r2, r1 + r2), from the per-block part
     ``G = _gqf_block(L, beta, charged)``: ((t1a, t1b), (t2a, t2b),
     (tsa, tsb)), or ((t1a,), (t2a,), (tsa,)) for a block without the
     index-charged terms.
@@ -268,8 +273,8 @@ def _index_block(L, beta, recover):
     received = L[2] + L[3]
     if not recover:
         return received, _gqf_block(L, beta), None, None
-    _, _, _, _, d1, d2, e, _ = L
-    index_rate = (1.0 - beta) * np.log2(1.0 + e / (1.0 + d1 + d2))
+    e, (_, _, dsum) = L[6], _rate_sets(L)[2]  # dsum: the pair's cooperate-slot variance
+    index_rate = (1.0 - beta) * np.log2(1.0 + e / dsum)
     fallback = _direct_terms(L, beta, slot2_interference=e)
     return received, _gqf_block(L, beta, charged=False), index_rate, fallback
 
@@ -345,15 +350,12 @@ def _take(parts, idx):
     return parts
 
 
-def _mac_terms(a1, a2, d1, d2, beta, e=0.0):
-    """Two-slot MAC bounds (i1, i2, isum): listen-slot powers a1, a2 and
-    cooperate-slot powers d1, d2, with relay power ``e`` added to every
-    cooperate-slot bound (0 for a silent relay)."""
-    mb = 1.0 - beta
-    i1 = beta * np.log2(1.0 + a1) + mb * np.log2(1.0 + d1 + e)
-    i2 = beta * np.log2(1.0 + a2) + mb * np.log2(1.0 + d2 + e)
-    isum = beta * np.log2(1.0 + a1 + a2) + mb * np.log2(1.0 + d1 + d2 + e)
-    return i1, i2, isum
+def _mac_terms(L, beta):
+    """Two-slot MAC bounds (i1, i2, isum) of the link powers L, with the
+    relay power e added to every cooperate-slot bound (0 for a silent
+    relay); the relay-observation powers c and kap are not read."""
+    e, mb = L[6], 1.0 - beta
+    return tuple(beta * np.log2(s) + mb * np.log2(dsum + e) for s, _, dsum in _rate_sets(L))
 
 
 def _direct_terms(L, beta, boost=1.0, slot2_interference=0.0):
@@ -365,13 +367,15 @@ def _direct_terms(L, beta, boost=1.0, slot2_interference=0.0):
     """
     a1, a2, _, _, d1, d2, _, _ = L
     nf = 1.0 + slot2_interference
-    return _mac_terms(a1 * boost, a2 * boost, d1 * boost / nf, d2 * boost / nf, beta)
+    return _mac_terms((a1 * boost, a2 * boost, 0.0, 0.0,
+                       d1 * boost / nf, d2 * boost / nf, 0.0, 0.0), beta)
 
 
 def _equalizer_sigma(num_frac, e, dsum, beta):
-    """Variance at which the plain and index-charged bounds cross:
+    """Variance at which the plain and index-charged bounds cross, for the
+    cooperate-slot variance ``dsum`` = 1 + d:
 
-        (1 + num_frac) / ((1 + e/(1+dsum))^((1-beta)/beta) - 1)
+        (1 + num_frac) / ((1 + e/dsum)^((1-beta)/beta) - 1)
 
     Returns inf when the relay-destination link cannot trade rate
     (e = 0 or beta -> 1).  Where the power e^y overflows (beta -> 0) the
@@ -380,7 +384,7 @@ def _equalizer_sigma(num_frac, e, dsum, beta):
     sigma_q2 -> 0 limit to within rounding.
     """
     with np.errstate(over="ignore"):
-        y = (1.0 - beta) / beta * np.log1p(e / (1.0 + dsum))
+        y = (1.0 - beta) / beta * np.log1p(e / dsum)
         denom = np.expm1(y)
     num = 1.0 + num_frac
     with np.errstate(divide="ignore"):
@@ -393,12 +397,7 @@ def _equalizer_sigma(num_frac, e, dsum, beta):
 def _opt_sigmas(L, beta):
     """Equalizer variances (user 1, user 2, sum) of the r1, r2 and sum-rate
     min-terms."""
-    a1, a2, c1, c2, d1, d2, e, kap = L
-    return (
-        _equalizer_sigma(c1 / (1.0 + a1), e, d1, beta),
-        _equalizer_sigma(c2 / (1.0 + a2), e, d2, beta),
-        _equalizer_sigma((c1 + c2 + kap) / (1.0 + a1 + a2), e, d1 + d2, beta),
-    )
+    return tuple(_equalizer_sigma(c / s, L[6], dsum, beta) for s, c, dsum in _rate_sets(L))
 
 
 def _csit_terms(L, beta):
@@ -413,14 +412,14 @@ def _csit_terms(L, beta):
     return tuple(terms)
 
 
-def _df_terms(L, beta, r1, r2):
-    """Decode-forward: the relay forwards whenever it can decode both
-    messages from its listen-slot reception (it has no destination-side
+def _df_terms(L, beta, target):
+    """Decode-forward: the relay forwards whenever it decodes both messages
+    at ``target`` from its listen-slot reception (it has no destination-side
     CSI, so it cannot do better); otherwise it stays silent."""
     a1, a2, c1, c2, d1, d2, e, _ = L
-    i1, i2, isum = _mac_terms(c1, c2, 0.0, 0.0, beta)  # the relay's listen-slot MAC
-    decodes = (r1 <= i1) & (r2 <= i2) & (r1 + r2 <= isum)
-    return _mac_terms(a1, a2, d1, d2, beta, np.where(decodes, e, 0.0))
+    relay_mac = _mac_terms((c1, c2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), beta)  # listen slot only
+    decodes = ~_violated(*relay_mac, target)
+    return _mac_terms((a1, a2, 0.0, 0.0, d1, d2, np.where(decodes, e, 0.0), 0.0), beta)
 
 
 def _af_terms(L):
@@ -431,14 +430,12 @@ def _af_terms(L):
 
     The forwarded relay noise has power g2 = e/(1 + c1 + c2), so the
     cooperate-slot noise is n2 = 1 + g2, and the listen-slot cross
-    covariance rho has |rho|^2 = (a1 + a2)(c1 + c2) - kap."""
-    a1, a2, c1, c2, d1, d2, e, kap = L
+    covariance rho has |rho|^2 = (a1 + a2)(c1 + c2) - kap: per rate set
+    the determinant is (1 + a)(1 + d + g2) + g2 c."""
+    _, _, c1, c2, _, _, e, _ = L
     g2 = e / (1.0 + c1 + c2)
     n2 = 1.0 + g2
-    det1 = (1.0 + a1) * (n2 + d1) + g2 * c1
-    det2 = (1.0 + a2) * (n2 + d2) + g2 * c2
-    dets = (1.0 + a1 + a2) * (n2 + d1 + d2) + g2 * (c1 + c2 + kap)
-    return 0.5 * np.log2(det1 / n2), 0.5 * np.log2(det2 / n2), 0.5 * np.log2(dets / n2)
+    return tuple(0.5 * np.log2((s * (dsum + g2) + g2 * c) / n2) for s, c, dsum in _rate_sets(L))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,7 @@ SCHEMES = {
     "gqf": Scheme(_index_bounds, recover=False),
     "csit": Scheme(lambda b, t: _csit_terms(b.L, b.beta)),
     "nonwz_cf": Scheme(_index_bounds, recover=True),
-    "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t.r1, t.r2)),
+    "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t)),
     "af": Scheme(lambda b, t: _af_terms(b.L), beta=_AF_BETA),
     "direct": Scheme(lambda b, t: _direct_terms(b.L, b.beta)),
     "direct15": Scheme(lambda b, t: _direct_terms(b.L, b.beta, boost=1.5)),
@@ -541,12 +538,10 @@ def _columns(h: np.ndarray):
 
 
 def _violated(i1, i2, isum, target: RateTarget):
-    """Per-draw outage: ``target`` strictly violates a clamped bound."""
-    return (
-        (target.r1 > np.maximum(i1, 0.0))
-        | (target.r2 > np.maximum(i2, 0.0))
-        | (target.r1 + target.r2 > np.maximum(isum, 0.0))
-    )
+    """Per-draw outage: ``target``'s rate of a set (r1, r2, r1 + r2)
+    strictly violates that set's clamped bound."""
+    rates = (target.r1, target.r2, target.r1 + target.r2)
+    return reduce(np.logical_or, (r > np.maximum(i, 0.0) for r, i in zip(rates, (i1, i2, isum))))
 
 
 def _index_regions(b, target):
@@ -881,25 +876,16 @@ def gqf_bounds(family: GaussianFamily | MarcPmfFamily, beta: float) -> GqfBounds
     # I(X11,X21; YhR): both listen-slot codewords shape the quantized
     # observation the joint decoder searches over
     i_inputs_yhr = m1(("X11", "X21"), ("YhR",))
-    b_r1 = beta * m1(("X11",), ("YD1", "YhR"), ("X21",)) + mb * m2(
-        ("X12",), ("YD2",), ("X22", "XR")
-    )
-    b_r1u = beta * (m1(("X11", "YhR"), ("YD1",), ("X21",)) + i_inputs_yhr) + mb * m2(
-        ("X12", "XR"), ("YD2",), ("X22",)
-    )
-    b_r2 = beta * m1(("X21",), ("YD1", "YhR"), ("X11",)) + mb * m2(
-        ("X22",), ("YD2",), ("X12", "XR")
-    )
-    b_r2u = beta * (m1(("X21", "YhR"), ("YD1",), ("X11",)) + i_inputs_yhr) + mb * m2(
-        ("X22", "XR"), ("YD2",), ("X12",)
-    )
-    b_r12 = beta * m1(("X11", "X21"), ("YD1", "YhR")) + mb * m2(
-        ("X12", "X22"), ("YD2",), ("XR",)
-    )
-    b_r12u = beta * (m1(("X11", "X21", "YhR"), ("YD1",)) + i_inputs_yhr) + mb * m2(
-        ("X12", "X22", "XR"), ("YD2",)
-    )
-    return GqfBounds(b_r1, b_r1u, b_r2, b_r2u, b_r12, b_r12u)
+    bounds = []
+    # per rate set (r1, r2, r1 + r2), the decoded inputs x and the other
+    # user's inputs o of each slot; the bounds condition on o
+    for x1, o1, x2, o2 in ((("X11",), ("X21",), ("X12",), ("X22",)),
+                           (("X21",), ("X11",), ("X22",), ("X12",)),
+                           (("X11", "X21"), (), ("X12", "X22"), ())):
+        bounds.append(beta * m1(x1, ("YD1", "YhR"), o1) + mb * m2(x2, ("YD2",), o2 + ("XR",)))
+        bounds.append(beta * (m1(x1 + ("YhR",), ("YD1",), o1) + i_inputs_yhr)
+                      + mb * m2(x2 + ("XR",), ("YD2",), o2))
+    return GqfBounds(*bounds)
 
 
 def gqf_region(family: GaussianFamily | MarcPmfFamily, beta: float, ru: float) -> RateRegion:

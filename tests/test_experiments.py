@@ -24,7 +24,6 @@ from marcsim.config import (
     config_to_dict,
     dump_config,
     load_config,
-    save_config,
 )
 from marcsim.experiments import (
     PRESETS,
@@ -273,19 +272,13 @@ def test_individual_columns_only_for_index_rate_schemes():
     assert {c[: c.rindex("_")] for c in plain} == set(PRESETS["fig7"]["schemes"])
 
 
-def test_run_byte_identical(tmp_path):
+def test_run_byte_identical():
     cfg = preset_config(
-        "fig5", n_samples=2000, snr_db_grid=(10.0,), seed=11,
-        schemes=("gqf", "direct"), out=str(tmp_path / "a.csv"),
-        json_out=str(tmp_path / "a.json"),
+        "fig5", n_samples=2000, snr_db_grid=(10.0,), seed=11, schemes=("gqf", "direct"),
     )
     res1 = run_experiment(cfg)
-    res1.write(cfg.out, cfg.json_out)
-    text1 = (tmp_path / "a.csv").read_text()
-    res2 = run_experiment(cfg)
-    res2.write(cfg.out, cfg.json_out)
-    assert (tmp_path / "a.csv").read_text() == text1
-    payload = json.loads((tmp_path / "a.json").read_text())
+    assert run_experiment(cfg).to_csv_text() == res1.to_csv_text()
+    payload = json.loads(res1.to_json_text())
     assert payload["metadata"]["seed"] == 11
     assert payload["columns"]["gqf_p"] == list(res1.columns["gqf_p"])
 
@@ -401,9 +394,32 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["validate", str(af)]) == 2
     assert capsys.readouterr().err == "config error: scheme 'af' needs beta = 0.5\n"
     assert main(["validate", str(tmp_path / "missing.yaml")]) == 2
+    not_utf8 = tmp_path / "latin1.yaml"
+    not_utf8.write_bytes(b"\xffkind: fading_snr_sweep\n")
+    capsys.readouterr()
+    assert main(["validate", str(not_utf8)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {not_utf8}")
     assert main(["preset", "fig3", "--override", "nonsense"]) == 2
     with pytest.raises(SystemExit):
         main(["preset", "fig9"])  # argparse rejects unknown choices
+
+
+@pytest.mark.parametrize("flag", ["--out", "--json-out", "--emit-config"])
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, flag):
+    # a path that cannot be written ends the run with one line and exit 2
+    bad = str(tmp_path / "missing" / "x")
+    args = {"--out": str(tmp_path / "a.csv"), flag: bad}
+    code = main(["preset", "fig3", *(x for pair in args.items() for x in pair)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {bad}: No such file or directory\n")
+
+
+def test_cli_empty_out_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "empty_out.yaml"
+    cfg.write_text('kind: static_sigma_sweep\nout: ""\n')
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: out must be a file path, got ''\n"
 
 
 @pytest.mark.parametrize(
@@ -566,7 +582,7 @@ def test_cli_small_fading_run(tmp_path):
 def test_save_and_load_config(tmp_path):
     cfg = preset_config("fig6", seed=99)
     path = tmp_path / "cfg.yaml"
-    save_config(cfg, path)
+    path.write_text(dump_config(cfg))
     assert load_config(path) == cfg
     d = config_to_dict(cfg)
     assert d["schemes"][0] == "gqf"

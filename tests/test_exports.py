@@ -30,10 +30,11 @@ PUBLIC = {
 }
 # names kept off the public surface: the grid search and the index-rate
 # inverse only repeat fig4 and quantizer_index_rate, the reference sampler
-# belongs to the tests, and the stream and slot builders are internals
+# belongs to the tests, the stream and slot builders are internals, and
+# the CLI writes the config file itself
 REMOVED = {
     "draw_states", "substream", "slot1_system", "slot2_system",
-    "optimize_sigma_beta_grid", "ru_for_sigma_q2",
+    "optimize_sigma_beta_grid", "ru_for_sigma_q2", "save_config",
 }
 
 
