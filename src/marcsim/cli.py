@@ -13,6 +13,8 @@ fading run).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -58,6 +60,16 @@ def _write(path, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(*paths) -> None:
+    """Fail as :func:`_write` would on each output path whose directory is
+    missing or that is a directory, before anything is run or written."""
+    for path in filter(None, paths):
+        p = Path(path)
+        code = errno.EISDIR if p.is_dir() else None if p.parent.is_dir() else errno.ENOENT
+        if code is not None:
+            raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _run_and_write(cfg) -> int:
@@ -113,11 +125,12 @@ def main(argv=None) -> int:
             print(f"ok: {args.config} ({cfg.kind})")
             return 0
         if args.command == "run":
-            cfg = _apply_common(load_config(args.config), args)
-            return _run_and_write(cfg)
-        cfg = _apply_common(preset_config(args.name), args)
-        if args.emit_config:
-            _write(args.emit_config, dump_config(cfg))
+            cfg, emit = _apply_common(load_config(args.config), args), None
+        else:
+            cfg, emit = _apply_common(preset_config(args.name), args), args.emit_config
+        _check_writable(cfg.out, cfg.json_out, emit)
+        if emit:
+            _write(emit, dump_config(cfg))
         return _run_and_write(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

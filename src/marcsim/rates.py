@@ -314,8 +314,8 @@ def _index_intervals(B, beta, r1, r2, shifts):
     closed form.  ``lo`` is inf where a plain term never reaches its rate
     (and where c = 0 meets the shifted rate exactly, which a guard band
     around the unshifted rate absorbs); ``hi`` is inf where the block has
-    no index-charged terms.  Both ends are NaN, which compares false, on a
-    draw whose inputs are not finite.
+    no index-charged terms.  The intervals hold only for a block whose
+    inputs are all finite; :class:`_IndexRateCurve` reads no other.
     """
     received, G, _, _ = B
     lo = [np.zeros_like(received) for _ in shifts]
@@ -331,23 +331,7 @@ def _index_intervals(B, beta, r1, r2, shifts):
                     q = s / np.exp2((rate - coop_u) / beta)
                     for a, shift in zip(hi, shifts):
                         np.minimum(a, q * np.exp2(-shift / beta) - 1.0, out=a)
-        # link powers are non-negative, so the sum-rate part's inputs
-        # bound the other parts' and c1 + c2: their sum is finite
-        # exactly where every input is
-        finite = np.isfinite(sum(x for x in G[2] if x is not None))
-    if not finite.all():
-        for a in (*lo, *hi):
-            a[~finite] = np.nan
     return list(zip(lo, hi))
-
-
-def _take(parts, idx):
-    """``parts`` (arrays, possibly nested in tuples and lists) at draws ``idx``."""
-    if isinstance(parts, np.ndarray):
-        return parts[idx]
-    if isinstance(parts, (tuple, list)):
-        return type(parts)(_take(p, idx) for p in parts)
-    return parts
 
 
 def _mac_terms(L, beta):
@@ -539,9 +523,10 @@ def _columns(h: np.ndarray):
 
 def _violated(i1, i2, isum, target: RateTarget):
     """Per-draw outage: ``target``'s rate of a set (r1, r2, r1 + r2)
-    strictly violates that set's clamped bound."""
+    strictly violates that set's clamped bound; a NaN bound is outage,
+    since it meets no rate."""
     rates = (target.r1, target.r2, target.r1 + target.r2)
-    return reduce(np.logical_or, (r > np.maximum(i, 0.0) for r, i in zip(rates, (i1, i2, isum))))
+    return ~reduce(np.logical_and, (r <= np.maximum(i, 0.0) for r, i in zip(rates, (i1, i2, isum))))
 
 
 def _index_regions(b, target):
@@ -563,9 +548,9 @@ def _index_regions(b, target):
     return _violated(i1, i2, isum, target), reg1, reg2
 
 
-#: guard band (bits) around each target rate: a draw whose bounds come this
-#: close to a target at the index rate asked for is settled by the exact
-#: per-target kernel, whose rounding stays far inside it
+#: guard band (bits) around each target rate: a block with a draw whose
+#: bounds come this close to a target at the index rate asked for is settled
+#: by the exact per-target kernel, whose rounding stays far inside it
 _GUARD = 1e-9
 
 
@@ -580,13 +565,14 @@ class _IndexRateCurve:
     outage on one interval of z (:func:`_index_intervals`), built with every
     positive target rate lowered by the guard band (outer: outside it outage
     is certain) and raised by it (inner: inside it no outage is certain).
-    ``flags`` compares z with both and runs the scheme's own bounds only on
-    the draws in between, on draws whose inputs are not finite and where
-    2^(ru/beta) - 1 is 0 or inf, so its flags are bit-identical to the
-    kernel's.  With a recovery rate (non-WZ CF) recovery is tested exactly
-    (:func:`_recovered`), and a draw that does not recover takes the
-    fallback verdict, which does not depend on ``ru`` and is found once per
-    block; without one (GQF) every draw recovers the index.
+    A block is settled whole or not at all: ``split`` gives every draw's
+    flag where each draw is certain one way or the other, and ``flags``
+    otherwise runs the scheme's own bounds on the whole block, so its flags
+    are bit-identical to the kernel's.  With a recovery rate (non-WZ CF)
+    recovery is tested exactly (:func:`_recovered`), and a draw that does
+    not recover takes the fallback verdict, which does not depend on ``ru``
+    and is found once per block; without one (GQF) every draw recovers the
+    index.
     """
 
     def __init__(self, scheme, h, power, beta, r1, r2):
@@ -594,6 +580,9 @@ class _IndexRateCurve:
         r1, r2 = float(r1), float(r2)
         self.h, self.built_for, self.bounds = h, (scheme, power, beta, (r1, r2)), spec.bounds
         self.block = _block(spec, _columns(h), power, beta)
+        # link powers are non-negative, so their sum is finite exactly
+        # where every input is
+        self.finite = bool(np.isfinite(sum(self.block.L)).all())
         received, _, _, fallback = terms = self.block.terms
         self.fallback = None if fallback is None else _violated(*fallback, RateTarget(r1, r2))
         self.inv_one_c = 1.0 / (1.0 + received)
@@ -601,29 +590,24 @@ class _IndexRateCurve:
             terms, beta, r1, r2, (-_GUARD, _GUARD))
 
     def split(self, ru):
-        """(certain-outage flags, undecided band) at index rate ``ru``, or
-        None where every draw needs the exact kernel."""
+        """Outage flags of every draw at index rate ``ru``, or None where the
+        intervals do not settle the whole block: an input is not finite,
+        2^(ru/beta) - 1 is 0 or inf, or a draw that recovers the index
+        falls in the guard band."""
         x = _index_denom(self.block.beta, ru)
-        if not 0.0 < x < math.inf:
+        if not (self.finite and 0.0 < x < math.inf):
             return None
         z = x * self.inv_one_c
         out = (z < self.lo_out) | (z > self.hi_out)
         band = ~(out | ((z >= self.lo_in) & (z <= self.hi_in)))
-        if self.fallback is None:  # gqf: the index is always recovered
-            return out, band
-        recovered = _recovered(self.block.terms, ru)
-        return np.where(recovered, out, self.fallback), recovered & band
+        if self.fallback is not None:  # nonwz_cf: only draws that recover read z
+            recovered = _recovered(self.block.terms, ru)
+            out, band = np.where(recovered, out, self.fallback), recovered & band
+        return None if band.any() else out
 
     def flags(self, target):
-        exact = lambda b: _violated(*self.bounds(b, target), target)
-        parts = self.split(target.ru)
-        if parts is None:
-            return exact(self.block)
-        flags, band = parts
-        idx = np.flatnonzero(band)
-        if idx.size:
-            flags[idx] = exact(self.block._replace(terms=_take(self.block.terms, idx)))
-        return flags
+        flags = self.split(target.ru)
+        return _violated(*self.bounds(self.block, target), target) if flags is None else flags
 
 
 # ---------------------------------------------------------------------------

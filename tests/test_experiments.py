@@ -140,6 +140,18 @@ def test_building_a_config_does_not_import_yaml():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_building_a_config_draws_nothing(monkeypatch):
+    # building and validating a config does no Monte Carlo work: every
+    # preset builds with the block sampler and its seed streams disabled
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a config build drew fading samples")
+
+    monkeypatch.setattr("marcsim.channel._substream", no_draws)
+    monkeypatch.setattr("marcsim.outage.sample_fading_block", no_draws)
+    for name in PRESETS:
+        config_from_dict(config_to_dict(preset_config(name)))
+
+
 def _checked_digest(text):
     """sha256 over the sweep column and every result column except the
     ``_ci`` ones, cell text as written."""
@@ -405,14 +417,22 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--out", "--json-out", "--emit-config"])
-def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, flag):
-    # a path that cannot be written ends the run with one line and exit 2
-    bad = str(tmp_path / "missing" / "x")
+@pytest.mark.parametrize("bad, reason", [("missing/x", "No such file or directory"),
+                                         ("", "Is a directory")])
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, flag, bad,
+                                                 reason):
+    # a path that cannot be written ends the command with one line and
+    # exit 2 before the sweep runs or any file is written
+    def no_run(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("marcsim.cli.run_experiment", no_run)
+    bad = str(tmp_path / bad)
     args = {"--out": str(tmp_path / "a.csv"), flag: bad}
     code = main(["preset", "fig3", *(x for pair in args.items() for x in pair)])
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"config error: cannot write {bad}: No such file or directory\n")
+    assert capsys.readouterr().err == f"config error: cannot write {bad}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_empty_out_is_a_config_error(tmp_path, capsys):

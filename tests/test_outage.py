@@ -573,10 +573,9 @@ def test_curve_flags_equal_exact_flags(scheme, beta):
     # underflows, and 20, 40 and 60, where the quantizer variance is far
     # below 1e-6 (down to about 1e-36); one target has a zero rate.  At
     # beta 1e-13 and 1e-300 the guard band shifted by 1/beta leaves the
-    # float range.  One block holds a NaN draw, which must send only itself,
-    # not the block's other draws, past the curve's checks; in another only
-    # hrd is NaN on every 7th draw, which leaves the plain-bound thresholds
-    # finite while the exact bounds are NaN (never outage)
+    # float range.  One block holds a NaN draw and in another only hrd is
+    # NaN on every 7th draw; either sends the whole block to the exact
+    # kernel, which reads the NaN bounds as outage
     for snr_db in (0.0, 10.0, 30.0):
         pw = PowerConfig.from_snr_db(snr_db, beta)
         for sigma_rd2 in (0.001, 1.0, 100.0):
@@ -593,21 +592,24 @@ def test_curve_flags_equal_exact_flags(scheme, beta):
                                           outage_flags(scheme, h, pw, beta, t)), (snr_db, sigma_rd2, t)
 
 
-@pytest.mark.parametrize(
+BOUNDARY_CASES = pytest.mark.parametrize(
     "scheme, snr_db, sigma_rd2, ru",
     [("gqf", 10.0, 100.0, 1.0), ("nonwz_cf", 10.0, 100.0, 1.0), ("gqf", 30.0, 1e4, 20.0)],
 )
+
+
+@BOUNDARY_CASES
 def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigma_rd2, ru):
     # r1 at a draw's exact user-1 bound (no outage: equality is inside) and
     # one ulp above it (outage) puts that draw inside the guard band, so the
-    # exact kernel must decide it; r2 = 0 leaves user 1's bounds and a
-    # looser sum bound.  For nonwz_cf the draws recover the index, so their
-    # bound is the ru-dependent one.  At ru = 20 the quantizer variance is
-    # about 1e-9, so the band must also hold for tiny variances.  The last
-    # draw is NaN; it must not keep the others out of the band
+    # curve must hand the whole block to the exact kernel; at half that
+    # bound no draw is in the band and the curve settles the block itself.
+    # r2 = 0 leaves user 1's bounds and a looser sum bound.  For nonwz_cf
+    # the draws recover the index, so their bound is the ru-dependent one.
+    # At ru = 20 the quantizer variance is about 1e-9, so the band must
+    # also hold for tiny variances
     pw = snr_power(snr_db)
     h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
-    h[-1] = np.nan
     b = rates._block(SCHEMES[scheme], rates._columns(h), pw, 0.5)
     i1, _, isum = SCHEMES[scheme].bounds(b, RateTarget(1.0, 1.0, ru))
     ok = (i1 > 0.0) & (i1 < isum)
@@ -616,15 +618,70 @@ def test_curve_settles_boundary_draws_with_the_exact_kernel(scheme, snr_db, sigm
     draws = np.flatnonzero(ok)[:8]
     assert draws.size == 8
     for j in draws:
-        for r1, in_outage in ((float(i1[j]), False), (float(np.nextafter(i1[j], np.inf)), True)):
+        for r1, in_outage, settled in ((float(i1[j]), False, False),
+                                       (float(np.nextafter(i1[j], np.inf)), True, False),
+                                       (float(i1[j]) / 2.0, False, True)):
             t = RateTarget(r1, 0.0, ru)
             curve = _IndexRateCurve(scheme, h, pw, 0.5, r1, 0.0)
-            assert curve.split(ru)[1][j]
+            assert (curve.split(ru) is not None) == settled
             flags = outage_flags(scheme, h, pw, 0.5, t, curve=curve)
             assert flags[j] == in_outage
             assert np.array_equal(flags, outage_flags(scheme, h, pw, 0.5, t))
     with pytest.raises(ValueError, match="other arguments"):
         outage_flags(scheme, h, pw, 0.5, RateTarget(1.0, 1.0, ru), curve=curve)
+
+
+@BOUNDARY_CASES
+def test_curve_settles_a_block_with_a_nan_draw_with_the_exact_kernel(scheme, snr_db,
+                                                                      sigma_rd2, ru):
+    # one NaN draw sends the whole block to the exact kernel, which reads
+    # that draw as outage
+    pw = snr_power(snr_db)
+    h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
+    h[-1] = np.nan
+    for r1 in (0.5, 1.0, 2.0):
+        t = RateTarget(r1, 0.0, ru)
+        curve = _IndexRateCurve(scheme, h, pw, 0.5, r1, 0.0)
+        assert curve.split(ru) is None
+        flags = outage_flags(scheme, h, pw, 0.5, t, curve=curve)
+        assert flags[-1] and np.array_equal(flags, outage_flags(scheme, h, pw, 0.5, t))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_a_nan_draw_is_in_outage(scheme):
+    # a NaN bound meets no rate: the NaN row reads outage under every
+    # scheme, the finite rows keep their flags, and an index-rate scheme's
+    # curve gives the same flags as its exact bounds and its classifier
+    # puts the row in region 3
+    pw = snr_power(10.0)
+    h = sample_fading_block(PROFILE, 12345, 0)[:256]
+    with_nan = h.copy()
+    with_nan[100] = np.nan
+    for r1, r2 in ((1.0, 1.0), (0.0, 1.5)):
+        t = RateTarget(r1, r2, 1.0)
+        flags = outage_flags(scheme, with_nan, pw, 0.5, t)
+        assert flags[100]
+        assert np.array_equal(np.delete(flags, 100),
+                              np.delete(outage_flags(scheme, h, pw, 0.5, t), 100))
+        if SCHEMES[scheme].recover is not None:
+            curve = _IndexRateCurve(scheme, with_nan, pw, 0.5, r1, r2)
+            assert np.array_equal(outage_flags(scheme, with_nan, pw, 0.5, t, curve=curve), flags)
+            assert classify_region_batch(with_nan, pw, 0.5, t, scheme)[100] == 3
+
+
+@pytest.mark.parametrize("preset", ["fig6", "fig7", "fig8", "fig8_hetero"])
+def test_curve_settles_every_preset_block_itself(preset):
+    # the first two blocks of every point of the presets that optimize the
+    # index rate hold no draw in the guard band at any default ru_grid
+    # entry, so the curve never hands them to the exact kernel
+    cfg = experiments.preset_config(preset)
+    for profile, power in cfg.fading_points():
+        for b in (0, 1):
+            h = sample_fading_block(profile, 12345, b)
+            for scheme in ("gqf", "nonwz_cf"):
+                curve = _IndexRateCurve(scheme, h, power, cfg.beta, cfg.r1, cfg.r2)
+                for ru in cfg.ru_grid:
+                    assert curve.split(ru) is not None, (profile, power, b, scheme, ru)
 
 
 def test_outage_module_computes_no_rate():
