@@ -17,6 +17,7 @@ and do not depend on the order in which they are drawn.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -206,10 +207,18 @@ def _substream(seed: int, block_index: int) -> Generator:
     Philox is counter based: keying by (seed, block_index) makes substreams
     reproducible in any order.
     """
-    _check_u64(seed)
-    _check_u64(block_index, "block_index")
     key = np.array([seed, block_index], dtype=np.uint64)
     return Generator(Philox(key=key))
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_normals(seed: int, block_index: int, block_size: int) -> np.ndarray:
+    """The block's unit normals, read-only; the last block drawn is kept."""
+    # one draw of the real parts, then the imaginary parts: the same stream
+    # as two calls
+    z = _substream(seed, block_index).standard_normal((2, block_size, 5))
+    z.flags.writeable = False
+    return z
 
 
 def sample_fading_block(
@@ -220,10 +229,11 @@ def sample_fading_block(
     Columns are ordered (h1d, h2d, h1r, h2r, hrd).  The draw depends only on
     (seed, block_index, block_size), never on what was drawn before.
     """
+    # checked before the cache: 12345.0 and True are equal to valid keys
     _check_samples(block_size, "block_size")
-    # one draw of the real parts, then the imaginary parts: the same stream
-    # as two calls, written into the complex matrix without temporaries
-    z = _substream(seed, block_index).standard_normal((2, block_size, 5))
+    _check_u64(seed)
+    _check_u64(block_index, "block_index")
+    z = _unit_normals(seed, block_index, block_size)
     std = np.sqrt(profile.as_array() / 2.0)
     h = np.empty((block_size, 5), dtype=complex)
     np.multiply(z[0], std, out=h.real)

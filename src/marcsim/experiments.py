@@ -131,45 +131,33 @@ def _run_beta_sweep(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _run_fading_point(cfg, profile, power, columns):
-    """Evaluate every requested scheme at one sweep point on shared draws."""
-    base_target = RateTarget(cfg.r1, cfg.r2, cfg.ru)
+def _run_fading_sweep(cfg: ExperimentConfig) -> dict:
+    """Every requested scheme at every sweep point on shared draws, in one
+    estimator pass per token over all the points."""
+    profiles, powers = (list(c) for c in zip(*cfg.fading_points()))
+    sweep = (profiles, powers, cfg.beta)
+    target = RateTarget(cfg.r1, cfg.r2, cfg.ru)
+    n, seed, columns = cfg.n_samples, cfg.seed, {}
     for token in cfg.schemes:
         scheme, optimized = SCHEME_TOKENS[token]
         if optimized:
-            ru_star, est = optimize_ru_grid(
-                profile, power, cfg.beta, base_target, cfg.ru_grid,
-                cfg.n_samples, cfg.seed, scheme=scheme,
-            )
-            columns.setdefault(f"{token}_ru", []).append(ru_star)
-            used_ru = ru_star
+            chosen = optimize_ru_grid(*sweep, target, cfg.ru_grid, n, seed, scheme=scheme)
+            used_ru, ests = (list(c) for c in zip(*chosen))
+            columns[f"{token}_ru"] = used_ru
         else:
-            est = common_outage_mc(
-                scheme, profile, power, cfg.beta, base_target,
-                cfg.n_samples, cfg.seed,
-            )
-            used_ru = cfg.ru
-        columns.setdefault(f"{token}_p", []).append(est.p_hat)
-        columns.setdefault(f"{token}_ci", []).append(est.ci95_halfwidth)
-        columns.setdefault(f"{token}_rbar", []).append(
-            expected_sum_rate_common(base_target, est)
-        )
+            ests = common_outage_mc(scheme, *sweep, target, n, seed)
+            used_ru = [cfg.ru] * len(ests)
+        columns[f"{token}_p"] = [est.p_hat for est in ests]
+        columns[f"{token}_ci"] = [est.ci95_halfwidth for est in ests]
+        columns[f"{token}_rbar"] = [expected_sum_rate_common(target, est) for est in ests]
         if cfg.individual and SCHEMES[scheme].recover is not None:
-            ind = individual_outage_mc(
-                profile, power, cfg.beta, RateTarget(cfg.r1, cfg.r2, used_ru),
-                cfg.n_samples, cfg.seed, scheme=scheme,
-            )
-            columns.setdefault(f"{token}_p_indiv1", []).append(ind.p_indiv1)
-            columns.setdefault(f"{token}_p_indiv2", []).append(ind.p_indiv2)
-            columns.setdefault(f"{token}_rbar_indiv", []).append(
-                expected_sum_rate_indiv(base_target, ind.p_indiv1, ind.p_indiv2)
-            )
-
-
-def _run_fading_sweep(cfg: ExperimentConfig) -> dict:
-    columns: dict = {}
-    for profile, power in cfg.fading_points():
-        _run_fading_point(cfg, profile, power, columns)
+            targets = [RateTarget(cfg.r1, cfg.r2, ru) for ru in used_ru]
+            inds = individual_outage_mc(*sweep, targets, n, seed, scheme=scheme)
+            columns[f"{token}_p_indiv1"] = [ind.p_indiv1 for ind in inds]
+            columns[f"{token}_p_indiv2"] = [ind.p_indiv2 for ind in inds]
+            columns[f"{token}_rbar_indiv"] = [
+                expected_sum_rate_indiv(target, ind.p_indiv1, ind.p_indiv2) for ind in inds
+            ]
     return columns
 
 

@@ -162,73 +162,89 @@ def classify_region_batch(
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(profile, n, seed, fn):
-    """Sum fn(block) over the first n draws; fn returns int64 counts.
+def _sweep(n, seed, count, finish, profile, *args):
+    """``finish`` of the summed ``count(h, *args)`` over the first n draws of
+    ``profile``; given lists of one length for ``profile`` and ``args``, one
+    entry per sweep point, the list of that at each point.
 
-    A numpy overflow or invalid operation raises FloatingPointError: the
-    kernels ignore, in their own ``np.errstate`` blocks, the ones whose
-    limits they handle, and any other makes the estimate meaningless.
+    Blocks are the outer loop and points the inner one, so the points read
+    each block in turn and the sampler draws its normals once.  A numpy
+    overflow or invalid operation raises FloatingPointError: the kernels
+    ignore, in their own ``np.errstate`` blocks, the ones whose limits
+    they handle, and any other makes the estimate meaningless.
     """
     _check_samples(n)
-    total = 0
+    one = not isinstance(profile, list)
+    columns = [[a] if one else a for a in (profile, *args)]
+    if any(isinstance(a, list) == one for a in args) or len({len(c) for c in columns}) > 1:
+        raise ValueError("per-point arguments must be single values or lists of one length")
+    points = list(zip(*columns))
+    totals = [0] * len(points)
     with np.errstate(over="raise", invalid="raise"):
         for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
-            # the last block is cut to the draws left
-            h = sample_fading_block(profile, seed, b)[: n - b * BLOCK_SIZE]
-            total = total + np.asarray(fn(h), dtype=np.int64)
-    return total
+            for i, (prof, *values) in enumerate(points):
+                # the last block is cut to the draws left
+                h = sample_fading_block(prof, seed, b)[: n - b * BLOCK_SIZE]
+                totals[i] = totals[i] + np.asarray(count(h, *values), dtype=np.int64)
+    estimates = [finish(t) for t in totals]
+    return estimates[0] if one else estimates
 
 
 def common_outage_mc(
     scheme: str,
-    profile: FadingProfile,
-    power: PowerConfig,
+    profile: FadingProfile | list[FadingProfile],
+    power: PowerConfig | list[PowerConfig],
     beta: float,
     target: RateTarget,
     n: int,
     seed: int,
-) -> OutageEstimate:
-    """Common outage probability of ``scheme`` over ``n`` fading draws.
+) -> OutageEstimate | list[OutageEstimate]:
+    """Common outage probability of ``scheme`` over ``n`` fading draws;
+    with lists of profiles and powers, one estimate per sweep point.
 
     Identical (scheme, inputs, n, seed) give bit-identical estimates.
     """
     _scheme(scheme, beta, target)
-    fn = lambda h: [int(outage_flags(scheme, h, power, beta, target).sum())]
-    count = _accumulate(profile, n, seed, fn)[0]
-    return OutageEstimate.from_count(int(count), n, seed)
+    count = lambda h, power: [int(outage_flags(scheme, h, power, beta, target).sum())]
+    finish = lambda c: OutageEstimate.from_count(int(c[0]), n, seed)
+    return _sweep(n, seed, count, finish, profile, power)
 
 
 def individual_outage_mc(
-    profile: FadingProfile,
-    power: PowerConfig,
+    profile: FadingProfile | list[FadingProfile],
+    power: PowerConfig | list[PowerConfig],
     beta: float,
-    target: RateTarget,
+    target: RateTarget | list[RateTarget],
     n: int,
     seed: int,
     *,
     scheme: str = "gqf",
-) -> IndividualOutageEstimate:
-    """Individual and common outage from one region-classification pass."""
+) -> IndividualOutageEstimate | list[IndividualOutageEstimate]:
+    """Individual and common outage from one region-classification pass;
+    with lists of profiles, powers and targets, one estimate per point."""
 
-    def fn(h):
+    def count(h, power, target):
         codes = classify_region_batch(h, power, beta, target, scheme)
         return np.bincount(codes, minlength=5)[1:5]
 
-    counts = [int(c) for c in _accumulate(profile, n, seed, fn)]
-    f1, f2, f3, f4 = (c / n for c in counts)
-    return IndividualOutageEstimate(
-        p_indiv1=f1 + f3,
-        p_indiv2=f2 + f3,
-        p_common=sum(counts[:3]) / n,
-        region_freqs=(f1, f2, f3, f4),
-        n_samples=n,
-        seed=seed,
-    )
+    def finish(total):
+        counts = [int(c) for c in total]
+        f1, f2, f3, f4 = (c / n for c in counts)
+        return IndividualOutageEstimate(
+            p_indiv1=f1 + f3,
+            p_indiv2=f2 + f3,
+            p_common=sum(counts[:3]) / n,
+            region_freqs=(f1, f2, f3, f4),
+            n_samples=n,
+            seed=seed,
+        )
+
+    return _sweep(n, seed, count, finish, profile, power, target)
 
 
 def optimize_ru_grid(
-    profile: FadingProfile,
-    power: PowerConfig,
+    profile: FadingProfile | list[FadingProfile],
+    power: PowerConfig | list[PowerConfig],
     beta: float,
     target: RateTarget,
     grid,
@@ -236,22 +252,25 @@ def optimize_ru_grid(
     seed: int,
     *,
     scheme: str = "gqf",
-) -> tuple[float, OutageEstimate]:
+) -> tuple[float, OutageEstimate] | list[tuple[float, OutageEstimate]]:
     """Relay index rate from ``grid`` minimizing common outage on shared
-    draws; ties resolve to the smallest rate.  ``target.ru`` is ignored."""
+    draws; ties resolve to the smallest rate.  ``target.ru`` is ignored.
+    With lists of profiles and powers, one choice per sweep point."""
     grid = [float(g) for g in grid]
     _check_grid(grid, "index-rate grid")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
     _scheme(scheme, beta, targets[0], index_rate=True)  # grid[0] > 0: every entry is
     # the outage curve over ru is built once per block, not per grid entry
 
-    def fn(h):
+    def count(h, power):
         curve = _IndexRateCurve(scheme, h, power, beta, target.r1, target.r2)
         return [int(outage_flags(scheme, h, power, beta, t, curve=curve).sum()) for t in targets]
 
-    counts = _accumulate(profile, n, seed, fn)
-    best = int(np.argmin(counts))  # first minimum = smallest rate on ties
-    return grid[best], OutageEstimate.from_count(int(counts[best]), n, seed)
+    def finish(counts):
+        best = int(np.argmin(counts))  # first minimum = smallest rate on ties
+        return grid[best], OutageEstimate.from_count(int(counts[best]), n, seed)
+
+    return _sweep(n, seed, count, finish, profile, power)
 
 
 def expected_sum_rate_common(target: RateTarget, outage: OutageEstimate) -> float:

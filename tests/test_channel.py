@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from marcsim import channel
 from marcsim import (
     BLOCK_SIZE,
     ChannelState,
@@ -113,6 +114,35 @@ def test_reference_draws_are_the_sampler_blocks():
     ref = draw_states(prof, n, 21)
     assert ref.shape == blocks.shape == (n, 5) and ref.dtype == blocks.dtype
     assert np.array_equal(ref.view(np.uint64), blocks.view(np.uint64))
+
+
+def test_block_cache_checks_first_and_returns_a_fresh_array(monkeypatch):
+    prof = FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0)
+    # the arguments are checked before the cache: 12345.0 and True equal the
+    # key of the block just drawn, yet are no seeds
+    for seed, twin in ((12345, 12345.0), (1, True)):
+        sample_fading_block(prof, seed, 0, block_size=1)
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            sample_fading_block(prof, twin, 0, block_size=1)
+
+    calls = []
+    substream = channel._substream
+    monkeypatch.setattr(channel, "_substream", lambda *a: calls.append(a) or substream(*a))
+    rng = stream(9, 4)
+    fresh = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))) * np.sqrt(
+        prof.as_array() / 2.0)
+    first = sample_fading_block(prof, 9, 4, block_size=8)
+    hit = sample_fading_block(prof, 9, 4, block_size=8)
+    assert calls == [(9, 4)]  # the second call read the kept normals
+    assert hit is not first and hit.flags.writeable
+    for h in (first, hit):
+        assert np.array_equal(h.view(np.uint64), fresh.view(np.uint64))
+    hit[:] = 0.0
+    after = sample_fading_block(prof, 9, 4, block_size=8)
+    assert np.array_equal(after.view(np.uint64), fresh.view(np.uint64))
+    assert calls == [(9, 4)]
+    assert np.array_equal(sample_fading_block(prof, np.uint64(7), 2, block_size=3).view(np.uint64),
+                          sample_fading_block(prof, 7, 2, block_size=3).view(np.uint64))
 
 
 def test_fading_moments():

@@ -152,6 +152,37 @@ def test_building_a_config_draws_nothing(monkeypatch):
         config_from_dict(config_to_dict(preset_config(name)))
 
 
+@pytest.mark.parametrize("preset, schemes, philox, sampler", [
+    ("fig5", None, 7 * 2, 7 * 7 * 2),
+    ("fig5", ("gqf",), 2, 7 * 2),
+    ("fig8", None, 5 * 2, 5 * 9 * 2),  # 3 tokens, 2 of them also classify
+])
+def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes, philox,
+                                                   sampler):
+    # every point of a sweep reads the same blocks: one estimator pass over
+    # all the points draws each block's normals once, and each point still
+    # asks the sampler for each of its blocks
+    overrides = {"n_samples": marcsim.BLOCK_SIZE + 5}
+    if schemes:
+        overrides["schemes"] = schemes
+    cfg = preset_config(preset, **overrides)
+    counts = {"philox": 0, "sampler": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("marcsim.channel._substream",
+                        counted("philox", marcsim.channel._substream))
+    monkeypatch.setattr("marcsim.outage.sample_fading_block",
+                        counted("sampler", marcsim.outage.sample_fading_block))
+    marcsim.channel._unit_normals.cache_clear()
+    run_experiment(cfg)
+    assert counts == {"philox": philox, "sampler": sampler}
+
+
 def _checked_digest(text):
     """sha256 over the sweep column and every result column except the
     ``_ci`` ones, cell text as written."""

@@ -391,6 +391,58 @@ def test_optimize_ru_grid_contracts():
         optimize_ru_grid(PROFILE, pw, 0.5, TARGET, [1.0, 2.0], 1000, 1, scheme="df")
 
 
+def _sweep_points(preset):
+    cfg = experiments.preset_config(preset)
+    profiles, powers = (list(c) for c in zip(*cfg.fading_points()))
+    return cfg, profiles, powers
+
+
+@pytest.mark.parametrize("preset", ["fig5", "fig8_hetero"])
+def test_list_call_equals_the_one_point_calls(preset):
+    # a sweep's points in one call give each point's own estimate; two
+    # blocks per point, the last one short
+    cfg, profiles, powers = _sweep_points(preset)
+    n, seed = BLOCK_SIZE + 5, cfg.seed
+    target = RateTarget(cfg.r1, cfg.r2, cfg.ru)
+    for scheme in sorted(SCHEMES):
+        assert common_outage_mc(scheme, profiles, powers, cfg.beta, target, n, seed) == [
+            common_outage_mc(scheme, prof, pw, cfg.beta, target, n, seed)
+            for prof, pw in zip(profiles, powers)
+        ]
+    for scheme in ("gqf", "nonwz_cf"):
+        chosen = optimize_ru_grid(profiles, powers, cfg.beta, target, cfg.ru_grid, n, seed,
+                                  scheme=scheme)
+        assert chosen == [
+            optimize_ru_grid(prof, pw, cfg.beta, target, cfg.ru_grid, n, seed, scheme=scheme)
+            for prof, pw in zip(profiles, powers)
+        ]
+        # per-point targets: each point at its own index rate
+        targets = [RateTarget(cfg.r1, cfg.r2, ru) for ru in cfg.ru_grid[: len(profiles)]]
+        assert individual_outage_mc(profiles, powers, cfg.beta, targets, n, seed,
+                                    scheme=scheme) == [
+            individual_outage_mc(prof, pw, cfg.beta, t, n, seed, scheme=scheme)
+            for prof, pw, t in zip(profiles, powers, targets)
+        ]
+
+
+def test_list_call_checks_its_points():
+    _, profiles, powers = _sweep_points("fig5")
+    huge = PowerConfig(1e308, 1e308, 1e308, 1e308, 1e308)
+    bad = powers[:3] + [huge] + powers[4:]
+    # an overflow at one point still makes the whole estimate an error
+    with pytest.raises(FloatingPointError):
+        common_outage_mc("direct", profiles, bad, 0.5, TARGET, 100, 1)
+    with pytest.raises(FloatingPointError):
+        optimize_ru_grid(profiles, bad, 0.5, TARGET, [1.0, 3.0], 100, 1)
+    with pytest.raises(FloatingPointError):
+        individual_outage_mc(profiles, bad, 0.5, [TARGET] * len(bad), 100, 1)
+    for args in ((profiles, powers[:-1]), (profiles, powers[0]), (PROFILE, powers)):
+        with pytest.raises(ValueError, match="per-point argument"):
+            common_outage_mc("direct", *args, 0.5, TARGET, 100, 1)
+    with pytest.raises(ValueError, match="per-point argument"):
+        individual_outage_mc(profiles, powers, 0.5, TARGET, 100, 1)
+
+
 def test_unknown_scheme_and_missing_ru():
     with pytest.raises(ValueError):
         common_outage_mc("qqf", PROFILE, snr_power(10.0), 0.5, TARGET, 100, 1)
