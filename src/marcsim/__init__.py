@@ -45,7 +45,6 @@ from .rates import (
     quantizer_index_rate,
     region,
     sigma_q2_for_fixed_ru,
-    sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )
 

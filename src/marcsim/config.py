@@ -170,8 +170,7 @@ class ExperimentConfig:
                         _scheme(SCHEME_TOKENS[token][0], self.beta, None)
                     self.fading_points()
                 else:
-                    _static_model(state, power, self._swept("beta") or self.beta,
-                                  self._swept("sigma_q2") or None, self.norelay_boost)
+                    self._static_sweep()
         except FloatingPointError as exc:
             raise ConfigError(f"static channel values leave the float range: {exc}") from exc
         except ValueError as exc:
@@ -185,6 +184,12 @@ class ExperimentConfig:
     def _swept(self, name) -> tuple:
         """The grid of ``name`` if this kind sweeps it, else ()."""
         return self.sweep_values if KINDS[self.kind].name == name else ()
+
+    def _static_sweep(self):
+        """``rates._static_model`` of a static kind over its grid: the one
+        call that both ``validate`` and the static runners make."""
+        return _static_model(*self.static_channel(), self._swept("beta") or self.beta,
+                             self._swept("sigma_q2") or None, self.norelay_boost)
 
     def static_channel(self) -> tuple[ChannelState, PowerConfig]:
         """Channel state and powers of a static kind."""

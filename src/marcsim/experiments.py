@@ -33,7 +33,7 @@ from .outage import (
     individual_outage_mc,
     optimize_ru_grid,
 )
-from .rates import SCHEMES, RateTarget, _static_model
+from .rates import SCHEMES, RateTarget
 
 __all__ = [
     "SweepResult",
@@ -100,9 +100,8 @@ def _fmt(v) -> str:
 
 
 def _run_sigma_sweep(cfg: ExperimentConfig) -> dict:
-    threshold, (first, second), norelay = _static_model(
-        *cfg.static_channel(), cfg.beta, cfg.sweep_values, cfg.norelay_boost
-    )
+    sigmas, terms, norelay = cfg._static_sweep()
+    threshold, (first, second) = sigmas[2], terms[2]  # the sum-rate set
     return {
         "gqf_sum_first": first.tolist(),
         "gqf_sum_second": second.tolist(),
@@ -116,9 +115,8 @@ def _run_sigma_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def _run_beta_sweep(cfg: ExperimentConfig) -> dict:
-    sigma, (first, second), norelay = _static_model(
-        *cfg.static_channel(), cfg.sweep_values, None, cfg.norelay_boost
-    )
+    sigmas, terms, norelay = cfg._static_sweep()
+    sigma, (first, second) = sigmas[2], terms[2]  # the sum-rate set
     gqf = np.minimum(first, second).tolist()
     return {
         "sigma_q2_opt": sigma.tolist(),

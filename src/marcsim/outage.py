@@ -259,7 +259,8 @@ def optimize_ru_grid(
     grid = [float(g) for g in grid]
     _check_grid(grid, "index-rate grid")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
-    _scheme(scheme, beta, targets[0], index_rate=True)  # grid[0] > 0: every entry is
+    # _check_grid made the grid strictly increasing, so grid[0] > 0 covers every entry
+    _scheme(scheme, beta, targets[0], index_rate=True)
     # the outage curve over ru is built once per block, not per grid entry
 
     def count(h, power):

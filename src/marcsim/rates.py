@@ -31,7 +31,6 @@ independent in-package oracle, or the pmf engine for a `MarcPmfFamily`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple
@@ -62,7 +61,6 @@ __all__ = [
     "sigma_q2_for_fixed_ru",
     "gqf_min_terms_gaussian",
     "sigma_q2_opt_sum",
-    "sigma_q2_opt_indiv",
     "region",
     "direct_mac_region",
     "GaussianFamily",
@@ -384,15 +382,19 @@ def _opt_sigmas(L, beta):
     return tuple(_equalizer_sigma(c / s, L[6], dsum, beta) for s, c, dsum in _rate_sets(L))
 
 
-def _csit_terms(L, beta):
-    """Per-bound best quantizer: each bound evaluated at its own equalizer
-    variance, the most a relay with full CSI can deliver per bound."""
+def _equalized_terms(L, beta, sigma_q2=None):
+    """Per rate set (r1, r2, r1 + r2), its (plain, index-charged) min-terms
+    (see :func:`_gqf_terms`) at quantizer variance ``sigma_q2``, or, when
+    ``sigma_q2`` is None, at that set's own equalizer variance
+    (:func:`_opt_sigmas`): the most a relay with full CSI can deliver per
+    bound."""
+    sigmas = _opt_sigmas(L, beta) if sigma_q2 is None else (sigma_q2,) * 3
     terms = []
-    for part, s in zip(_gqf_block(L, beta), _opt_sigmas(L, beta)):
+    for part, s in zip(_gqf_block(L, beta), sigmas):
         plain, charged = _gqf_terms([part], beta, s)[0]
         # at an equalizer of 0 the plain term is the value of both (see
         # _equalizer_sigma)
-        terms.append(np.minimum(plain, np.where(s > 0.0, charged, plain)))
+        terms.append((plain, np.where(s > 0.0, charged, plain)))
     return tuple(terms)
 
 
@@ -475,7 +477,7 @@ def _index_bounds(b, target):
 #: it available to the estimators, configs and sweeps
 SCHEMES = {
     "gqf": Scheme(_index_bounds, recover=False),
-    "csit": Scheme(lambda b, t: _csit_terms(b.L, b.beta)),
+    "csit": Scheme(lambda b, t: _mins(_equalized_terms(b.L, b.beta))),
     "nonwz_cf": Scheme(_index_bounds, recover=True),
     "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t)),
     "af": Scheme(lambda b, t: _af_terms(b.L), beta=_AF_BETA),
@@ -640,8 +642,8 @@ def gqf_min_terms_gaussian(
     _check_beta(beta)
     _check_sigma_q2(sigma_q2)
     k = info.prefactor(state.field_kind)
-    G = _gqf_block(_links(state.gains(), power), beta)
-    return tuple(k * float(v) for t in _gqf_terms(G, beta, sigma_q2) for v in t)
+    terms = _equalized_terms(_links(state.gains(), power), beta, sigma_q2)
+    return tuple(k * float(v) for t in terms for v in t)
 
 
 def sigma_q2_for_fixed_ru(
@@ -674,16 +676,6 @@ def sigma_q2_opt_sum(state: ChannelState, power: PowerConfig, beta: float) -> fl
     return float(_opt_sigmas(_links(state.gains(), power), beta)[2])
 
 
-def sigma_q2_opt_indiv(
-    state: ChannelState, power: PowerConfig, beta: float, user: int
-) -> float:
-    """Quantizer variance maximizing one user's individual-rate min."""
-    _check_beta(beta)
-    if not isinstance(user, numbers.Integral) or isinstance(user, bool) or user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user!r}")
-    return float(_opt_sigmas(_links(state.gains(), power), beta)[user - 1])
-
-
 def direct_mac_region(
     state: ChannelState, power: PowerConfig, beta: float, boost: float = 1.0
 ) -> RateRegion:
@@ -698,32 +690,25 @@ def direct_mac_region(
 
 def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, boost=1.0):
     """The static model over arrays of slot split ``beta`` and quantizer
-    variance ``sigma_q2`` (by default each beta's equalizer variance), which
-    broadcast against each other: the equalizer variances, the sum-rate
-    min-terms (tsa, tsb) and the no-relay sum rate, prefactor applied, as
-    ``sigma_q2_opt_sum``, ``gqf_min_terms_gaussian`` and
-    ``direct_mac_region(..., boost).isum`` give them one point at a time,
-    with the checks those calls make; tsb is tsa where an equalizer
-    variance is 0."""
+    variance ``sigma_q2``, which broadcast against each other: per rate set
+    (r1, r2, r1 + r2) its equalizer variance and its (plain, index-charged)
+    min-terms of :func:`_equalized_terms` at ``sigma_q2`` (by default at
+    that set's equalizer variance), and the no-relay sum rate, prefactor
+    applied, with the checks of ``gqf_min_terms_gaussian`` and
+    ``direct_mac_region(..., boost)``."""
     beta = np.asarray(beta, dtype=float)
     _check_beta(float(beta.min()))
     _check_beta(float(beta.max()))
     _check_boost(boost)
     k = info.prefactor(state.field_kind)
     L = _links(state.gains(), power)
-    sigma_opt = _opt_sigmas(L, beta)[2]
-    if sigma_q2 is None:
-        sigma_q2 = sigma_opt
-    else:
+    if sigma_q2 is not None:
         sigma_q2 = np.asarray(sigma_q2, dtype=float)
         _check_sigma_q2(float(sigma_q2.min()))
-    tsa, tsb = _gqf_terms(_gqf_block(L, beta), beta, sigma_q2)[2]
-    # at an equalizer of 0 the plain term is the value of both (see
-    # _equalizer_sigma)
-    tsb = np.where(sigma_q2 > 0.0, tsb, tsa)
+    terms = tuple((k * p, k * c) for p, c in _equalized_terms(L, beta, sigma_q2))
     norelay = np.maximum(k * _direct_terms(L, beta, boost)[2], 0.0)
     _check_rate(float(norelay.max()), "rate bound isum")  # the rule of RateRegion
-    return sigma_opt, (k * tsa, k * tsb), norelay
+    return _opt_sigmas(L, beta), terms, norelay
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from marcsim import (
     quantizer_index_rate,
     region,
     sigma_q2_for_fixed_ru,
-    sigma_q2_opt_indiv,
     sigma_q2_opt_sum,
 )
 from marcsim.channel import FadingProfile, sample_fading_block
@@ -34,10 +33,11 @@ from marcsim.experiments import preset_config, run_experiment
 from marcsim.rates import (
     SCHEMES,
     _af_terms,
-    _csit_terms,
+    _block,
     _index_block,
     _index_terms,
     _links,
+    _opt_sigmas,
     _recovered,
     _static_model,
     _violated,
@@ -47,6 +47,17 @@ from reference_draws import draw_states
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
 NO_RATES = RateTarget(0.0, 0.0)  # for the schemes whose region ignores the target
 UNIT_POWER = PowerConfig(1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def opt_indiv(state, power, beta, user):
+    """Equalizer variance of user ``user``'s individual-rate min-terms."""
+    return float(_opt_sigmas(_links(state.gains(), power), beta)[user - 1])
+
+
+def csit_terms(cols, power, beta):
+    """csit's per-draw bounds (i1, i2, isum) on the gain columns ``cols``."""
+    spec = SCHEMES["csit"]
+    return spec.bounds(_block(spec, cols, power, beta), NO_RATES)
 
 
 def random_static(rng):
@@ -112,7 +123,7 @@ def test_opt_sum_equalizes_and_matches_grid_argmax():
 
 def test_opt_indiv_reference_value():
     # user 1: numerator 1 + 9/2, denominator (1 + 9/2) - 1 = 4.5  ->  11/9
-    got = sigma_q2_opt_indiv(FIG3_STATE, UNIT_POWER, 0.5, 1)
+    got = opt_indiv(FIG3_STATE, UNIT_POWER, 0.5, 1)
     assert got == pytest.approx(11.0 / 9.0, rel=1e-12)
     t = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, 0.5, got)
     assert abs(t[0] - t[1]) < 1e-9
@@ -127,18 +138,12 @@ def test_opt_indiv_reference_value():
 def test_opt_indiv_specializations():
     # dead second source-relay link: numerator collapses to 1
     st = ChannelState(1.0, 1.0, 3.0, 0.0, 3.0)
-    got = sigma_q2_opt_indiv(st, UNIT_POWER, 0.5, 2)
+    got = opt_indiv(st, UNIT_POWER, 0.5, 2)
     assert got == pytest.approx(1.0 / 4.5, rel=1e-12)
     sym = ChannelState(1.0, 1.0, 2.0, 2.0, 3.0)
-    assert sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, 1) == pytest.approx(
-        sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, 2), rel=1e-12
+    assert opt_indiv(sym, UNIT_POWER, 0.5, 1) == pytest.approx(
+        opt_indiv(sym, UNIT_POWER, 0.5, 2), rel=1e-12
     )
-    assert sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, np.int64(2)) == sigma_q2_opt_indiv(
-        sym, UNIT_POWER, 0.5, 2
-    )
-    for user in (3, True, 1.0, 2.0):  # only the integers 1 and 2, not a bool
-        with pytest.raises(ValueError, match="user must be 1 or 2"):
-            sigma_q2_opt_indiv(sym, UNIT_POWER, 0.5, user)
 
 
 def test_opt_sum_limits():
@@ -313,7 +318,7 @@ def test_csit_reference_values():
 
     s_sum = sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, 0.5)
     assert reg.isum == pytest.approx(gqf_at(s_sum).isum, abs=1e-9)
-    s_1 = sigma_q2_opt_indiv(FIG3_STATE, UNIT_POWER, 0.5, 1)
+    s_1 = opt_indiv(FIG3_STATE, UNIT_POWER, 0.5, 1)
     assert reg.i1 == pytest.approx(gqf_at(s_1).i1, abs=1e-9)
 
 
@@ -323,7 +328,7 @@ def test_equalizer_below_the_float_range_is_zero():
     # min-terms' sigma_q2 -> 0 limit, where the index-charged ones equal them
     beta = 1e-3
     assert sigma_q2_opt_sum(FIG3_STATE, UNIT_POWER, beta) == 0.0
-    assert sigma_q2_opt_indiv(FIG3_STATE, UNIT_POWER, beta, 2) == 0.0
+    assert opt_indiv(FIG3_STATE, UNIT_POWER, beta, 2) == 0.0
     t = gqf_min_terms_gaussian(FIG3_STATE, UNIT_POWER, beta, 1e-300)
     assert region("csit", FIG3_STATE, UNIT_POWER, beta, NO_RATES) == RateRegion.from_bounds(
         t[0], t[2], t[4]
@@ -348,13 +353,31 @@ def test_equalizer_past_the_power_overflow_is_its_log_domain_value():
         "0x1.fa2a5ae9d8bedp-1022")
 
 
+@pytest.mark.parametrize("beta", [0.5, 1e-3, 0.0019489963072676182])
+@pytest.mark.parametrize("state", [
+    FIG3_STATE,
+    ChannelState(0.8 + 0.3j, -0.5 + 1.1j, 2.0 - 1.0j, 0.4 + 0.2j, 1.5 + 2.0j, mode=FADING),
+])
+def test_csit_is_the_static_model_at_each_sets_equalizer(state, beta):
+    # csit and the static sweeps read one core: csit's region is, per rate
+    # set, the least of the static model's two min-terms at that set's own
+    # equalizer variance (prefactor applied by both), at an ordinary split,
+    # where every equalizer is 0 (1e-3) and at the log-domain equalizer
+    pw = PowerConfig(2.0, 1.5, 3.0, 0.5, 4.0)
+    for power in (UNIT_POWER, pw):
+        sigmas, terms, _ = _static_model(state, power, beta)
+        assert sigmas == _opt_sigmas(_links(state.gains(), power), beta)
+        want = RateRegion.from_bounds(*(np.minimum(plain, charged) for plain, charged in terms))
+        assert region("csit", state, power, beta, NO_RATES) == want
+
+
 def test_csit_dominates_fixed_index_rate_per_draw():
     prof = FadingProfile.uniform(1.0)
     h = draw_states(prof, 1000, 31)
     pw = PowerConfig.from_snr(10.0, 0.5)
-    L = _links(tuple(h[:, i] for i in range(5)), pw)
-    cs = _csit_terms(L, 0.5)
-    B = _index_block(L, 0.5, recover=False)
+    cols = tuple(h[:, i] for i in range(5))
+    cs = csit_terms(cols, pw, 0.5)
+    B = _index_block(_links(cols, pw), 0.5, recover=False)
     terms = _index_terms(B, 0.5, 3.0)
     assert _recovered(B, 3.0) is None
     for (ta, tb), c in zip(terms, cs, strict=True):
@@ -501,9 +524,9 @@ def test_af_below_csit_on_random_draws():
     prof = FadingProfile.uniform(1.0)
     h = draw_states(prof, 1000, 37)
     pw = PowerConfig.from_snr(10.0, 0.5)
-    L = _links(tuple(h[:, i] for i in range(5)), pw)
-    af = _af_terms(L)
-    cs = _csit_terms(L, 0.5)
+    cols = tuple(h[:, i] for i in range(5))
+    af = _af_terms(_links(cols, pw))
+    cs = csit_terms(cols, pw, 0.5)
     for a, c in zip(af, cs):
         assert np.all(np.asarray(a) <= np.asarray(c) + 1e-9)
 
@@ -566,7 +589,8 @@ def test_fig4_sum_rate_tops_every_sigma_q2_grid_point():
     state, power = cfg.static_channel()
     beta = np.asarray(cfg.beta_grid)
     sigmas = np.asarray([*cfg.sigma_q2_grid, math.inf])
-    best = np.minimum(*_static_model(state, power, beta[:, None], sigmas)[1]).max(axis=1)
+    tsa, tsb = _static_model(state, power, beta[:, None], sigmas)[1][2]  # the sum-rate set
+    best = np.minimum(tsa, tsb).max(axis=1)
     gqf = np.asarray(run_experiment(cfg).columns["gqf_sum"])
     assert gqf.shape == best.shape
     assert np.all(gqf >= best - 1e-12)
