@@ -5,9 +5,9 @@
     sim validate <config.yaml>   check a config file and exit
 
 Exit status: 0 on success, 2 on configuration errors (including a config
-file that cannot be read and an output path that cannot be written), 1 on
-numerical degeneracy (including a kernel value beyond the float range in a
-fading run).
+file that cannot be read, an output path that cannot be written and two
+output paths that name one file), 1 on numerical degeneracy (including a
+kernel value beyond the float range in a fading run).
 """
 
 from __future__ import annotations
@@ -64,12 +64,19 @@ def _write(path, text: str) -> None:
 
 def _check_writable(*paths) -> None:
     """Fail as :func:`_write` would on each output path whose directory is
-    missing or that is a directory, before anything is run or written."""
+    missing or that is a directory, and on two output paths that name one
+    file (the later write would replace the earlier), before anything is
+    run or written."""
+    seen = {}
     for path in filter(None, paths):
         p = Path(path)
         code = errno.EISDIR if p.is_dir() else None if p.parent.is_dir() else errno.ENOENT
         if code is not None:
             raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+        key = p.resolve()
+        if key in seen:
+            raise ConfigError(f"{seen[key]} and {path} name the same output file")
+        seen[key] = path
 
 
 def _run_and_write(cfg) -> int:

@@ -21,7 +21,6 @@ from .channel import (
     FadingProfile,
     PowerConfig,
     _check_beta,
-    _check_boost,
     _check_grid,
     _check_index_rate,
     _check_samples,
@@ -118,7 +117,6 @@ class ExperimentConfig:
     p12: float = 1.0
     p22: float = 1.0
     pr: float = 1.0
-    norelay_boost: float = 1.5
     sigma_q2_grid: tuple[float, ...] = _DEFAULT_SIGMA_GRID
     beta_grid: tuple[float, ...] = _DEFAULT_BETA_GRID
 
@@ -149,7 +147,6 @@ class ExperimentConfig:
         try:
             _check_samples(self.n_samples, "n_samples")
             _check_u64(self.seed, "seed")
-            _check_boost(self.norelay_boost, "norelay_boost")
             # each grid value by the model's own rule, called with the grid's
             # name: the model built below names only the argument it fills
             grids = ((f"{sweep.name}_grid", sweep.check), ("ru_grid", _check_index_rate))
@@ -189,7 +186,7 @@ class ExperimentConfig:
         """``rates._static_model`` of a static kind over its grid: the one
         call that both ``validate`` and the static runners make."""
         return _static_model(*self.static_channel(), self._swept("beta") or self.beta,
-                             self._swept("sigma_q2") or None, self.norelay_boost)
+                             self._swept("sigma_q2") or None)
 
     def static_channel(self) -> tuple[ChannelState, PowerConfig]:
         """Channel state and powers of a static kind."""
@@ -248,14 +245,15 @@ def _tuple(item, what):
     return rule
 
 
+_str = _typed(str, "a string")
 #: the coercion and type check of each field, by its annotation
 _COERCE = {
     "int": _typed(int, "an integer"),
     "float": _float,
     "bool": _typed(bool, "a boolean"),
-    "str": _typed(str, "a string"),
+    "str": _str,
     "tuple[float, ...]": _tuple(_float, "numbers"),
-    "tuple[str, ...]": _tuple(lambda name, v: str(v), "strings"),
+    "tuple[str, ...]": _tuple(_str, "strings"),
 }
 
 

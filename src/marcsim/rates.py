@@ -39,6 +39,8 @@ import numpy as np
 
 from . import info
 from .channel import (
+    SLOT1_LABELS,
+    SLOT2_LABELS,
     ChannelState,
     PowerConfig,
     _check_beta,
@@ -382,13 +384,11 @@ def _opt_sigmas(L, beta):
     return tuple(_equalizer_sigma(c / s, L[6], dsum, beta) for s, c, dsum in _rate_sets(L))
 
 
-def _equalized_terms(L, beta, sigma_q2=None):
+def _equalized_terms(L, beta, sigmas):
     """Per rate set (r1, r2, r1 + r2), its (plain, index-charged) min-terms
-    (see :func:`_gqf_terms`) at quantizer variance ``sigma_q2``, or, when
-    ``sigma_q2`` is None, at that set's own equalizer variance
-    (:func:`_opt_sigmas`): the most a relay with full CSI can deliver per
-    bound."""
-    sigmas = _opt_sigmas(L, beta) if sigma_q2 is None else (sigma_q2,) * 3
+    (see :func:`_gqf_terms`) at that set's quantizer variance in ``sigmas``;
+    at the sets' own equalizer variances (:func:`_opt_sigmas`) they are the
+    most a relay with full CSI can deliver per bound."""
     terms = []
     for part, s in zip(_gqf_block(L, beta), sigmas):
         plain, charged = _gqf_terms([part], beta, s)[0]
@@ -477,7 +477,7 @@ def _index_bounds(b, target):
 #: it available to the estimators, configs and sweeps
 SCHEMES = {
     "gqf": Scheme(_index_bounds, recover=False),
-    "csit": Scheme(lambda b, t: _mins(_equalized_terms(b.L, b.beta))),
+    "csit": Scheme(lambda b, t: _mins(_equalized_terms(b.L, b.beta, _opt_sigmas(b.L, b.beta)))),
     "nonwz_cf": Scheme(_index_bounds, recover=True),
     "df": Scheme(lambda b, t: _df_terms(b.L, b.beta, t)),
     "af": Scheme(lambda b, t: _af_terms(b.L), beta=_AF_BETA),
@@ -642,7 +642,7 @@ def gqf_min_terms_gaussian(
     _check_beta(beta)
     _check_sigma_q2(sigma_q2)
     k = info.prefactor(state.field_kind)
-    terms = _equalized_terms(_links(state.gains(), power), beta, sigma_q2)
+    terms = _equalized_terms(_links(state.gains(), power), beta, (sigma_q2,) * 3)
     return tuple(k * float(v) for t in terms for v in t)
 
 
@@ -688,27 +688,28 @@ def direct_mac_region(
     return RateRegion.from_bounds(*(k * float(t) for t in terms))
 
 
-def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None, boost=1.0):
+def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None):
     """The static model over arrays of slot split ``beta`` and quantizer
     variance ``sigma_q2``, which broadcast against each other: per rate set
     (r1, r2, r1 + r2) its equalizer variance and its (plain, index-charged)
     min-terms of :func:`_equalized_terms` at ``sigma_q2`` (by default at
-    that set's equalizer variance), and the no-relay sum rate, prefactor
-    applied, with the checks of ``gqf_min_terms_gaussian`` and
-    ``direct_mac_region(..., boost)``."""
+    that set's equalizer variance), and the no-relay sum rate, the sum
+    bound of ``direct15``, prefactor applied, with the checks of
+    ``gqf_min_terms_gaussian`` and ``region("direct15", ...)``."""
     beta = np.asarray(beta, dtype=float)
     _check_beta(float(beta.min()))
     _check_beta(float(beta.max()))
-    _check_boost(boost)
-    k = info.prefactor(state.field_kind)
-    L = _links(state.gains(), power)
     if sigma_q2 is not None:
         sigma_q2 = np.asarray(sigma_q2, dtype=float)
         _check_sigma_q2(float(sigma_q2.min()))
-    terms = tuple((k * p, k * c) for p, c in _equalized_terms(L, beta, sigma_q2))
-    norelay = np.maximum(k * _direct_terms(L, beta, boost)[2], 0.0)
+    k = info.prefactor(state.field_kind)
+    direct15 = SCHEMES["direct15"]
+    b = _block(direct15, state.gains(), power, beta)
+    sigmas = _opt_sigmas(b.L, beta)
+    terms = _equalized_terms(b.L, beta, sigmas if sigma_q2 is None else (sigma_q2,) * 3)
+    norelay = np.maximum(k * direct15.bounds(b, None)[2], 0.0)
     _check_rate(float(norelay.max()), "rate bound isum")  # the rule of RateRegion
-    return _opt_sigmas(L, beta), terms, norelay
+    return sigmas, tuple((k * p, k * c) for p, c in terms), norelay
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +810,12 @@ class MarcPmfFamily:
         table = np.einsum(
             "i,j,ijyd,yq->ijyqd", self.px11, self.px21, self.slot1_channel, self.quantizer
         )
-        return info.JointPMF(labels=("X11", "X21", "YR", "YhR", "YD1"), table=table)
+        return info.JointPMF(labels=SLOT1_LABELS, table=table)
 
     @cached_property
     def slot2(self) -> info.JointPMF:
         table = np.einsum("i,j,r,ijrd->ijrd", self.px12, self.px22, self.pxr, self.slot2_channel)
-        return info.JointPMF(labels=("X12", "X22", "XR", "YD2"), table=table)
+        return info.JointPMF(labels=SLOT2_LABELS, table=table)
 
     def cf_feasible(self, beta: float) -> bool:
         """Compress-forward's binning condition: the quantizer rate net of

@@ -114,6 +114,11 @@ def test_cli_list_fields_take_numbers_only(tmp_path, capsys, override):
          "each value of snr_db_grid must be a number, got '1e1' (str)"),
         ("snr_db_grid=1.0e+1", "snr_db_grid must be a list of numbers, got 10.0 (float)"),
         ("schemes=gqf", "schemes must be a list of strings, got 'gqf' (str)"),
+        # each scheme by the scalar string rule, as each grid value by the
+        # float rule
+        ("schemes=[1]", "each value of schemes must be a string, got 1 (int)"),
+        ("schemes=[true]", "each value of schemes must be a string, got True (bool)"),
+        ("schemes=[null]", "each value of schemes must be a string, got None (NoneType)"),
         ("seed=1.5", "seed must be an integer, got 1.5 (float)"),
     ],
 )
@@ -426,6 +431,19 @@ def test_cli_oversized_yaml_integer_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_removed_norelay_boost_key_is_a_config_error(tmp_path, capsys):
+    # the no-relay boost of the static sweeps is direct15's, not a config key
+    cfg = tmp_path / "boost.yaml"
+    cfg.write_text("kind: static_sigma_sweep\nnorelay_boost: 1.5\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: ['norelay_boost']\n"
+    out = tmp_path / "out.csv"
+    argv = ["preset", "fig3", "--out", str(out), "--override", "norelay_boost=2.0"]
+    assert main(argv) == 2
+    assert "norelay_boost" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: fading_snr_sweep\nn_samples: -3\n")
@@ -466,6 +484,25 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [("--out", "--json-out"), ("--out", "--emit-config")])
+@pytest.mark.parametrize("first, second", [("x.txt", "x.txt"), ("./z.txt", "z.txt")])
+def test_cli_outputs_naming_one_file_are_a_config_error(tmp_path, capsys, monkeypatch, flags,
+                                                        first, second):
+    # two output paths that name one file would leave only the later write:
+    # one line and exit 2 before the sweep runs or any file is written
+    def no_run(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("marcsim.cli.run_experiment", no_run)
+    monkeypatch.chdir(tmp_path)
+    argv = ["preset", "fig3", flags[0], first, flags[1], second]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {first} and {second} name the same output file\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_empty_out_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "empty_out.yaml"
     cfg.write_text('kind: static_sigma_sweep\nout: ""\n')
@@ -489,7 +526,6 @@ def test_cli_empty_out_is_a_config_error(tmp_path, capsys):
         ("fig7", "sigma_rd2_grid=[.inf]", 2),
         ("fig3", "h1r=.inf", 2),
         ("fig3", "pr=.inf", 2),
-        ("fig3", "norelay_boost=.inf", 2),
         ("fig4", "hrd=1.0e+200", 2),
         ("fig3", "h1r=1.0e+200", 2),
         # expm1 overflows in the equalizer at beta = 0.025: a variance below
@@ -538,7 +574,6 @@ def test_cli_rates_and_powers_beyond_float_range(tmp_path, capsys, preset, overr
 
 _STATIC_FLOATS = (
     "h1d", "h2d", "h1r", "h2r", "hrd", "p11", "p21", "p12", "p22", "pr", "beta",
-    "norelay_boost",
 )
 _EDGE_FLOATS = (0.0, -0.0, 1e-320, 1e-300, 0.025, 0.975, 1.5, 3571.0, 1e16, 1e154, 1e308,
                 -1e308, 1.7976931348623157e308)

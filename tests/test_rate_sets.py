@@ -183,3 +183,38 @@ def test_only_rate_sets_adds_both_users_powers():
     spelled = "def _af_terms(L):\n    a1, a2 = L[:2]\n    return 1.0 + a1 + a2\n"
     assert _pair_adders(spelled) == {"_af_terms"}
     assert "~_violated(" in inspect.getsource(rates._df_terms)
+
+
+def _boosted_direct_calls(source):
+    """(owner, boost) of each call of ``_direct_terms`` in ``source`` that
+    passes a boost: the owner is the ``SCHEMES`` key or the function the
+    call sits in, the boost its source text."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SCHEMES":
+            for key, value in zip(node.value.keys, node.value.values, strict=True):
+                visit(value, key.value)
+            return
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_direct_terms":
+            boost = [k.value for k in node.keywords if k.arg == "boost"] + node.args[2:3]
+            found.update((owner, ast.unparse(b)) for b in boost)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_direct15_fixes_a_boost():
+    # the sources' boost with a silent relay is written once, in the
+    # direct15 entry, which the static sweeps' no-relay sum reads;
+    # direct_mac_region, the tests' oracle, only forwards its caller's
+    assert _boosted_direct_calls(Path(rates.__file__).read_text()) == {
+        ("direct15", "1.5"), ("direct_mac_region", "boost"),
+    }
+    spelled = ("def _static_model(L, beta):\n"
+               "    return _direct_terms(L, beta, 1.5), _direct_terms(L, beta)\n")
+    assert _boosted_direct_calls(spelled) == {("_static_model", "1.5")}

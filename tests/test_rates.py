@@ -596,6 +596,23 @@ def test_fig4_sum_rate_tops_every_sigma_q2_grid_point():
     assert np.all(gqf >= best - 1e-12)
 
 
+@pytest.mark.parametrize("channel", [{}, {"h1r": 0.7, "h2d": 2.3, "p12": 3.1}])
+def test_static_sweeps_read_the_scheme_table(channel):
+    # the static sweeps' no-relay sum is direct15's sum bound and fig4's
+    # sum rate is csit's, at every grid point of fig3 and fig4, on the
+    # preset channel and on a perturbed one
+    for preset in ("fig3", "fig4"):
+        cfg = preset_config(preset, **channel)
+        state, power = cfg.static_channel()
+        cols = run_experiment(cfg).columns
+        betas = cfg._swept("beta") or (cfg.beta,) * len(cfg.sweep_values)
+        assert len(cols["norelay_sum"]) == len(betas)
+        for i, beta in enumerate(betas):
+            assert cols["norelay_sum"][i] == region("direct15", state, power, beta, NO_RATES).isum
+            if preset == "fig4":
+                assert cols["gqf_sum"][i] == region("csit", state, power, beta, NO_RATES).isum
+
+
 def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
     # real signalling halves every mutual information: on a static state
     # each scalar function gives exactly half its value on a fading state
