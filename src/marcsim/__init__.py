@@ -38,7 +38,6 @@ from .rates import (
     RateRegion,
     RateTarget,
     cf_region,
-    direct_mac_region,
     gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,

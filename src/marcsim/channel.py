@@ -180,11 +180,6 @@ def _linear_snr(snr_db: float, name: str = "snr_db") -> float:
     return snr
 
 
-def _check_boost(boost: float, name: str = "power boost") -> None:
-    if not (math.isfinite(boost) and boost >= 1.0):
-        raise ValueError(f"{name} must be finite and >= 1, got {boost!r}")
-
-
 def _check_samples(n: int, name: str = "n") -> None:
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ValueError(f"{name} must be an integer >= 1 (at least one sample), got {n!r}")

@@ -66,14 +66,16 @@ def _check_writable(*paths) -> None:
     """Fail as :func:`_write` would on each output path whose directory is
     missing or that is a directory, and on two output paths that name one
     file (the later write would replace the earlier), before anything is
-    run or written."""
+    run or written.  An existing file is known by its device and inode, so
+    two hard links to it name one file."""
     seen = {}
     for path in filter(None, paths):
         p = Path(path)
         code = errno.EISDIR if p.is_dir() else None if p.parent.is_dir() else errno.ENOENT
         if code is not None:
             raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
-        key = p.resolve()
+        st = p.stat() if p.exists() else None
+        key = p.resolve() if st is None else (st.st_dev, st.st_ino)
         if key in seen:
             raise ConfigError(f"{seen[key]} and {path} name the same output file")
         seen[key] = path

@@ -44,7 +44,6 @@ from .channel import (
     ChannelState,
     PowerConfig,
     _check_beta,
-    _check_boost,
     _check_index_rate,
     _check_rate,
     _check_sigma_q2,
@@ -64,7 +63,6 @@ __all__ = [
     "gqf_min_terms_gaussian",
     "sigma_q2_opt_sum",
     "region",
-    "direct_mac_region",
     "GaussianFamily",
     "MarcPmfFamily",
     "quantizer_index_rate",
@@ -343,11 +341,13 @@ def _mac_terms(L, beta):
 
 
 def _direct_terms(L, beta, boost=1.0, slot2_interference=0.0):
-    """Two-slot MAC bounds with a silent relay.
+    """Two-slot MAC bounds with a silent relay, for the ``direct`` and
+    ``direct15`` entries of ``SCHEMES`` and the fallback of
+    :func:`_index_block`.
 
-    ``boost`` scales the source powers; ``slot2_interference`` adds
-    received power to the cooperate-slot noise (an unrecovered relay
-    signal).
+    ``boost`` scales the source powers (1.5 in ``direct15`` only);
+    ``slot2_interference`` adds received power to the cooperate-slot noise
+    (the fallback's unrecovered relay signal).
     """
     a1, a2, _, _, d1, d2, _, _ = L
     nf = 1.0 + slot2_interference
@@ -674,18 +674,6 @@ def sigma_q2_opt_sum(state: ChannelState, power: PowerConfig, beta: float) -> fl
     link carries nothing (hrd = 0), where no finite maximizer exists."""
     _check_beta(beta)
     return float(_opt_sigmas(_links(state.gains(), power), beta)[2])
-
-
-def direct_mac_region(
-    state: ChannelState, power: PowerConfig, beta: float, boost: float = 1.0
-) -> RateRegion:
-    """Two-slot MAC region with a silent relay; ``boost`` scales the source
-    powers (e.g. 1.5 to model sources spending the idle relay's budget)."""
-    _check_beta(beta)
-    _check_boost(boost)
-    k = info.prefactor(state.field_kind)
-    terms = _direct_terms(_links(state.gains(), power), beta, boost)
-    return RateRegion.from_bounds(*(k * float(t) for t in terms))
 
 
 def _static_model(state: ChannelState, power: PowerConfig, beta, sigma_q2=None):

@@ -485,22 +485,30 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("flags", [("--out", "--json-out"), ("--out", "--emit-config")])
-@pytest.mark.parametrize("first, second", [("x.txt", "x.txt"), ("./z.txt", "z.txt")])
+@pytest.mark.parametrize("first, second, linked", [("x.txt", "x.txt", False),
+                                                   ("./z.txt", "z.txt", False),
+                                                   ("a.csv", "b.json", True)])
 def test_cli_outputs_naming_one_file_are_a_config_error(tmp_path, capsys, monkeypatch, flags,
-                                                        first, second):
-    # two output paths that name one file would leave only the later write:
-    # one line and exit 2 before the sweep runs or any file is written
+                                                        first, second, linked):
+    # two output paths that name one file, also as two hard links to one
+    # existing file, would leave only the later write: one line and exit 2
+    # before the sweep runs or any file is written
     def no_run(cfg):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr("marcsim.cli.run_experiment", no_run)
     monkeypatch.chdir(tmp_path)
+    if linked:
+        Path(first).write_text("kept")
+        Path(second).hardlink_to(first)
     argv = ["preset", "fig3", flags[0], first, flags[1], second]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"config error: {first} and {second} name the same output file\n"
     )
-    assert list(tmp_path.iterdir()) == []
+    left = [first, second] if linked else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
+    assert all(Path(name).read_text() == "kept" for name in left)
 
 
 def test_cli_empty_out_is_a_config_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ import dataclasses
 import inspect
 import math
 import re
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +21,9 @@ from marcsim import (
     PowerConfig,
     RateTarget,
     common_outage_mc,
-    direct_mac_region,
     expected_sum_rate_common,
     expected_sum_rate_indiv,
     gqf_bounds,
-    gqf_region,
     individual_outage_mc,
     optimize_ru_grid,
     outage_flags,
@@ -37,6 +34,7 @@ from marcsim.channel import BLOCK_SIZE, sample_fading_block
 from marcsim.rates import SCHEMES, _IndexRateCurve, sigma_q2_for_fixed_ru
 from marcsim.config import SCHEME_TOKENS
 from marcsim.outage import classify_region_batch
+import engine_regions
 from reference_draws import draw_states
 
 PROFILE = FadingProfile.uniform(1.0)
@@ -488,20 +486,17 @@ def test_individual_outage_bit_identical_across_runs():
     assert a == b
 
 
-# per-state region of every table scheme through the scalar API; gqf goes
-# through the covariance engine at the relay's fixed-ru quantizer, and
-# direct and direct15 through direct_mac_region's own body, so those three
-# stay independent of the table
+# per-state region of every table scheme from the covariance engine (see
+# engine_regions), so every entry is checked against code it shares no
+# bound with
 SCALAR_REGION = {
-    "gqf": lambda st, pw, b, t: gqf_region(
-        GaussianFamily(st, pw, sigma_q2_for_fixed_ru(st, pw, b, t.ru)), b, t.ru
-    ),
-    "csit": partial(region, "csit"),
-    "nonwz_cf": partial(region, "nonwz_cf"),
-    "df": partial(region, "df"),
-    "af": partial(region, "af"),
-    "direct": lambda st, pw, b, t: direct_mac_region(st, pw, b),
-    "direct15": lambda st, pw, b, t: direct_mac_region(st, pw, b, boost=1.5),
+    "gqf": engine_regions.gqf,
+    "csit": engine_regions.csit,
+    "nonwz_cf": engine_regions.nonwz_cf,
+    "df": engine_regions.df,
+    "af": engine_regions.af,
+    "direct": engine_regions.direct,
+    "direct15": engine_regions.direct15,
 }
 
 
@@ -517,6 +512,9 @@ def test_scheme_table_matches_scalar_api(scheme):
         state = ChannelState(*row, mode=FADING)
         reg = SCALAR_REGION[scheme](state, pw, 0.5, target)
         assert bool(flag) == (not reg.contains(target.r1, target.r2))
+        got = region(scheme, state, pw, 0.5, target)
+        for a, b in ((got.i1, reg.i1), (got.i2, reg.i2), (got.isum, reg.isum)):
+            assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_scheme_table_rules():

@@ -210,11 +210,8 @@ def _boosted_direct_calls(source):
 
 def test_only_direct15_fixes_a_boost():
     # the sources' boost with a silent relay is written once, in the
-    # direct15 entry, which the static sweeps' no-relay sum reads;
-    # direct_mac_region, the tests' oracle, only forwards its caller's
-    assert _boosted_direct_calls(Path(rates.__file__).read_text()) == {
-        ("direct15", "1.5"), ("direct_mac_region", "boost"),
-    }
+    # direct15 entry, which the static sweeps' no-relay sum reads
+    assert _boosted_direct_calls(Path(rates.__file__).read_text()) == {("direct15", "1.5")}
     spelled = ("def _static_model(L, beta):\n"
                "    return _direct_terms(L, beta, 1.5), _direct_terms(L, beta)\n")
     assert _boosted_direct_calls(spelled) == {("_static_model", "1.5")}

@@ -18,7 +18,6 @@ from marcsim import (
     RateTarget,
     cf_region,
     common_outage_mc,
-    direct_mac_region,
     gqf_bounds,
     gqf_min_terms_gaussian,
     gqf_region,
@@ -42,6 +41,7 @@ from marcsim.rates import (
     _static_model,
     _violated,
 )
+import engine_regions
 from reference_draws import draw_states
 
 FIG3_STATE = ChannelState(1.0, 1.0, 3.0, 0.5, 3.0)
@@ -227,7 +227,7 @@ def test_gqf_region_infeasible_index_rate():
 def test_gqf_silent_relay_reduces_to_direct():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0)
     reg = gqf_region(GaussianFamily(st, UNIT_POWER, math.inf), 0.5, 0.0)
-    direct = direct_mac_region(st, UNIT_POWER, 0.5)
+    direct = region("direct", st, UNIT_POWER, 0.5, NO_RATES)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-9)
     assert reg.i2 == pytest.approx(direct.i2, abs=1e-9)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-9)
@@ -386,14 +386,17 @@ def test_csit_dominates_fixed_index_rate_per_draw():
 
 def test_direct_reference_line():
     # sources at 1.5x unit power, beta 1/2: 0.5*log2(1 + 3) = 1 bit
-    reg = direct_mac_region(FIG3_STATE, UNIT_POWER, 0.5, boost=1.5)
+    reg = region("direct15", FIG3_STATE, UNIT_POWER, 0.5, NO_RATES)
     assert reg.isum == pytest.approx(1.0, abs=1e-12)
-    zero = direct_mac_region(FIG3_STATE, PowerConfig(0, 0, 0, 0, 0), 0.5)
+    # a boost is direct at scaled source powers; at 1.5 that is direct15
+    scaled = region("direct", FIG3_STATE, engine_regions.boosted(UNIT_POWER, 1.5), 0.5,
+                    NO_RATES)
+    for a, b in ((scaled.i1, reg.i1), (scaled.i2, reg.i2), (scaled.isum, reg.isum)):
+        assert a == pytest.approx(b, abs=1e-12)
+    zero = region("direct", FIG3_STATE, PowerConfig(0, 0, 0, 0, 0), 0.5, NO_RATES)
     assert zero == RateRegion(0.0, 0.0, 0.0)
     cut = ChannelState(1.0, 0.0, 3.0, 0.5, 3.0)
-    assert direct_mac_region(cut, UNIT_POWER, 0.5).i2 == 0.0
-    with pytest.raises(ValueError):
-        direct_mac_region(FIG3_STATE, UNIT_POWER, 0.5, boost=0.5)
+    assert region("direct", cut, UNIT_POWER, 0.5, NO_RATES).i2 == 0.0
 
 
 def test_nonwz_branch_boundary_pinned_to_recovered():
@@ -422,7 +425,7 @@ def test_nonwz_index_rate_must_be_finite_and_positive():
 def test_nonwz_dead_relay_link_is_plain_direct():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0, mode="fading")
     reg = region("nonwz_cf", st, UNIT_POWER, 0.5, RateTarget(0.0, 0.0, 3.0))
-    direct = direct_mac_region(st, UNIT_POWER, 0.5)
+    direct = region("direct", st, UNIT_POWER, 0.5, NO_RATES)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-12)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-12)
 
@@ -440,8 +443,7 @@ def test_df_branches():
     # dead source-relay links: the relay never decodes, so direct transmission
     st = ChannelState(1.0, 1.0, 0.0, 0.0, 3.0)
     reg = region("df", st, UNIT_POWER, 0.5, RateTarget(1.0, 1.0))
-    direct = direct_mac_region(st, UNIT_POWER, 0.5)
-    assert reg == direct
+    assert reg == region("direct", st, UNIT_POWER, 0.5, NO_RATES)
     # strong relay links: the cooperate slot gains the relay power
     st2 = ChannelState(1.0, 1.0, 30.0, 30.0, 3.0)
     reg2 = region("df", st2, UNIT_POWER, 0.5, RateTarget(1.0, 1.0))
@@ -450,8 +452,8 @@ def test_df_branches():
     )
     # dead relay-destination link: forwarding adds nothing either way
     st3 = ChannelState(1.0, 1.0, 3.0, 3.0, 0.0)
-    assert region("df", st3, UNIT_POWER, 0.5, RateTarget(1.0, 1.0)) == direct_mac_region(
-        st3, UNIT_POWER, 0.5
+    assert region("df", st3, UNIT_POWER, 0.5, RateTarget(1.0, 1.0)) == region(
+        "direct", st3, UNIT_POWER, 0.5, NO_RATES
     )
     for r1 in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="rate r1 must be finite and >= 0"):
@@ -461,7 +463,7 @@ def test_df_branches():
 def test_af_reduces_to_direct_without_relay_link():
     st = ChannelState(1.0, 1.0, 3.0, 0.5, 0.0)
     reg = region("af", st, UNIT_POWER, 0.5, NO_RATES)
-    direct = direct_mac_region(st, UNIT_POWER, 0.5)
+    direct = region("direct", st, UNIT_POWER, 0.5, NO_RATES)
     assert reg.i1 == pytest.approx(direct.i1, abs=1e-12)
     assert reg.isum == pytest.approx(direct.isum, abs=1e-12)
     with pytest.raises(ValueError, match="scheme 'af' needs beta = 0.5"):
@@ -483,11 +485,13 @@ def test_region_of_gqf_and_the_direct_baselines():
             ref = gqf_region(GaussianFamily(st, UNIT_POWER, s), 0.5, ru)
             for a, b in ((got.i1, ref.i1), (got.i2, ref.i2), (got.isum, ref.isum)):
                 assert a == pytest.approx(b, abs=1e-9)
-    # the direct baselines equal direct_mac_region's own body at their boost
+    # the direct baselines against the covariance engine's two-slot MAC
     for st in (FIG3_STATE, fading):
-        for name, boost in (("direct", 1.0), ("direct15", 1.5)):
+        for name in ("direct", "direct15"):
             got = region(name, st, UNIT_POWER, 0.4, RateTarget(1.0, 1.0))
-            assert got == direct_mac_region(st, UNIT_POWER, 0.4, boost=boost)
+            ref = getattr(engine_regions, name)(st, UNIT_POWER, 0.4)
+            for a, b in ((got.i1, ref.i1), (got.i2, ref.i2), (got.isum, ref.isum)):
+                assert a == pytest.approx(b, abs=1e-9)
 
 
 def test_region_runs_its_table_entry_checks():
@@ -572,9 +576,8 @@ def test_pentagon_shape_by_scheme():
     gqf_flat = 0
     for row in h[:200]:
         st = ChannelState(*(complex(v) for v in row), mode="fading")
-        for name in ("csit", "nonwz_cf", "df", "af"):
+        for name in ("csit", "nonwz_cf", "df", "af", "direct"):
             assert region(name, st, pw, 0.5, RateTarget(1.0, 1.0, 3.0)).is_proper_pentagon
-        assert direct_mac_region(st, pw, 0.5).is_proper_pentagon
         s = sigma_q2_for_fixed_ru(st, pw, 0.5, 3.0)
         reg = gqf_bounds(GaussianFamily(st, pw, s), 0.5).region(3.0)
         gqf_flat += not reg.is_proper_pentagon
@@ -634,10 +637,6 @@ def test_static_rates_are_half_the_fading_rates_at_doubled_rate_inputs():
         b = spec.beta or beta
         got = region(name, static, pw, b, RateTarget(0.5, 0.25, 1.5))
         assert got == half(region(name, fading, pw, b, RateTarget(1.0, 0.5, 3.0)))
-    for boost in (1.0, 1.5):
-        assert direct_mac_region(static, pw, beta, boost) == half(
-            direct_mac_region(fading, pw, beta, boost)
-        )
 
     # user 1 at the static relay's decoding threshold and one ulp above
     L = _links(gains, pw)
