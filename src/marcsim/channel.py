@@ -216,24 +216,33 @@ def _unit_normals(seed: int, block_index: int, block_size: int) -> np.ndarray:
     return z
 
 
-def sample_fading_block(
-    profile: FadingProfile, seed: int, block_index: int, block_size: int = BLOCK_SIZE
-) -> np.ndarray:
-    """Draw ``block_size`` fading states as a complex (block_size, 5) matrix.
-
-    Columns are ordered (h1d, h2d, h1r, h2r, hrd).  The draw depends only on
-    (seed, block_index, block_size), never on what was drawn before.
-    """
-    # checked before the cache: 12345.0 and True are equal to valid keys
-    _check_samples(block_size, "block_size")
-    _check_u64(seed)
-    _check_u64(block_index, "block_index")
+@functools.lru_cache(maxsize=1)
+def _scaled_block(profile: FadingProfile, seed: int, block_index: int,
+                  block_size: int) -> np.ndarray:
+    """The block's draws, read-only; the last block scaled is kept."""
     z = _unit_normals(seed, block_index, block_size)
     std = np.sqrt(profile.as_array() / 2.0)
     h = np.empty((block_size, 5), dtype=complex)
     np.multiply(z[0], std, out=h.real)
     np.multiply(z[1], std, out=h.imag)
+    h.flags.writeable = False
     return h
+
+
+def sample_fading_block(
+    profile: FadingProfile, seed: int, block_index: int, block_size: int = BLOCK_SIZE
+) -> np.ndarray:
+    """Draw ``block_size`` fading states as a complex (block_size, 5) matrix,
+    a read-only view of the kept block (copy it to write).
+
+    Columns are ordered (h1d, h2d, h1r, h2r, hrd).  The draw depends only on
+    (profile, seed, block_index, block_size), never on what was drawn before.
+    """
+    # checked before the cache: 12345.0 and True are equal to valid keys
+    _check_samples(block_size, "block_size")
+    _check_u64(seed)
+    _check_u64(block_index, "block_index")
+    return _scaled_block(profile, seed, block_index, block_size)[:]
 
 
 def _system(labels, mixing, source_vars, field_kind):

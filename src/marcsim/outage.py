@@ -168,10 +168,12 @@ def _sweep(n, seed, count, finish, profile, *args):
     entry per sweep point, the list of that at each point.
 
     Blocks are the outer loop and points the inner one, so the points read
-    each block in turn and the sampler draws its normals once.  A numpy
-    overflow or invalid operation raises FloatingPointError: the kernels
-    ignore, in their own ``np.errstate`` blocks, the ones whose limits
-    they handle, and any other makes the estimate meaningless.
+    each block in turn: the sampler draws its normals once, and the block
+    is scaled and its power-free |h|^2 taken once for all the points that
+    share a profile.  A numpy overflow or invalid operation raises
+    FloatingPointError: the kernels ignore, in their own ``np.errstate``
+    blocks, the ones whose limits they handle, and any other makes the
+    estimate meaningless.
     """
     _check_samples(n)
     one = not isinstance(profile, list)

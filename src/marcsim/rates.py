@@ -31,6 +31,7 @@ independent in-package oracle, or the pmf engine for a `MarcPmfFamily`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, NamedTuple
@@ -166,21 +167,37 @@ class GqfBounds:
 # ---------------------------------------------------------------------------
 
 
+#: power-free gains of the last read-only block's leading rows read:
+#: (weak reference to the block, rows, gains)
+_kept = (lambda: None, 0, None)
+
+
 def _links(g, power: PowerConfig):
     """Link powers L = (a1, a2, c1, c2, d1, d2, e, kap) of the gain columns
-    g = (h1d, h2d, h1r, h2r, hrd); every core below takes L."""
-    h1d, h2d, h1r, h2r, hrd = g
-    g1d = np.abs(h1d) ** 2
-    g2d = np.abs(h2d) ** 2
-    a1 = g1d * power.p11
-    a2 = g2d * power.p21
-    c1 = np.abs(h1r) ** 2 * power.p11
-    c2 = np.abs(h2r) ** 2 * power.p21
-    d1 = g1d * power.p12
-    d2 = g2d * power.p22
-    e = np.abs(hrd) ** 2 * power.pr
-    kap = np.abs(h1d * h2r - h1r * h2d) ** 2 * power.p11 * power.p21
-    return a1, a2, c1, c2, d1, d2, e, kap
+    g = (h1d, h2d, h1r, h2r, hrd); every core below takes L.
+
+    The power-free |h|^2 and |h1d*h2r - h1r*h2d|^2 are taken once for the
+    leading rows of a read-only block, such as a sampled block, and kept
+    for the sweep points that read the same rows at other powers.
+    """
+    global _kept
+    # g = h.T (see _columns) is base[:n].T, the columns of the leading n
+    # rows, when it starts where base does and walks it transposed
+    base = getattr(g, "base", None)
+    leading = (isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
+               and g.ndim == base.ndim == 2 and g.shape[0] == base.shape[1]
+               and g.dtype == base.dtype and g.strides == base.strides[::-1]
+               and g.ctypes.data == base.ctypes.data)
+    kept_base, kept_rows, gains = _kept  # one read: another thread may replace it
+    if not (leading and kept_base() is base and kept_rows == g.shape[1]):
+        h1d, h2d, h1r, h2r, hrd = g
+        gains = (np.abs(h1d) ** 2, np.abs(h2d) ** 2, np.abs(h1r) ** 2, np.abs(h2r) ** 2,
+                 np.abs(hrd) ** 2, np.abs(h1d * h2r - h1r * h2d) ** 2)
+        if leading:
+            _kept = (weakref.ref(base), g.shape[1], gains)
+    g1d, g2d, g1r, g2r, grd, gk = gains
+    return (g1d * power.p11, g2d * power.p21, g1r * power.p11, g2r * power.p21,
+            g1d * power.p12, g2d * power.p22, grd * power.pr, gk * power.p11 * power.p21)
 
 
 def _rate_sets(L):
@@ -516,11 +533,12 @@ def _block(spec: Scheme, g, power: PowerConfig, beta: float) -> _Block:
 
 
 def _columns(h: np.ndarray):
-    """Gain columns (h1d, h2d, h1r, h2r, hrd) of the draw matrix ``h``."""
+    """Gain columns (h1d, h2d, h1r, h2r, hrd) of the draw matrix ``h``, as
+    the rows of ``h.T``."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[1] != 5:
         raise ValueError("draw matrix must have shape (n, 5)")
-    return h[:, 0], h[:, 1], h[:, 2], h[:, 3], h[:, 4]
+    return h.T
 
 
 def _violated(i1, i2, isum, target: RateTarget):

@@ -116,7 +116,7 @@ def test_reference_draws_are_the_sampler_blocks():
     assert np.array_equal(ref.view(np.uint64), blocks.view(np.uint64))
 
 
-def test_block_cache_checks_first_and_returns_a_fresh_array(monkeypatch):
+def test_block_cache_checks_first_and_returns_a_read_only_view(monkeypatch):
     prof = FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0)
     # the arguments are checked before the cache: 12345.0 and True equal the
     # key of the block just drawn, yet are no seeds
@@ -134,10 +134,11 @@ def test_block_cache_checks_first_and_returns_a_fresh_array(monkeypatch):
     first = sample_fading_block(prof, 9, 4, block_size=8)
     hit = sample_fading_block(prof, 9, 4, block_size=8)
     assert calls == [(9, 4)]  # the second call read the kept normals
-    assert hit is not first and hit.flags.writeable
+    assert hit is not first and not hit.flags.writeable
     for h in (first, hit):
         assert np.array_equal(h.view(np.uint64), fresh.view(np.uint64))
-    hit[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        hit[:] = 0.0
     after = sample_fading_block(prof, 9, 4, block_size=8)
     assert np.array_equal(after.view(np.uint64), fresh.view(np.uint64))
     assert calls == [(9, 4)]

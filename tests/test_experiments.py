@@ -157,21 +157,23 @@ def test_building_a_config_draws_nothing(monkeypatch):
         config_from_dict(config_to_dict(preset_config(name)))
 
 
-@pytest.mark.parametrize("preset, schemes, philox, sampler", [
-    ("fig5", None, 7 * 2, 7 * 7 * 2),
-    ("fig5", ("gqf",), 2, 7 * 2),
-    ("fig8", None, 5 * 2, 5 * 9 * 2),  # 3 tokens, 2 of them also classify
+@pytest.mark.parametrize("preset, schemes, philox, sampler, scaled", [
+    ("fig5", None, 7 * 2, 7 * 7 * 2, 7 * 2),
+    ("fig5", ("gqf",), 2, 7 * 2, 2),
+    ("fig8", None, 5 * 2, 5 * 9 * 2, 5 * 9 * 2),  # 3 tokens, 2 of them also classify
 ])
 def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes, philox,
-                                                   sampler):
+                                                   sampler, scaled):
     # every point of a sweep reads the same blocks: one estimator pass over
     # all the points draws each block's normals once, and each point still
-    # asks the sampler for each of its blocks
+    # asks the sampler for each of its blocks.  Points that share a profile
+    # (fig5) also share the block's scaling and its power-free gains; fig8's
+    # points differ in var_rd, so each scales its own
     overrides = {"n_samples": marcsim.BLOCK_SIZE + 5}
     if schemes:
         overrides["schemes"] = schemes
     cfg = preset_config(preset, **overrides)
-    counts = {"philox": 0, "sampler": 0}
+    counts = {"philox": 0, "sampler": 0, "gains": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -179,13 +181,25 @@ def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes,
             return fn(*args, **kwargs)
         return wrapper
 
+    def links(g, power, _links=marcsim.rates._links):
+        # every draw matrix is a read-only block here, so each computation
+        # of the power-free gains replaces the kept ones
+        kept = marcsim.rates._kept
+        out = _links(g, power)
+        counts["gains"] += marcsim.rates._kept is not kept
+        return out
+
     monkeypatch.setattr("marcsim.channel._substream",
                         counted("philox", marcsim.channel._substream))
     monkeypatch.setattr("marcsim.outage.sample_fading_block",
                         counted("sampler", marcsim.outage.sample_fading_block))
+    monkeypatch.setattr("marcsim.rates._links", links)
+    monkeypatch.setattr("marcsim.rates._kept", (lambda: None, 0, None))
     marcsim.channel._unit_normals.cache_clear()
+    marcsim.channel._scaled_block.cache_clear()
     run_experiment(cfg)
-    assert counts == {"philox": philox, "sampler": sampler}
+    assert counts == {"philox": philox, "sampler": sampler, "gains": scaled}
+    assert marcsim.channel._scaled_block.cache_info().misses == scaled
 
 
 def _checked_digest(text):

@@ -629,7 +629,7 @@ def test_curve_flags_equal_exact_flags(scheme, beta):
     for snr_db in (0.0, 10.0, 30.0):
         pw = PowerConfig.from_snr_db(snr_db, beta)
         for sigma_rd2 in (0.001, 1.0, 100.0):
-            h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:1024]
+            h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:1024].copy()
             if sigma_rd2 == 100.0:
                 h[7] = np.nan
             if sigma_rd2 == 1.0:
@@ -687,7 +687,7 @@ def test_curve_settles_a_block_with_a_nan_draw_with_the_exact_kernel(scheme, snr
     # one NaN draw sends the whole block to the exact kernel, which reads
     # that draw as outage
     pw = snr_power(snr_db)
-    h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512]
+    h = sample_fading_block(FadingProfile(1.0, 1.0, 1.0, 1.0, sigma_rd2), 12345, 0)[:512].copy()
     h[-1] = np.nan
     for r1 in (0.5, 1.0, 2.0):
         t = RateTarget(r1, 0.0, ru)

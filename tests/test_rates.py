@@ -33,6 +33,7 @@ from marcsim.rates import (
     SCHEMES,
     _af_terms,
     _block,
+    _columns,
     _index_block,
     _index_terms,
     _links,
@@ -555,6 +556,32 @@ def test_af_link_powers_flag_as_complex_gain_form_on_fig5_grid():
             flags = outage_flags("af", h, pw, cfg.beta, target)
         reference = _af_reference(tuple(h[:, i] for i in range(5)), pw)
         assert np.array_equal(flags, _violated(*reference, target)), pw
+
+
+def test_kept_block_gains_are_those_of_a_fresh_copy():
+    # _links keeps the power-free gains of a read-only block's leading rows
+    # for the sweep points that read them again.  Each view is read right
+    # after the leading rows of its length, so a key that misses the offset,
+    # the stride or the column order hands it those rows' gains
+    prof = FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0)
+    powers = (PowerConfig(1.0, 2.0, 3.0, 4.0, 5.0), PowerConfig.from_snr_db(20.0, 0.5))
+    k = 1003
+
+    def check(h):
+        for pw in powers:
+            for view in (h, h[:k], h[1:], h[1:k + 1], h[::2], h[:, ::-1]):
+                _links(_columns(h[:len(view)]), pw)
+                got = _links(_columns(view), pw)
+                want = _links(_columns(np.array(view)), pw)
+                for x, y in zip(got, want, strict=True):
+                    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+    h = sample_fading_block(prof, 77, 0)
+    assert not h.flags.writeable
+    check(h)
+    other = sample_fading_block(prof, 77, 1)  # the sampler moves to another block
+    check(h)
+    check(other)
 
 
 def test_pentagon_flag():
