@@ -207,42 +207,38 @@ def _substream(seed: int, block_index: int) -> Generator:
 
 
 @functools.lru_cache(maxsize=1)
-def _unit_normals(seed: int, block_index: int, block_size: int) -> np.ndarray:
+def _unit_normals(seed: int, block_index: int) -> np.ndarray:
     """The block's unit normals, read-only; the last block drawn is kept."""
     # one draw of the real parts, then the imaginary parts: the same stream
     # as two calls
-    z = _substream(seed, block_index).standard_normal((2, block_size, 5))
+    z = _substream(seed, block_index).standard_normal((2, BLOCK_SIZE, 5))
     z.flags.writeable = False
     return z
 
 
 @functools.lru_cache(maxsize=1)
-def _scaled_block(profile: FadingProfile, seed: int, block_index: int,
-                  block_size: int) -> np.ndarray:
+def _scaled_block(profile: FadingProfile, seed: int, block_index: int) -> np.ndarray:
     """The block's draws, read-only; the last block scaled is kept."""
-    z = _unit_normals(seed, block_index, block_size)
+    z = _unit_normals(seed, block_index)
     std = np.sqrt(profile.as_array() / 2.0)
-    h = np.empty((block_size, 5), dtype=complex)
+    h = np.empty((BLOCK_SIZE, 5), dtype=complex)
     np.multiply(z[0], std, out=h.real)
     np.multiply(z[1], std, out=h.imag)
     h.flags.writeable = False
     return h
 
 
-def sample_fading_block(
-    profile: FadingProfile, seed: int, block_index: int, block_size: int = BLOCK_SIZE
-) -> np.ndarray:
-    """Draw ``block_size`` fading states as a complex (block_size, 5) matrix,
-    a read-only view of the kept block (copy it to write).
+def sample_fading_block(profile: FadingProfile, seed: int, block_index: int) -> np.ndarray:
+    """Draw block ``block_index`` of ``seed`` as a complex (BLOCK_SIZE, 5)
+    matrix, a read-only view of the kept block (copy it to write).
 
     Columns are ordered (h1d, h2d, h1r, h2r, hrd).  The draw depends only on
-    (profile, seed, block_index, block_size), never on what was drawn before.
+    (profile, seed, block_index), never on what was drawn before.
     """
     # checked before the cache: 12345.0 and True are equal to valid keys
-    _check_samples(block_size, "block_size")
     _check_u64(seed)
     _check_u64(block_index, "block_index")
-    return _scaled_block(profile, seed, block_index, block_size)[:]
+    return _scaled_block(profile, seed, block_index)[:]
 
 
 def _system(labels, mixing, source_vars, field_kind):

@@ -63,17 +63,20 @@ def _write(path, text: str) -> None:
 
 
 def _check_writable(*paths) -> None:
-    """Fail as :func:`_write` would on each output path whose directory is
-    missing or that is a directory, and on two output paths that name one
-    file (the later write would replace the earlier), before anything is
-    run or written.  An existing file is known by its device and inode, so
-    two hard links to it name one file."""
+    """Fail as :func:`_write` would, for the OS's reason, on each output path
+    whose directory cannot be reached or that is a directory, and on two
+    output paths that name one file (the later write would replace the
+    earlier), before anything is run or written.  An existing file is known
+    by its device and inode, so two hard links to it name one file."""
     seen = {}
     for path in filter(None, paths):
         p = Path(path)
-        code = errno.EISDIR if p.is_dir() else None if p.parent.is_dir() else errno.ENOENT
-        if code is not None:
-            raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+        try:  # the trailing separator makes a parent that is a file fail as the write does
+            os.stat(os.path.join(p.parent, ""))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        if p.is_dir():
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         st = p.stat() if p.exists() else None
         key = p.resolve() if st is None else (st.st_dev, st.st_ino)
         if key in seen:

@@ -9,7 +9,6 @@ equals ``cfg``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -235,10 +234,10 @@ def _float(name, value):
 
 
 def _tuple(item, what):
-    """Rule taking a list (not a string) of values, each by ``item``."""
+    """Rule taking a list or tuple (no other iterable) of values, each by ``item``."""
 
     def rule(name, values):
-        if isinstance(values, str) or not isinstance(values, Iterable):
+        if not isinstance(values, (list, tuple)):
             raise ConfigError(f"{name} must be a list of {what}{_got(values)}")
         return tuple(item(f"each value of {name}", v) for v in values)
 

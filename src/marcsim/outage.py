@@ -169,11 +169,11 @@ def _sweep(n, seed, count, finish, profile, *args):
 
     Blocks are the outer loop and points the inner one, so the points read
     each block in turn: the sampler draws its normals once, and the block
-    is scaled and its power-free |h|^2 taken once for all the points that
-    share a profile.  A numpy overflow or invalid operation raises
-    FloatingPointError: the kernels ignore, in their own ``np.errstate``
-    blocks, the ones whose limits they handle, and any other makes the
-    estimate meaningless.
+    is scaled once for all the points that share a profile, which share its
+    power-free |h|^2 too unless it is the short last block, a slice.  A
+    numpy overflow or invalid operation raises FloatingPointError: the
+    kernels ignore, in their own ``np.errstate`` blocks, the ones whose
+    limits they handle, and any other makes the estimate meaningless.
     """
     _check_samples(n)
     one = not isinstance(profile, list)

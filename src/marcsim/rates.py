@@ -167,34 +167,33 @@ class GqfBounds:
 # ---------------------------------------------------------------------------
 
 
-#: power-free gains of the last read-only block's leading rows read:
-#: (weak reference to the block, rows, gains)
-_kept = (lambda: None, 0, None)
+#: power-free gains of the last read-only block read whole:
+#: (weak reference to the block, gains)
+_kept = (lambda: None, None)
 
 
 def _links(g, power: PowerConfig):
     """Link powers L = (a1, a2, c1, c2, d1, d2, e, kap) of the gain columns
     g = (h1d, h2d, h1r, h2r, hrd); every core below takes L.
 
-    The power-free |h|^2 and |h1d*h2r - h1r*h2d|^2 are taken once for the
-    leading rows of a read-only block, such as a sampled block, and kept
-    for the sweep points that read the same rows at other powers.
+    The power-free |h|^2 and |h1d*h2r - h1r*h2d|^2 are taken once for a
+    read-only block read whole, such as a sampled block, and kept for the
+    sweep points that read it again at other powers.
     """
     global _kept
-    # g = h.T (see _columns) is base[:n].T, the columns of the leading n
-    # rows, when it starts where base does and walks it transposed
+    # g = h.T (see _columns) is the whole block when it walks it transposed:
+    # the block's memory leaves such a view no room for an offset
     base = getattr(g, "base", None)
-    leading = (isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
-               and g.ndim == base.ndim == 2 and g.shape[0] == base.shape[1]
-               and g.dtype == base.dtype and g.strides == base.strides[::-1]
-               and g.ctypes.data == base.ctypes.data)
-    kept_base, kept_rows, gains = _kept  # one read: another thread may replace it
-    if not (leading and kept_base() is base and kept_rows == g.shape[1]):
+    whole = (isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
+             and g.dtype == base.dtype and g.shape == base.shape[::-1]
+             and g.strides == base.strides[::-1])
+    kept_base, gains = _kept  # one read: another thread may replace it
+    if not (whole and kept_base() is base):
         h1d, h2d, h1r, h2r, hrd = g
         gains = (np.abs(h1d) ** 2, np.abs(h2d) ** 2, np.abs(h1r) ** 2, np.abs(h2r) ** 2,
                  np.abs(hrd) ** 2, np.abs(h1d * h2r - h1r * h2d) ** 2)
-        if leading:
-            _kept = (weakref.ref(base), g.shape[1], gains)
+        if whole:
+            _kept = (weakref.ref(base), gains)
     g1d, g2d, g1r, g2r, grd, gk = gains
     return (g1d * power.p11, g2d * power.p21, g1r * power.p11, g2r * power.p21,
             g1d * power.p12, g2d * power.p22, grd * power.pr, gk * power.p11 * power.p21)
@@ -533,8 +532,8 @@ def _block(spec: Scheme, g, power: PowerConfig, beta: float) -> _Block:
 
 
 def _columns(h: np.ndarray):
-    """Gain columns (h1d, h2d, h1r, h2r, hrd) of the draw matrix ``h``, as
-    the rows of ``h.T``."""
+    """Gain columns (h1d, h2d, h1r, h2r, hrd) of the draw matrix ``h``, as the
+    rows of ``h.T``; :func:`_links` keeps the gains of a whole sampled block only."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[1] != 5:
         raise ValueError("draw matrix must have shape (n, 5)")

@@ -63,26 +63,11 @@ def test_fixed_ru_variance_beyond_float_range():
 
 def test_sampler_deterministic():
     prof = FadingProfile.uniform(1.0)
-    a = sample_fading_block(prof, 42, 0, block_size=1)
-    b = sample_fading_block(prof, 42, 0, block_size=1)
+    a = sample_fading_block(prof, 42, 0)
+    b = sample_fading_block(prof, 42, 0)
     assert np.array_equal(a, b)
-    c = sample_fading_block(prof, 42, 1, block_size=1)
+    c = sample_fading_block(prof, 42, 1)
     assert not np.array_equal(a, c)
-
-
-def test_sample_blocks_deterministic_and_scalar_consistent():
-    prof = FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0)
-    blk = sample_fading_block(prof, 9, 4, block_size=8)
-    blk2 = sample_fading_block(prof, 9, 4, block_size=8)
-    assert np.array_equal(blk, blk2)
-    # a single draw is the one-row block: five real parts, then five
-    # imaginary parts of the substream, each scaled to var/2
-    one = sample_fading_block(prof, 9, 4, block_size=1)
-    rng = stream(9, 4)
-    re, im = rng.standard_normal(5), rng.standard_normal(5)
-    std = np.sqrt(prof.as_array() / 2.0)
-    assert one.shape == (1, 5)
-    assert np.array_equal(one[0], (re + 1j * im) * std)
 
 
 @pytest.mark.parametrize(
@@ -94,12 +79,12 @@ def test_sample_block_is_bitwise_the_two_call_expression(prof):
     # reference: the real parts drawn in one call, the imaginary parts in a
     # second call, combined as (re + 1j*im) * std
     std = np.sqrt(prof.as_array() / 2.0)
-    for seed, index, size in ((0, 0, 4096), (12345, 3, 4096), (2**63 + 5, 17, 7), (9, 1, 1)):
+    for seed, index in ((0, 0), (12345, 3), (2**63 + 5, 17), (9, 1), (9, 4)):
         rng = stream(seed, index)
-        re = rng.standard_normal((size, 5))
-        im = rng.standard_normal((size, 5))
+        re = rng.standard_normal((BLOCK_SIZE, 5))
+        im = rng.standard_normal((BLOCK_SIZE, 5))
         ref = (re + 1j * im) * std
-        blk = sample_fading_block(prof, seed, index, block_size=size)
+        blk = sample_fading_block(prof, seed, index)
         assert blk.shape == ref.shape and blk.dtype == ref.dtype
         assert np.array_equal(blk.view(np.uint64), ref.view(np.uint64))
 
@@ -121,29 +106,29 @@ def test_block_cache_checks_first_and_returns_a_read_only_view(monkeypatch):
     # the arguments are checked before the cache: 12345.0 and True equal the
     # key of the block just drawn, yet are no seeds
     for seed, twin in ((12345, 12345.0), (1, True)):
-        sample_fading_block(prof, seed, 0, block_size=1)
+        sample_fading_block(prof, seed, 0)
         with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
-            sample_fading_block(prof, twin, 0, block_size=1)
+            sample_fading_block(prof, twin, 0)
 
     calls = []
     substream = channel._substream
     monkeypatch.setattr(channel, "_substream", lambda *a: calls.append(a) or substream(*a))
     rng = stream(9, 4)
-    fresh = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))) * np.sqrt(
-        prof.as_array() / 2.0)
-    first = sample_fading_block(prof, 9, 4, block_size=8)
-    hit = sample_fading_block(prof, 9, 4, block_size=8)
+    re, im = rng.standard_normal((BLOCK_SIZE, 5)), rng.standard_normal((BLOCK_SIZE, 5))
+    fresh = (re + 1j * im) * np.sqrt(prof.as_array() / 2.0)
+    first = sample_fading_block(prof, 9, 4)
+    hit = sample_fading_block(prof, 9, 4)
     assert calls == [(9, 4)]  # the second call read the kept normals
     assert hit is not first and not hit.flags.writeable
     for h in (first, hit):
         assert np.array_equal(h.view(np.uint64), fresh.view(np.uint64))
     with pytest.raises(ValueError, match="read-only"):
         hit[:] = 0.0
-    after = sample_fading_block(prof, 9, 4, block_size=8)
+    after = sample_fading_block(prof, 9, 4)
     assert np.array_equal(after.view(np.uint64), fresh.view(np.uint64))
     assert calls == [(9, 4)]
-    assert np.array_equal(sample_fading_block(prof, np.uint64(7), 2, block_size=3).view(np.uint64),
-                          sample_fading_block(prof, 7, 2, block_size=3).view(np.uint64))
+    assert np.array_equal(sample_fading_block(prof, np.uint64(7), 2).view(np.uint64),
+                          sample_fading_block(prof, 7, 2).view(np.uint64))
 
 
 def test_fading_moments():
@@ -159,7 +144,7 @@ def test_fading_moments():
 
 def test_relay_cut_off_limit():
     prof = FadingProfile(1.0, 1.0, 1.0, 1.0, 1e-18)
-    h = sample_fading_block(prof, 0, 0, block_size=1)
+    h = sample_fading_block(prof, 0, 0)
     assert abs(h[0, 4]) < 1e-6
 
 
@@ -266,16 +251,13 @@ def test_substream_validation():
         sample_fading_block(prof, -1, 0)
     with pytest.raises(ValueError, match="block_index must fit in an unsigned 64-bit integer"):
         sample_fading_block(prof, 0, 2**64)
-    for size in (0, -1, True):
-        with pytest.raises(ValueError, match=r"block_size must be an integer >= 1"):
-            sample_fading_block(prof, 0, 0, block_size=size)
     # a seed is an integer: a float is not truncated into another stream,
     # and a bool is not read as seed 1
     for seed in (12345.7, 12345.0, math.inf, math.nan, True):
         with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
-            sample_fading_block(prof, seed, 0, block_size=1)
+            sample_fading_block(prof, seed, 0)
     with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
         common_outage_mc("direct", prof, PowerConfig.from_snr(10.0, 0.5), 0.5,
                          RateTarget(1.0, 1.0), 100, True)
-    assert np.array_equal(sample_fading_block(prof, np.uint64(7), np.int64(2), block_size=3),
-                          sample_fading_block(prof, 7, 2, block_size=3))
+    assert np.array_equal(sample_fading_block(prof, np.uint64(7), np.int64(2)),
+                          sample_fading_block(prof, 7, 2))

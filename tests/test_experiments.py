@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marcsim
-from marcsim.cli import main
+from marcsim.cli import _write, main
 from marcsim.config import (
     SCHEME_TOKENS,
     ConfigError,
@@ -114,6 +114,12 @@ def test_cli_list_fields_take_numbers_only(tmp_path, capsys, override):
          "each value of snr_db_grid must be a number, got '1e1' (str)"),
         ("snr_db_grid=1.0e+1", "snr_db_grid must be a list of numbers, got 10.0 (float)"),
         ("schemes=gqf", "schemes must be a list of strings, got 'gqf' (str)"),
+        # a mapping or a byte string iterates, yet is no list
+        ("snr_db_grid={0.0: a, 5.0: b}",
+         "snr_db_grid must be a list of numbers, got {0.0: 'a', 5.0: 'b'} (dict)"),
+        ("snr_db_grid=!!binary YWI=", "snr_db_grid must be a list of numbers, got b'ab' (bytes)"),
+        ("schemes={gqf: 1, df: 2}",
+         "schemes must be a list of strings, got {'gqf': 1, 'df': 2} (dict)"),
         # each scheme by the scalar string rule, as each grid value by the
         # float rule
         ("schemes=[1]", "each value of schemes must be a string, got 1 (int)"),
@@ -157,18 +163,20 @@ def test_building_a_config_draws_nothing(monkeypatch):
         config_from_dict(config_to_dict(preset_config(name)))
 
 
-@pytest.mark.parametrize("preset, schemes, philox, sampler, scaled", [
-    ("fig5", None, 7 * 2, 7 * 7 * 2, 7 * 2),
-    ("fig5", ("gqf",), 2, 7 * 2, 2),
-    ("fig8", None, 5 * 2, 5 * 9 * 2, 5 * 9 * 2),  # 3 tokens, 2 of them also classify
+@pytest.mark.parametrize("preset, schemes, philox, sampler, scaled, gains", [
+    ("fig5", None, 7 * 2, 7 * 7 * 2, 7 * 2, 7 * (1 + 7)),
+    ("fig5", ("gqf",), 2, 7 * 2, 2, 1 + 7),
+    ("fig8", None, 5 * 2, 5 * 9 * 2, 5 * 9 * 2, 5 * 9 * 2),  # 3 tokens, 2 of them also classify
 ])
 def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes, philox,
-                                                   sampler, scaled):
+                                                   sampler, scaled, gains):
     # every point of a sweep reads the same blocks: one estimator pass over
     # all the points draws each block's normals once, and each point still
     # asks the sampler for each of its blocks.  Points that share a profile
-    # (fig5) also share the block's scaling and its power-free gains; fig8's
-    # points differ in var_rd, so each scales its own
+    # (fig5) also share the block's scaling, and the power-free gains of a
+    # block they read whole; the 5-draw tail of the last block is a slice,
+    # which each point reads with gains of its own.  fig8's points differ in
+    # var_rd, so each scales its own
     overrides = {"n_samples": marcsim.BLOCK_SIZE + 5}
     if schemes:
         overrides["schemes"] = schemes
@@ -182,11 +190,12 @@ def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes,
         return wrapper
 
     def links(g, power, _links=marcsim.rates._links):
-        # every draw matrix is a read-only block here, so each computation
-        # of the power-free gains replaces the kept ones
+        # every draw matrix is a whole read-only block or the tail slice of
+        # one here: each computation for a block replaces the kept gains,
+        # and each tail computes its own
         kept = marcsim.rates._kept
         out = _links(g, power)
-        counts["gains"] += marcsim.rates._kept is not kept
+        counts["gains"] += marcsim.rates._kept is not kept or g.shape[1] < marcsim.BLOCK_SIZE
         return out
 
     monkeypatch.setattr("marcsim.channel._substream",
@@ -194,11 +203,11 @@ def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes,
     monkeypatch.setattr("marcsim.outage.sample_fading_block",
                         counted("sampler", marcsim.outage.sample_fading_block))
     monkeypatch.setattr("marcsim.rates._links", links)
-    monkeypatch.setattr("marcsim.rates._kept", (lambda: None, 0, None))
+    monkeypatch.setattr("marcsim.rates._kept", (lambda: None, None))
     marcsim.channel._unit_normals.cache_clear()
     marcsim.channel._scaled_block.cache_clear()
     run_experiment(cfg)
-    assert counts == {"philox": philox, "sampler": sampler, "gains": scaled}
+    assert counts == {"philox": philox, "sampler": sampler, "gains": gains}
     assert marcsim.channel._scaled_block.cache_info().misses == scaled
 
 
@@ -481,21 +490,28 @@ def test_cli_error_paths(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--out", "--json-out", "--emit-config"])
 @pytest.mark.parametrize("bad, reason", [("missing/x", "No such file or directory"),
-                                         ("", "Is a directory")])
+                                         ("", "Is a directory"),
+                                         ("file/x", "Not a directory")])
 def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, flag, bad,
                                                  reason):
     # a path that cannot be written ends the command with one line and
-    # exit 2 before the sweep runs or any file is written
+    # exit 2 before the sweep runs or any file is written, for the reason
+    # the write itself fails with
     def no_run(cfg):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr("marcsim.cli.run_experiment", no_run)
+    (tmp_path / "file").write_text("kept")
     bad = str(tmp_path / bad)
+    with pytest.raises(ConfigError) as write:
+        _write(bad, "")
     args = {"--out": str(tmp_path / "a.csv"), flag: bad}
     code = main(["preset", "fig3", *(x for pair in args.items() for x in pair)])
     assert code == 2
     assert capsys.readouterr().err == f"config error: cannot write {bad}: {reason}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert str(write.value) == f"cannot write {bad}: {reason}"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 @pytest.mark.parametrize("flags", [("--out", "--json-out"), ("--out", "--emit-config")])

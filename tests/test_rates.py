@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import marcsim
 from marcsim import (
     FADING,
     STATIC,
@@ -559,19 +560,24 @@ def test_af_link_powers_flag_as_complex_gain_form_on_fig5_grid():
 
 
 def test_kept_block_gains_are_those_of_a_fresh_copy():
-    # _links keeps the power-free gains of a read-only block's leading rows
-    # for the sweep points that read them again.  Each view is read right
-    # after the leading rows of its length, so a key that misses the offset,
-    # the stride or the column order hands it those rows' gains
+    # _links keeps the power-free gains of a read-only block read whole for
+    # the sweep points that read it again.  Each view is read right after
+    # the whole block, so a key that misses the offset, the stride, the
+    # column order, the dtype or the length (as of the sweep's short last
+    # block h[:m]) hands it the block's gains; a partial read neither
+    # reuses nor evicts them
     prof = FadingProfile(1.0, 2.0, 0.5, 1.5, 3.0)
     powers = (PowerConfig(1.0, 2.0, 3.0, 4.0, 5.0), PowerConfig.from_snr_db(20.0, 0.5))
-    k = 1003
+    k, m = 1003, 5
 
     def check(h):
         for pw in powers:
-            for view in (h, h[:k], h[1:], h[1:k + 1], h[::2], h[:, ::-1]):
-                _links(_columns(h[:len(view)]), pw)
+            for view in (h, h[:k], h[:m], h[1:], h[1:k + 1], h[::2], h[:, ::-1], h.real,
+                         h.imag):
+                _links(_columns(h), pw)
+                kept = marcsim.rates._kept
                 got = _links(_columns(view), pw)
+                assert marcsim.rates._kept is kept
                 want = _links(_columns(np.array(view)), pw)
                 for x, y in zip(got, want, strict=True):
                     assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
