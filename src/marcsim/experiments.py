@@ -130,31 +130,39 @@ def _run_beta_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def _run_fading_sweep(cfg: ExperimentConfig) -> dict:
-    """Every requested scheme at every sweep point on shared draws, in one
-    estimator pass per token over all the points."""
+    """Every requested scheme at every sweep point on shared draws, in at
+    most three estimator passes over all the points: the fixed-ru tokens,
+    the ``_opt`` tokens, and the individual outage of the tokens with a
+    relay index rate, each at the index rates its token used."""
     profiles, powers = (list(c) for c in zip(*cfg.fading_points()))
     sweep = (profiles, powers, cfg.beta)
     target = RateTarget(cfg.r1, cfg.r2, cfg.ru)
     n, seed, columns = cfg.n_samples, cfg.seed, {}
+
+    def each(tokens, estimator):  # token -> its entry of one estimator call for all of them
+        return dict(zip(tokens, estimator([SCHEME_TOKENS[t][0] for t in tokens]))) if tokens else {}
+
+    fixed = each([t for t in cfg.schemes if not SCHEME_TOKENS[t][1]],
+                 lambda s: common_outage_mc(s, *sweep, target, n, seed))
+    chosen = {t: [(cfg.ru, est) for est in ests] for t, ests in fixed.items()}
+    chosen.update(each([t for t in cfg.schemes if SCHEME_TOKENS[t][1]],
+                       lambda s: optimize_ru_grid(*sweep, target, cfg.ru_grid, n, seed, scheme=s)))
+    indiv = [t for t in cfg.schemes
+             if cfg.individual and SCHEMES[SCHEME_TOKENS[t][0]].recover is not None]
+    targets = [[RateTarget(cfg.r1, cfg.r2, ru) for ru, _ in chosen[t]] for t in indiv]
+    inds = each(indiv, lambda s: individual_outage_mc(*sweep, targets, n, seed, scheme=s))
     for token in cfg.schemes:
-        scheme, optimized = SCHEME_TOKENS[token]
-        if optimized:
-            chosen = optimize_ru_grid(*sweep, target, cfg.ru_grid, n, seed, scheme=scheme)
-            used_ru, ests = (list(c) for c in zip(*chosen))
+        used_ru, ests = (list(c) for c in zip(*chosen[token]))
+        if SCHEME_TOKENS[token][1]:
             columns[f"{token}_ru"] = used_ru
-        else:
-            ests = common_outage_mc(scheme, *sweep, target, n, seed)
-            used_ru = [cfg.ru] * len(ests)
         columns[f"{token}_p"] = [est.p_hat for est in ests]
         columns[f"{token}_ci"] = [est.ci95_halfwidth for est in ests]
         columns[f"{token}_rbar"] = [expected_sum_rate_common(target, est) for est in ests]
-        if cfg.individual and SCHEMES[scheme].recover is not None:
-            targets = [RateTarget(cfg.r1, cfg.r2, ru) for ru in used_ru]
-            inds = individual_outage_mc(*sweep, targets, n, seed, scheme=scheme)
-            columns[f"{token}_p_indiv1"] = [ind.p_indiv1 for ind in inds]
-            columns[f"{token}_p_indiv2"] = [ind.p_indiv2 for ind in inds]
+        if token in inds:
+            columns[f"{token}_p_indiv1"] = [ind.p_indiv1 for ind in inds[token]]
+            columns[f"{token}_p_indiv2"] = [ind.p_indiv2 for ind in inds[token]]
             columns[f"{token}_rbar_indiv"] = [
-                expected_sum_rate_indiv(target, ind.p_indiv1, ind.p_indiv2) for ind in inds
+                expected_sum_rate_indiv(target, ind.p_indiv1, ind.p_indiv2) for ind in inds[token]
             ]
     return columns
 

@@ -162,72 +162,85 @@ def classify_region_batch(
 # ---------------------------------------------------------------------------
 
 
-def _sweep(n, seed, count, finish, profile, *args):
-    """``finish`` of the summed ``count(h, *args)`` over the first n draws of
-    ``profile``; given lists of one length for ``profile`` and ``args``, one
-    entry per sweep point, the list of that at each point.
-
-    Blocks are the outer loop and points the inner one, so the points read
-    each block in turn: the sampler draws its normals once, and the block
-    is scaled once for all the points that share a profile, which share its
-    power-free |h|^2 too unless it is the short last block, a slice.  A
-    numpy overflow or invalid operation raises FloatingPointError: the
-    kernels ignore, in their own ``np.errstate`` blocks, the ones whose
-    limits they handle, and any other makes the estimate meaningless.
+def _sweep(n, seed, scheme, job, profile, *per_scheme):
+    """``finish`` of the summed ``count(h, *args)`` over the first n draws
+    of ``profile`` or, given lists of one length for ``profile`` and
+    ``args``, one entry per sweep point, the list of that at each point,
+    where ``(count, finish, args) = job(scheme, *per_scheme)``; for a
+    non-empty list of names, each of ``per_scheme`` a list of one entry per
+    name, the list of that for each name.  Every job is made, so every name
+    checked, before the first draw, and all run in one pass: blocks, then
+    points, then jobs, so a block's normals are drawn once, and each
+    (block, profile) is scaled and, but for the short last block (a slice),
+    its power-free |h|^2 taken once.  A numpy overflow or invalid operation
+    raises FloatingPointError: the kernels ignore, in their own
+    ``np.errstate`` blocks, the ones whose limits they handle, and any
+    other makes the estimate meaningless.
     """
     _check_samples(n)
-    one = not isinstance(profile, list)
+    one_scheme, one = isinstance(scheme, str), not isinstance(profile, list)
+    names, entries = ([scheme], [[e] for e in per_scheme]) if one_scheme else (scheme, per_scheme)
+    if not len(names) or any(not isinstance(e, list) or len(e) != len(names) for e in entries):
+        raise ValueError("scheme must be a name or a non-empty list of names, and each "
+                         "per-scheme argument then a list of one entry per name")
+    jobs = [job(*a) for a in zip(names, *entries)]
+    args = [a for _, _, job_args in jobs for a in job_args]
     columns = [[a] if one else a for a in (profile, *args)]
     if any(isinstance(a, list) == one for a in args) or len({len(c) for c in columns}) > 1:
         raise ValueError("per-point arguments must be single values or lists of one length")
-    points = list(zip(*columns))
-    totals = [0] * len(points)
+    totals = [[0] * len(columns[0]) for _ in jobs]
     with np.errstate(over="raise", invalid="raise"):
         for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
-            for i, (prof, *values) in enumerate(points):
-                # the last block is cut to the draws left
-                h = sample_fading_block(prof, seed, b)[: n - b * BLOCK_SIZE]
-                totals[i] = totals[i] + np.asarray(count(h, *values), dtype=np.int64)
-    estimates = [finish(t) for t in totals]
-    return estimates[0] if one else estimates
+            for i, prof in enumerate(columns[0]):
+                for (count, _, job_args), t in zip(jobs, totals):
+                    # the last block is cut to the draws left
+                    h = sample_fading_block(prof, seed, b)[: n - b * BLOCK_SIZE]
+                    values = (a if one else a[i] for a in job_args)
+                    t[i] = t[i] + np.asarray(count(h, *values), dtype=np.int64)
+    estimates = [[finish(c) for c in t] for (_, finish, _), t in zip(jobs, totals)]
+    estimates = [e[0] if one else e for e in estimates]
+    return estimates[0] if one_scheme else estimates
 
 
 def common_outage_mc(
-    scheme: str,
+    scheme: str | list[str],
     profile: FadingProfile | list[FadingProfile],
     power: PowerConfig | list[PowerConfig],
     beta: float,
     target: RateTarget,
     n: int,
     seed: int,
-) -> OutageEstimate | list[OutageEstimate]:
+) -> OutageEstimate | list:
     """Common outage probability of ``scheme`` over ``n`` fading draws;
-    with lists of profiles and powers, one estimate per sweep point.
+    with lists of profiles and powers, one estimate per sweep point, and
+    with a list of schemes, one entry per scheme, from one pass.
 
     Identical (scheme, inputs, n, seed) give bit-identical estimates.
     """
-    _scheme(scheme, beta, target)
-    count = lambda h, power: [int(outage_flags(scheme, h, power, beta, target).sum())]
     finish = lambda c: OutageEstimate.from_count(int(c[0]), n, seed)
-    return _sweep(n, seed, count, finish, profile, power)
+
+    def job(name):
+        _scheme(name, beta, target)
+        count = lambda h, power: [int(outage_flags(name, h, power, beta, target).sum())]
+        return count, finish, (power,)
+
+    return _sweep(n, seed, scheme, job, profile)
 
 
 def individual_outage_mc(
     profile: FadingProfile | list[FadingProfile],
     power: PowerConfig | list[PowerConfig],
     beta: float,
-    target: RateTarget | list[RateTarget],
+    target: RateTarget | list,
     n: int,
     seed: int,
     *,
-    scheme: str = "gqf",
-) -> IndividualOutageEstimate | list[IndividualOutageEstimate]:
+    scheme: str | list[str] = "gqf",
+) -> IndividualOutageEstimate | list:
     """Individual and common outage from one region-classification pass;
-    with lists of profiles, powers and targets, one estimate per point."""
-
-    def count(h, power, target):
-        codes = classify_region_batch(h, power, beta, target, scheme)
-        return np.bincount(codes, minlength=5)[1:5]
+    with lists of profiles, powers and targets, one estimate per point, and
+    with a list of schemes and one ``target`` entry per scheme, one entry
+    per scheme, from one pass."""
 
     def finish(total):
         counts = [int(c) for c in total]
@@ -241,7 +254,13 @@ def individual_outage_mc(
             seed=seed,
         )
 
-    return _sweep(n, seed, count, finish, profile, power, target)
+    def job(name, target):
+        _scheme(name, beta, None, index_rate=True)
+        count = lambda h, power, target: np.bincount(
+            classify_region_batch(h, power, beta, target, name), minlength=5)[1:5]
+        return count, finish, (power, target)
+
+    return _sweep(n, seed, scheme, job, profile, target)
 
 
 def optimize_ru_grid(
@@ -253,27 +272,32 @@ def optimize_ru_grid(
     n: int,
     seed: int,
     *,
-    scheme: str = "gqf",
-) -> tuple[float, OutageEstimate] | list[tuple[float, OutageEstimate]]:
+    scheme: str | list[str] = "gqf",
+) -> tuple[float, OutageEstimate] | list:
     """Relay index rate from ``grid`` minimizing common outage on shared
     draws; ties resolve to the smallest rate.  ``target.ru`` is ignored.
-    With lists of profiles and powers, one choice per sweep point."""
+    With lists of profiles and powers, one choice per sweep point, and
+    with a list of schemes, one entry per scheme, from one pass."""
     grid = [float(g) for g in grid]
     _check_grid(grid, "index-rate grid")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
-    # _check_grid made the grid strictly increasing, so grid[0] > 0 covers every entry
-    _scheme(scheme, beta, targets[0], index_rate=True)
-    # the outage curve over ru is built once per block, not per grid entry
-
-    def count(h, power):
-        curve = _IndexRateCurve(scheme, h, power, beta, target.r1, target.r2)
-        return [int(outage_flags(scheme, h, power, beta, t, curve=curve).sum()) for t in targets]
 
     def finish(counts):
         best = int(np.argmin(counts))  # first minimum = smallest rate on ties
         return grid[best], OutageEstimate.from_count(int(counts[best]), n, seed)
 
-    return _sweep(n, seed, count, finish, profile, power)
+    def job(name):
+        # _check_grid made the grid strictly increasing, so grid[0] > 0 covers every entry
+        _scheme(name, beta, targets[0], index_rate=True)
+
+        def count(h, power):  # the outage curve over ru is built once per block
+            curve = _IndexRateCurve(name, h, power, beta, target.r1, target.r2)
+            return [int(outage_flags(name, h, power, beta, t, curve=curve).sum())
+                    for t in targets]
+
+        return count, finish, (power,)
+
+    return _sweep(n, seed, scheme, job, profile)
 
 
 def expected_sum_rate_common(target: RateTarget, outage: OutageEstimate) -> float:

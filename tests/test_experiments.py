@@ -164,19 +164,21 @@ def test_building_a_config_draws_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("preset, schemes, philox, sampler, scaled, gains", [
-    ("fig5", None, 7 * 2, 7 * 7 * 2, 7 * 2, 7 * (1 + 7)),
+    ("fig5", None, 2, 7 * 7 * 2, 2, 1 + 7 * 7),
     ("fig5", ("gqf",), 2, 7 * 2, 2, 1 + 7),
-    ("fig8", None, 5 * 2, 5 * 9 * 2, 5 * 9 * 2, 5 * 9 * 2),  # 3 tokens, 2 of them also classify
+    # fixed, _opt and individual passes; the 2 _opt tokens also classify
+    ("fig8", None, 3 * 2, 5 * 9 * 2, 3 * 9 * 2, 9 * 2 + 2 * 9 * (1 + 2)),
 ])
-def test_each_estimator_pass_draws_each_block_once(monkeypatch, preset, schemes, philox,
-                                                   sampler, scaled, gains):
-    # every point of a sweep reads the same blocks: one estimator pass over
-    # all the points draws each block's normals once, and each point still
-    # asks the sampler for each of its blocks.  Points that share a profile
-    # (fig5) also share the block's scaling, and the power-free gains of a
-    # block they read whole; the 5-draw tail of the last block is a slice,
-    # which each point reads with gains of its own.  fig8's points differ in
-    # var_rd, so each scales its own
+def test_each_estimator_kind_is_one_pass_over_the_blocks(monkeypatch, preset, schemes, philox,
+                                                         sampler, scaled, gains):
+    # every point and every token of an estimator call read the same blocks:
+    # one pass per estimator kind draws each block's normals once, and each
+    # token still asks the sampler for each block of each point.  The tokens
+    # of a pass share each point's scaled block and the power-free gains of
+    # a block they read whole, and points that share a profile (fig5) share
+    # them too; the 5-draw tail of the last block is a slice, which each
+    # token at each point reads with gains of its own.  fig8's points differ
+    # in var_rd, so each scales its own once per pass
     overrides = {"n_samples": marcsim.BLOCK_SIZE + 5}
     if schemes:
         overrides["schemes"] = schemes
@@ -341,6 +343,18 @@ def test_individual_columns_only_for_index_rate_schemes():
         assert tokens == {"gqf_opt", "nonwz_cf_opt"}, suffix
     plain = {c for c in res.columns if not c.endswith(suffixes)}
     assert {c[: c.rindex("_")] for c in plain} == set(PRESETS["fig7"]["schemes"])
+
+
+@pytest.mark.parametrize("preset", ["fig6", "fig8_hetero"])
+def test_a_tokens_cells_do_not_depend_on_the_other_tokens(preset):
+    # the tokens of a preset share their estimator passes; each token run
+    # alone gives the same cells, tail block included
+    n = marcsim.BLOCK_SIZE + 5
+    full = run_experiment(preset_config(preset, n_samples=n)).columns
+    alone = {}
+    for token in PRESETS[preset]["schemes"]:
+        alone.update(run_experiment(preset_config(preset, n_samples=n, schemes=[token])).columns)
+    assert alone == full
 
 
 def test_run_byte_identical():

@@ -421,24 +421,89 @@ def test_list_call_equals_the_one_point_calls(preset):
             individual_outage_mc(prof, pw, cfg.beta, t, n, seed, scheme=scheme)
             for prof, pw, t in zip(profiles, powers, targets)
         ]
+    # a list of schemes, at one point and at every point, gives each
+    # scheme's own call, with its own target in the individual case
+    names, index_names = sorted(SCHEMES), ["nonwz_cf", "gqf", "gqf"]
+    for points in ((profiles[0], powers[0]), (profiles, powers)):
+        sweep = (*points, cfg.beta)
+        assert common_outage_mc(names, *sweep, target, n, seed) == [
+            common_outage_mc(name, *sweep, target, n, seed) for name in names]
+        assert optimize_ru_grid(*sweep, target, cfg.ru_grid, n, seed, scheme=index_names) == [
+            optimize_ru_grid(*sweep, target, cfg.ru_grid, n, seed, scheme=name)
+            for name in index_names]
+        if points[0] is profiles[0]:
+            targets = [RateTarget(cfg.r1, cfg.r2, ru) for ru in (0.5, 3.0, 1.0)]
+        else:
+            targets = [[RateTarget(cfg.r1, cfg.r2, ru) for ru in cfg.ru_grid[k: k + len(profiles)]]
+                       for k in range(3)]
+        assert individual_outage_mc(*sweep, targets, n, seed, scheme=index_names) == [
+            individual_outage_mc(*sweep, t, n, seed, scheme=name)
+            for name, t in zip(index_names, targets)]
 
 
-def test_list_call_checks_its_points():
+def test_list_call_checks_its_points(monkeypatch, tmp_path, capsys):
     _, profiles, powers = _sweep_points("fig5")
     huge = PowerConfig(1e308, 1e308, 1e308, 1e308, 1e308)
     bad = powers[:3] + [huge] + powers[4:]
-    # an overflow at one point still makes the whole estimate an error
+    # an overflow at one point still makes the whole estimate an error, for
+    # one scheme or a list of them
+    for scheme in ("direct", ["direct", "df"]):
+        with pytest.raises(FloatingPointError):
+            common_outage_mc(scheme, profiles, bad, 0.5, TARGET, 100, 1)
+    for scheme in ("gqf", ["gqf", "nonwz_cf"]):
+        with pytest.raises(FloatingPointError):
+            optimize_ru_grid(profiles, bad, 0.5, TARGET, [1.0, 3.0], 100, 1, scheme=scheme)
+        targets = [TARGET] * len(bad)
+        with pytest.raises(FloatingPointError):
+            individual_outage_mc(profiles, bad, 0.5, targets if scheme == "gqf" else
+                                 [targets, targets], 100, 1, scheme=scheme)
+    # an overflow in one job of a pass over several schemes stops the pass,
+    # and the CLI reports it in one line with exit code 1
+    flags = outage.outage_flags
+
+    def df_overflows(scheme, *args, **kwargs):
+        if scheme == "df":
+            np.float64(1e308) * 10.0
+        return flags(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(outage, "outage_flags", df_overflows)
     with pytest.raises(FloatingPointError):
-        common_outage_mc("direct", profiles, bad, 0.5, TARGET, 100, 1)
-    with pytest.raises(FloatingPointError):
-        optimize_ru_grid(profiles, bad, 0.5, TARGET, [1.0, 3.0], 100, 1)
-    with pytest.raises(FloatingPointError):
-        individual_outage_mc(profiles, bad, 0.5, [TARGET] * len(bad), 100, 1)
+        common_outage_mc(["direct", "df", "af"], profiles, powers, 0.5, TARGET, 100, 1)
+    out = tmp_path / "fig5.csv"
+    assert cli.main(["preset", "fig5", "--samples", "100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "numerical error: a kernel value leaves the float range (overflow " \
+        "encountered in scalar multiply)\n"
+    assert not out.exists()
     for args in ((profiles, powers[:-1]), (profiles, powers[0]), (PROFILE, powers)):
         with pytest.raises(ValueError, match="per-point argument"):
             common_outage_mc("direct", *args, 0.5, TARGET, 100, 1)
     with pytest.raises(ValueError, match="per-point argument"):
         individual_outage_mc(profiles, powers, 0.5, TARGET, 100, 1)
+
+
+def test_a_list_of_schemes_is_checked_before_the_first_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a rejected call drew fading samples")
+
+    monkeypatch.setattr("marcsim.channel._substream", no_draws)
+    monkeypatch.setattr("marcsim.outage.sample_fading_block", no_draws)
+    pw = snr_power(10.0)
+    # the last name of each list is the one rejected
+    with pytest.raises(ValueError, match="unknown scheme 'qqf'"):
+        common_outage_mc(["gqf", "direct", "qqf"], PROFILE, pw, 0.5, TARGET, 100, 1)
+    with pytest.raises(ValueError, match="no relay index rate"):
+        optimize_ru_grid(PROFILE, pw, 0.5, TARGET, [1.0], 100, 1, scheme=["gqf", "df"])
+    with pytest.raises(ValueError, match="no relay index rate"):
+        individual_outage_mc(PROFILE, pw, 0.5, [TARGET] * 2, 100, 1, scheme=["gqf", "af"])
+    # an empty list, or a target list not of one entry per scheme
+    with pytest.raises(ValueError, match="non-empty list"):
+        common_outage_mc([], PROFILE, pw, 0.5, TARGET, 100, 1)
+    with pytest.raises(ValueError, match="non-empty list"):
+        optimize_ru_grid(PROFILE, pw, 0.5, TARGET, [1.0], 100, 1, scheme=[])
+    for target in ([TARGET], [TARGET] * 3, TARGET, (TARGET, TARGET)):
+        with pytest.raises(ValueError, match="one entry per name"):
+            individual_outage_mc(PROFILE, pw, 0.5, target, 100, 1, scheme=["gqf", "nonwz_cf"])
 
 
 def test_unknown_scheme_and_missing_ru():
