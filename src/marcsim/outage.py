@@ -89,6 +89,7 @@ class IndividualOutageEstimate:
     wait for a benchmark change.  p_common is the count of regions 1-3 over
     n_samples, so it equals ``common_outage_mc(...).p_hat`` on the same
     draws; it equals f1 + f2 + f3 up to the rounding of that float sum.
+    ``from_counts`` builds the record from the four region counts.
     """
 
     p_indiv1: float
@@ -104,6 +105,12 @@ class IndividualOutageEstimate:
         for p in self.region_freqs:
             _check_probability(p, "each region frequency")
         _check_samples(self.n_samples, "n_samples")
+
+    @classmethod
+    def from_counts(cls, counts, n: int, seed: int) -> "IndividualOutageEstimate":
+        c1, c2, c3, c4 = map(int, counts)
+        f1, f2, f3, f4 = (c / n for c in (c1, c2, c3, c4))
+        return cls(f1 + f3, f2 + f3, (c1 + c2 + c3) / n, (f1, f2, f3, f4), n, seed)
 
 
 def outage_flags(
@@ -162,17 +169,17 @@ def classify_region_batch(
 # ---------------------------------------------------------------------------
 
 
-def _sweep(n, seed, scheme, job, profile, *per_scheme):
-    """``finish`` of the summed ``count(h, *args)`` over the first n draws
-    of ``profile`` or, given lists of one length for ``profile`` and
-    ``args``, one entry per sweep point, the list of that at each point,
-    where ``(count, finish, args) = job(scheme, *per_scheme)``; for a
-    non-empty list of names, each of ``per_scheme`` a list of one entry per
-    name, the list of that for each name.  Every job is made, so every name
-    checked, before the first draw, and all run in one pass: blocks, then
-    points, then jobs, so a block's normals are drawn once, and each
-    (block, profile) is scaled and, but for the short last block (a slice),
-    its power-free |h|^2 taken once.  A numpy overflow or invalid operation
+def _sweep(n, seed, scheme, job, finish, profile, *per_scheme):
+    """``finish(counts, n, seed)`` of the summed ``count(h, *args)``, as
+    Python ints, over the first n draws of ``profile`` or, given lists of
+    one length for ``profile`` and ``args``, one entry per sweep point, the
+    list of that at each point, where ``(count, args) = job(scheme,
+    *per_scheme)``; for a non-empty list of names, each of ``per_scheme`` a
+    list of one entry per name, the list of that for each name.  Every job
+    is made, so every name and target checked, before the first draw, and
+    all run in one pass: blocks, then points, then jobs, so a block's
+    normals are drawn once, and each (block, profile) is scaled and, but for
+    the short last block (a slice), its power-free |h|^2 taken once.  A numpy overflow or invalid operation
     raises FloatingPointError: the kernels ignore, in their own
     ``np.errstate`` blocks, the ones whose limits they handle, and any
     other makes the estimate meaningless.
@@ -184,7 +191,7 @@ def _sweep(n, seed, scheme, job, profile, *per_scheme):
         raise ValueError("scheme must be a name or a non-empty list of names, and each "
                          "per-scheme argument then a list of one entry per name")
     jobs = [job(*a) for a in zip(names, *entries)]
-    args = [a for _, _, job_args in jobs for a in job_args]
+    args = [a for _, job_args in jobs for a in job_args]
     columns = [[a] if one else a for a in (profile, *args)]
     if any(isinstance(a, list) == one for a in args) or len({len(c) for c in columns}) > 1:
         raise ValueError("per-point arguments must be single values or lists of one length")
@@ -192,12 +199,12 @@ def _sweep(n, seed, scheme, job, profile, *per_scheme):
     with np.errstate(over="raise", invalid="raise"):
         for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
             for i, prof in enumerate(columns[0]):
-                for (count, _, job_args), t in zip(jobs, totals):
+                for (count, job_args), t in zip(jobs, totals):
                     # the last block is cut to the draws left
                     h = sample_fading_block(prof, seed, b)[: n - b * BLOCK_SIZE]
                     values = (a if one else a[i] for a in job_args)
                     t[i] = t[i] + np.asarray(count(h, *values), dtype=np.int64)
-    estimates = [[finish(c) for c in t] for (_, finish, _), t in zip(jobs, totals)]
+    estimates = [[finish(c.tolist(), n, seed) for c in t] for t in totals]
     estimates = [e[0] if one else e for e in estimates]
     return estimates[0] if one_scheme else estimates
 
@@ -217,14 +224,12 @@ def common_outage_mc(
 
     Identical (scheme, inputs, n, seed) give bit-identical estimates.
     """
-    finish = lambda c: OutageEstimate.from_count(int(c[0]), n, seed)
-
     def job(name):
         _scheme(name, beta, target)
-        count = lambda h, power: [int(outage_flags(name, h, power, beta, target).sum())]
-        return count, finish, (power,)
+        count = lambda h, power: int(outage_flags(name, h, power, beta, target).sum())
+        return count, (power,)
 
-    return _sweep(n, seed, scheme, job, profile)
+    return _sweep(n, seed, scheme, job, OutageEstimate.from_count, profile)
 
 
 def individual_outage_mc(
@@ -237,30 +242,22 @@ def individual_outage_mc(
     *,
     scheme: str | list[str] = "gqf",
 ) -> IndividualOutageEstimate | list:
-    """Individual and common outage from one region-classification pass;
-    with lists of profiles, powers and targets, one estimate per point, and
-    with a list of schemes and one ``target`` entry per scheme, one entry
-    per scheme, from one pass."""
-
-    def finish(total):
-        counts = [int(c) for c in total]
-        f1, f2, f3, f4 = (c / n for c in counts)
-        return IndividualOutageEstimate(
-            p_indiv1=f1 + f3,
-            p_indiv2=f2 + f3,
-            p_common=sum(counts[:3]) / n,
-            region_freqs=(f1, f2, f3, f4),
-            n_samples=n,
-            seed=seed,
-        )
+    """Individual and common outage from one region-classification pass,
+    built by ``IndividualOutageEstimate.from_counts``; with lists of
+    profiles, powers and targets, one estimate per point, and with a list
+    of schemes and one ``target`` entry per scheme, one entry per scheme,
+    from one pass.  Each name and each of its targets is checked, as
+    ``classify_region_batch`` checks them on every block, before the first
+    draw."""
 
     def job(name, target):
-        _scheme(name, beta, None, index_rate=True)
+        for t in (target if isinstance(target, list) else [target]) or [None]:
+            _scheme(name, beta, t, index_rate=True)
         count = lambda h, power, target: np.bincount(
             classify_region_batch(h, power, beta, target, name), minlength=5)[1:5]
-        return count, finish, (power, target)
+        return count, (power, target)
 
-    return _sweep(n, seed, scheme, job, profile, target)
+    return _sweep(n, seed, scheme, job, IndividualOutageEstimate.from_counts, profile, target)
 
 
 def optimize_ru_grid(
@@ -282,9 +279,9 @@ def optimize_ru_grid(
     _check_grid(grid, "index-rate grid")
     targets = [RateTarget(target.r1, target.r2, g) for g in grid]
 
-    def finish(counts):
+    def finish(counts, n, seed):
         best = int(np.argmin(counts))  # first minimum = smallest rate on ties
-        return grid[best], OutageEstimate.from_count(int(counts[best]), n, seed)
+        return grid[best], OutageEstimate.from_count(counts[best], n, seed)
 
     def job(name):
         # _check_grid made the grid strictly increasing, so grid[0] > 0 covers every entry
@@ -295,9 +292,9 @@ def optimize_ru_grid(
             return [int(outage_flags(name, h, power, beta, t, curve=curve).sum())
                     for t in targets]
 
-        return count, finish, (power,)
+        return count, (power,)
 
-    return _sweep(n, seed, scheme, job, profile)
+    return _sweep(n, seed, scheme, job, finish, profile)
 
 
 def expected_sum_rate_common(target: RateTarget, outage: OutageEstimate) -> float:

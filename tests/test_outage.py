@@ -269,6 +269,22 @@ def test_individual_common_outage_is_the_common_estimate(seed):
     assert ind.p_common == common_outage_mc("gqf", PROFILE, pw, 0.5, TARGET, 5000, seed).p_hat
 
 
+@pytest.mark.parametrize("scheme", ["gqf", "nonwz_cf"])
+def test_individual_estimate_is_built_from_the_region_counts(scheme):
+    # at one fig8 point, the record is from_counts of the region counts
+    # summed over the blocks; two blocks, the last one short
+    cfg, profiles, powers = _sweep_points("fig8")
+    n, target = BLOCK_SIZE + 5, RateTarget(cfg.r1, cfg.r2, cfg.ru)
+    prof, pw = profiles[len(profiles) // 2], powers[len(profiles) // 2]
+    counts = sum(
+        np.bincount(classify_region_batch(
+            sample_fading_block(prof, cfg.seed, b)[: n - b * BLOCK_SIZE], pw, cfg.beta, target,
+            scheme), minlength=5)[1:5]
+        for b in range(2))
+    assert IndividualOutageEstimate.from_counts(counts, n, cfg.seed) == individual_outage_mc(
+        prof, pw, cfg.beta, target, n, cfg.seed, scheme=scheme)
+
+
 def _mac_region_probabilities(v1, v2, r1, r2, s):
     """Exact (region 1, region 2, common outage) of the two-slot MAC at
     beta = 1/2 with equal slot powers s, over independent exponential
@@ -504,6 +520,14 @@ def test_a_list_of_schemes_is_checked_before_the_first_draw(monkeypatch):
     for target in ([TARGET], [TARGET] * 3, TARGET, (TARGET, TARGET)):
         with pytest.raises(ValueError, match="one entry per name"):
             individual_outage_mc(PROFILE, pw, 0.5, target, 100, 1, scheme=["gqf", "nonwz_cf"])
+    # a target without a valid relay index rate: the second per-scheme
+    # entry, the second per-point target, and the one target of one point
+    no_ru = RateTarget(1.0, 1.0, 0.0)
+    for sweep, target, scheme in (((PROFILE, pw), [TARGET, no_ru], ["gqf", "gqf"]),
+                                  (([PROFILE] * 2, [pw] * 2), [TARGET, no_ru], "gqf"),
+                                  ((PROFILE, pw), no_ru, "gqf")):
+        with pytest.raises(ValueError, match="relay index rate ru must be finite and > 0"):
+            individual_outage_mc(*sweep, 0.5, target, 100, 1, scheme=scheme)
 
 
 def test_unknown_scheme_and_missing_ru():
